@@ -53,6 +53,7 @@ from .perception import (
     NoiseModel,
     PerceptionOutput,
     PerceptionPipeline,
+    RecoveryPolicy,
     RecoveryState,
     TrackerOutput,
     gate_update,

@@ -62,15 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.duration is not None:
-        updates["duration"] = args.duration
-    if args.dt is not None:
-        updates["dt"] = args.dt
-    if args.mode is not None:
-        updates["mode"] = args.mode
+    """Replace the config fields whose override flag was given."""
+    updates = {key: getattr(args, key) for key in ("seed", "duration", "dt", "mode")}
+    updates = {key: value for key, value in updates.items() if value is not None}
     return dataclasses.replace(config, **updates) if updates else config
 
 

@@ -1,8 +1,17 @@
 """Scenario configuration: presets, YAML loading, strict validation.
 
-A scenario file is a single YAML mapping with nested sections mirroring the
-run's building blocks.  Unknown keys anywhere are hard errors so typos never
-silently fall back to defaults.  Three presets ship built in:
+A scenario file is one YAML mapping whose keys are the field names of
+:class:`ScenarioConfig`; each section's keys are the field names of its
+dataclass (``recovery`` is :class:`RecoveryPolicy`, ``trajectory`` the class
+its ``kind`` picks from :data:`TRAJECTORIES`).  Values are checked against the
+field annotations, so numbers must be finite and ``null`` is rejected; an
+omitted key keeps the dataclass default, and an unknown key is an error.  Every
+error names the full key path.  Two exceptions: ``robot_start`` is the mapping
+``{x, y, theta}``, and the derived ``body.body_center_height`` (half of
+``head_height``) and ``gains.lambda1``/``lambda2`` (see :func:`signed_lambdas`)
+follow the body model.
+
+Three presets ship built in:
 
 ``circle-sim``
     The person walks a 0.4 m circle around (0.5, 0.5) at 1 rad/s, the robot
@@ -17,7 +26,7 @@ silently fall back to defaults.  Three presets ship built in:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -25,7 +34,7 @@ import yaml
 
 from .controller import ControllerGains, SaturationLimits, JACOBIAN_MODES
 from .geometry import CameraIntrinsics, JointLimits, PanTiltAngles
-from .perception import NoiseModel, RecoveryState
+from .perception import NoiseModel, RecoveryPolicy
 from .simworld import (
     BodyModel,
     CircleTrajectory,
@@ -48,11 +57,10 @@ class ScenarioConfig:
     body: BodyModel = field(default_factory=BodyModel)
     gains: ControllerGains = field(default_factory=ControllerGains)
     saturation: SaturationLimits = field(default_factory=SaturationLimits)
-    joint_limits: JointLimits = field(default_factory=JointLimits)
+    joints: JointLimits = field(default_factory=JointLimits)
     trajectory: TargetTrajectory = field(default_factory=CircleTrajectory)
     noise: NoiseModel = field(default_factory=NoiseModel)
-    recovery: RecoveryState = field(default_factory=RecoveryState)
-    search_dilation: float = 2.0
+    recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
     robot_start: tuple[float, float, float] = (0.0, 0.0, 0.0)
     initial_angles: PanTiltAngles = field(default_factory=PanTiltAngles)
     dt: float = 0.02
@@ -61,16 +69,14 @@ class ScenarioConfig:
     mode: str = "re-derived"
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ConfigError("dt: must be > 0")
-        if self.duration < 0:
-            raise ConfigError("duration: must be >= 0")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ConfigError(f"dt: must be a finite number > 0, got {self.dt!r}")
+        if not (math.isfinite(self.duration) and self.duration >= 0):
+            raise ConfigError(f"duration: must be a finite number >= 0, got {self.duration!r}")
         if self.seed < 0:
             raise ConfigError("seed: must be >= 0")
         if self.mode not in JACOBIAN_MODES:
             raise ConfigError(f"mode: must be one of {JACOBIAN_MODES}")
-        if self.search_dilation <= 0:
-            raise ConfigError("recovery.search_dilation: must be > 0")
 
     @property
     def n_ticks(self) -> int:
@@ -92,48 +98,172 @@ def signed_lambdas(
     return out1, out2
 
 
-def _facing(start: tuple[float, float], toward: tuple[float, float]) -> float:
-    return math.atan2(toward[1] - start[1], toward[0] - start[0])
+def _mapping(value: Any, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path or '<root>'}: expected a mapping, got {value!r}")
+    return dict(value)
+
+
+def _reject_unknown(given: dict, path: str) -> None:
+    if given:
+        raise ConfigError(f"unknown key '{_join(path, next(iter(given)))}'")
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _number(value: Any, path: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+
+
+def _integer(value: Any, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def _string(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string, got {value!r}")
+    return value
+
+
+def _pair(value: Any, path: str) -> tuple[float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{path}: expected a pair [x, y], got {value!r}")
+    return (_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
+
+
+def _pairs(value: Any, path: str) -> tuple[tuple[float, float], ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{path}: expected a list of pairs, got {value!r}")
+    return tuple(_pair(item, f"{path}[{i}]") for i, item in enumerate(value))
+
+
+# One validator per field annotation; the annotations are strings because the
+# modules postpone their evaluation.
+_VALIDATORS = {
+    "float": _number,
+    "float | None": _number,
+    "int": _integer,
+    "str": _string,
+    "tuple[float, float]": _pair,
+    "tuple[tuple[float, float], ...]": _pairs,
+}
+
+TRAJECTORIES = {
+    "circle": CircleTrajectory,
+    "line": LineTrajectory,
+    "waypoints": WaypointTrajectory,
+}
+
+
+def _fields(cls: type, value: Any, path: str) -> dict:
+    """Validated keyword arguments for ``cls`` from the keys of the mapping
+    ``value`` that name its fields; any other key is an error."""
+    given = _mapping(value, path)
+    kwargs = {
+        f.name: _VALIDATORS[f.type](given.pop(f.name), _join(path, f.name))
+        for f in fields(cls)
+        if f.name in given
+    }
+    _reject_unknown(given, path)
+    return kwargs
+
+
+def _trajectory(value: Any) -> TargetTrajectory:
+    given = _mapping(value, "trajectory")
+    kind = given.pop("kind", None)
+    cls = TRAJECTORIES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"trajectory.kind: expected one of {list(TRAJECTORIES)}, got {kind!r}")
+    return cls(**_fields(cls, given, "trajectory"))
+
+
+def _robot_start(value: Any, default: tuple[float, float, float]) -> tuple[float, float, float]:
+    given = _mapping(value, "robot_start")
+    pose = tuple(
+        _number(given.pop(key), f"robot_start.{key}") if key in given else default_value
+        for key, default_value in zip(("x", "y", "theta"), default)
+    )
+    _reject_unknown(given, "robot_start")
+    return pose
+
+
+def parse_config(data: dict, name: str | None = None) -> ScenarioConfig:
+    """Build a validated :class:`ScenarioConfig` from a nested mapping.
+
+    ``name`` is used unless the mapping sets its own.
+    """
+    root = _mapping(data, "")
+    values: dict[str, Any] = {} if name is None else {"name": name}
+    lambdas = (None, None)
+    try:
+        for f in fields(ScenarioConfig):
+            if f.name not in root:
+                continue
+            value = root.pop(f.name)
+            if f.name == "trajectory":
+                values[f.name] = _trajectory(value)
+            elif f.name == "robot_start":
+                values[f.name] = _robot_start(value, f.default)
+            elif f.default_factory is not MISSING:
+                kwargs = _fields(f.default_factory, value, f.name)
+                if f.name == "gains":
+                    lambdas = (kwargs.pop("lambda1", None), kwargs.pop("lambda2", None))
+                values[f.name] = f.default_factory(**kwargs)
+            else:
+                values[f.name] = _VALIDATORS[f.type](value, f.name)
+        _reject_unknown(root, "")
+        config = ScenarioConfig(**values)
+        l1, l2 = signed_lambdas(config.body, *lambdas)
+        return replace(config, gains=replace(config.gains, lambda1=l1, lambda2=l2))
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def preset_circle_sim() -> ScenarioConfig:
-    traj = CircleTrajectory(center=(0.5, 0.5), radius=0.4, rate=1.0)
-    body = BodyModel()
-    l1, l2 = signed_lambdas(body, None, None)
-    return ScenarioConfig(
+    cfg = parse_config(
+        {
+            "trajectory": {"kind": "circle", "center": [0.5, 0.5], "radius": 0.4, "rate": 1.0},
+            "gains": {"target_half_height": 100.0},
+        },
         name="circle-sim",
-        trajectory=traj,
-        body=body,
-        gains=ControllerGains(lambda1=l1, lambda2=l2, target_half_height=100.0),
-        robot_start=(0.0, 0.0, _facing((0.0, 0.0), traj.position(0.0))),
     )
+    x, y, _ = cfg.robot_start
+    tx, ty = cfg.trajectory.position(0.0)
+    return replace(cfg, robot_start=(x, y, math.atan2(ty - y, tx - x)))  # face the person
 
 
 def preset_indoor() -> ScenarioConfig:
-    body = BodyModel()
-    l1, l2 = signed_lambdas(body, 5.0, 0.91)
-    traj = LineTrajectory(start=(2.0, 0.0), velocity=(0.1, 0.0))
-    return ScenarioConfig(
+    return parse_config(
+        {
+            "trajectory": {"kind": "line", "start": [2.0, 0.0], "velocity": [0.1, 0.0]},
+            "gains": {"lambda1": 5.0, "lambda2": 0.91, "target_half_height": 500.0},
+            "duration": 30.0,
+        },
         name="indoor",
-        trajectory=traj,
-        body=body,
-        gains=ControllerGains(lambda1=l1, lambda2=l2, target_half_height=500.0),
-        robot_start=(0.0, 0.0, 0.0),
-        duration=30.0,
     )
 
 
 def preset_outdoor() -> ScenarioConfig:
-    body = BodyModel()
-    l1, l2 = signed_lambdas(body, 5.0, 0.91)
-    traj = LineTrajectory(start=(3.0, 0.0), velocity=(0.2, 0.05))
-    return ScenarioConfig(
+    return parse_config(
+        {
+            "trajectory": {"kind": "line", "start": [3.0, 0.0], "velocity": [0.2, 0.05]},
+            "gains": {"lambda1": 5.0, "lambda2": 0.91, "target_half_height": 300.0},
+            "duration": 30.0,
+        },
         name="outdoor",
-        trajectory=traj,
-        body=body,
-        gains=ControllerGains(lambda1=l1, lambda2=l2, target_half_height=300.0),
-        robot_start=(0.0, 0.0, 0.0),
-        duration=30.0,
     )
 
 
@@ -142,267 +272,6 @@ PRESETS = {
     "indoor": preset_indoor,
     "outdoor": preset_outdoor,
 }
-
-
-class _Section:
-    """One mapping level of the config file; tracks consumed keys so leftovers
-    can be rejected with their full path."""
-
-    def __init__(self, data: Any, path: str) -> None:
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path or '<root>'}: expected a mapping")
-        self.data = dict(data)
-        self.path = path
-
-    def _qualify(self, key: str) -> str:
-        return f"{self.path}.{key}" if self.path else key
-
-    def take(self, key: str, default: Any = None) -> Any:
-        return self.data.pop(key, default)
-
-    def take_number(self, key: str, default: float | None) -> float | None:
-        value = self.take(key, default)
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{self._qualify(key)}: expected a number, got {value!r}")
-        return float(value)
-
-    def take_int(self, key: str, default: int | None) -> int | None:
-        value = self.take(key, default)
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{self._qualify(key)}: expected an integer, got {value!r}")
-        return value
-
-    def take_str(self, key: str, default: str | None) -> str | None:
-        value = self.take(key, default)
-        if value is None:
-            return None
-        if not isinstance(value, str):
-            raise ConfigError(f"{self._qualify(key)}: expected a string, got {value!r}")
-        return value
-
-    def take_pair(self, key: str, default: tuple[float, float] | None) -> tuple[float, float] | None:
-        value = self.take(key, None)
-        if value is None:
-            return default
-        if not isinstance(value, (list, tuple)) or len(value) != 2:
-            raise ConfigError(f"{self._qualify(key)}: expected a pair [x, y]")
-        return (float(value[0]), float(value[1]))
-
-    def section(self, key: str) -> "_Section | None":
-        value = self.take(key, None)
-        if value is None:
-            return None
-        return _Section(value, self._qualify(key))
-
-    def finish(self) -> None:
-        if self.data:
-            key = next(iter(self.data))
-            raise ConfigError(f"unknown key '{self._qualify(key)}'")
-
-
-def _parse_trajectory(sec: _Section | None, default: TargetTrajectory) -> TargetTrajectory:
-    if sec is None:
-        return default
-    kind = sec.take_str("kind", None)
-    if kind == "circle":
-        traj: TargetTrajectory = CircleTrajectory(
-            center=sec.take_pair("center", (0.5, 0.5)),
-            radius=sec.take_number("radius", 0.4),
-            rate=sec.take_number("rate", 1.0),
-            phase=sec.take_number("phase", 0.0),
-        )
-    elif kind == "line":
-        traj = LineTrajectory(
-            start=sec.take_pair("start", (0.0, 0.0)),
-            velocity=sec.take_pair("velocity", (0.0, 0.0)),
-            delay=sec.take_number("delay", 0.0),
-        )
-    elif kind == "waypoints":
-        raw = sec.take("points", None)
-        if not isinstance(raw, (list, tuple)) or not raw:
-            raise ConfigError("trajectory.points: expected a non-empty list of [x, y] pairs")
-        points = []
-        for i, p in enumerate(raw):
-            if not isinstance(p, (list, tuple)) or len(p) != 2:
-                raise ConfigError(f"trajectory.points[{i}]: expected a pair [x, y]")
-            points.append((float(p[0]), float(p[1])))
-        traj = WaypointTrajectory(
-            points=tuple(points),
-            speed=sec.take_number("speed", 1.0),
-            delay=sec.take_number("delay", 0.0),
-        )
-    else:
-        raise ConfigError(
-            f"trajectory.kind: expected 'circle', 'line' or 'waypoints', got {kind!r}"
-        )
-    sec.finish()
-    return traj
-
-
-def _parse_occlusions(sec: _Section) -> tuple[tuple[float, float], ...]:
-    raw = sec.take("occlusion_windows", None)
-    if raw is None:
-        return ()
-    if not isinstance(raw, (list, tuple)):
-        raise ConfigError("noise.occlusion_windows: expected a list of [t0, t1] pairs")
-    windows = []
-    for i, w in enumerate(raw):
-        if not isinstance(w, (list, tuple)) or len(w) != 2:
-            raise ConfigError(f"noise.occlusion_windows[{i}]: expected a pair [t0, t1]")
-        windows.append((float(w[0]), float(w[1])))
-    return tuple(windows)
-
-
-def parse_config(data: dict, name: str = "custom") -> ScenarioConfig:
-    """Build a validated :class:`ScenarioConfig` from a nested mapping."""
-    defaults = ScenarioConfig()
-    root = _Section(data, "")
-    try:
-        name = root.take_str("name", name)
-
-        sec = root.section("intrinsics")
-        if sec is None:
-            intrinsics = defaults.intrinsics
-        else:
-            intrinsics = CameraIntrinsics(
-                alpha_x=sec.take_number("alpha_x", 500.0),
-                alpha_y=sec.take_number("alpha_y", 500.0),
-                u0=sec.take_number("u0", 320.0),
-                v0=sec.take_number("v0", 240.0),
-                width=sec.take_int("width", 640),
-                height=sec.take_int("height", 480),
-            )
-            sec.finish()
-
-        sec = root.section("body")
-        if sec is None:
-            body = defaults.body
-        else:
-            head = sec.take_number("head_height", 1.8)
-            body = BodyModel(
-                camera_height=sec.take_number("camera_height", 0.7),
-                body_center_height=sec.take_number("body_center_height", head / 2.0),
-                head_height=head,
-            )
-            sec.finish()
-
-        sec = root.section("gains")
-        if sec is None:
-            l1, l2 = signed_lambdas(body, None, None)
-            gains = ControllerGains(lambda1=l1, lambda2=l2)
-        else:
-            l1, l2 = signed_lambdas(
-                body, sec.take_number("lambda1", None), sec.take_number("lambda2", None)
-            )
-            gains = ControllerGains(
-                k1=sec.take_number("k1", 0.5),
-                k2=sec.take_number("k2", 0.5),
-                k3=sec.take_number("k3", 0.5),
-                lambda1=l1,
-                lambda2=l2,
-                target_half_height=sec.take_number("target_half_height", 100.0),
-            )
-            sec.finish()
-
-        sec = root.section("saturation")
-        if sec is None:
-            saturation = defaults.saturation
-        else:
-            saturation = SaturationLimits(
-                v_max=sec.take_number("v_max", 1.2),
-                omega_alpha_max=sec.take_number("omega_alpha_max", 1.5),
-                omega_beta_max=sec.take_number("omega_beta_max", 1.5),
-                omega_r_max=sec.take_number("omega_r_max", 1.0),
-            )
-            sec.finish()
-
-        sec = root.section("joints")
-        if sec is None:
-            joints = defaults.joint_limits
-        else:
-            joints = JointLimits(
-                alpha_max=sec.take_number("alpha_max", math.pi / 2),
-                beta_max=sec.take_number("beta_max", math.pi / 3),
-            )
-            sec.finish()
-
-        trajectory = _parse_trajectory(root.section("trajectory"), defaults.trajectory)
-
-        sec = root.section("noise")
-        if sec is None:
-            noise = defaults.noise
-        else:
-            noise = NoiseModel(
-                sigma_px=sec.take_number("sigma_px", 0.0),
-                occlusion_windows=_parse_occlusions(sec),
-                dropout_prob=sec.take_number("dropout_prob", 0.0),
-                score_visible=sec.take_number("score_visible", 0.95),
-                score_occluded=sec.take_number("score_occluded", 0.1),
-            )
-            sec.finish()
-
-        sec = root.section("recovery")
-        if sec is None:
-            recovery = defaults.recovery
-            dilation = defaults.search_dilation
-        else:
-            recovery = RecoveryState(
-                th_low=sec.take_number("th_low", 0.4),
-                th_high=sec.take_number("th_high", 0.8),
-                step_s=sec.take_number("step_s", 0.5),
-            )
-            dilation = sec.take_number("search_dilation", 2.0)
-            sec.finish()
-
-        sec = root.section("robot_start")
-        if sec is None:
-            robot_start = defaults.robot_start
-        else:
-            robot_start = (
-                sec.take_number("x", 0.0),
-                sec.take_number("y", 0.0),
-                sec.take_number("theta", 0.0),
-            )
-            sec.finish()
-
-        sec = root.section("initial_angles")
-        if sec is None:
-            initial_angles = defaults.initial_angles
-        else:
-            initial_angles = PanTiltAngles(
-                alpha=sec.take_number("alpha", 0.0),
-                beta=sec.take_number("beta", 0.0),
-            )
-            sec.finish()
-
-        config = ScenarioConfig(
-            name=name,
-            intrinsics=intrinsics,
-            body=body,
-            gains=gains,
-            saturation=saturation,
-            joint_limits=joints,
-            trajectory=trajectory,
-            noise=noise,
-            recovery=recovery,
-            search_dilation=dilation,
-            robot_start=robot_start,
-            initial_angles=initial_angles,
-            dt=root.take_number("dt", defaults.dt),
-            duration=root.take_number("duration", defaults.duration),
-            seed=root.take_int("seed", defaults.seed),
-            mode=root.take_str("mode", defaults.mode),
-        )
-        root.finish()
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return config
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

@@ -33,7 +33,7 @@ per channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -131,6 +131,11 @@ class SaturationLimits:
     omega_alpha_max: float = 1.5
     omega_beta_max: float = 1.5
     omega_r_max: float = 1.0
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if not getattr(self, f.name) > 0:
+                raise ValueError(f"saturation.{f.name}: must be > 0")
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,12 @@ class JointLimits:
     alpha_max: float = math.pi / 2
     beta_max: float = math.pi / 3
 
+    def __post_init__(self) -> None:
+        if not self.alpha_max > 0:
+            raise ValueError("joints.alpha_max: must be > 0")
+        if not self.beta_max > 0:
+            raise ValueError("joints.beta_max: must be > 0")
+
     def check(self, angles: PanTiltAngles) -> None:
         if abs(angles.alpha) > self.alpha_max:
             raise JointLimitError(

@@ -18,7 +18,7 @@ with a hold flag so the controller can stop chasing stale measurements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -106,27 +106,43 @@ class TrackerOutput:
 
 
 @dataclass(frozen=True)
-class RecoveryState:
-    """Failure-recovery state: hysteresis thresholds, growth step, and the
-    current search-region multiplier (>= 1)."""
+class RecoveryPolicy:
+    """Failure-recovery settings: hysteresis thresholds on the tracker score,
+    the per-tick growth step of the search region multiplier, and the region's
+    nominal half side in units of the box half height."""
 
     th_low: float = 0.4
     th_high: float = 0.8
     step_s: float = 0.5
-    failure_state: bool = False
-    region_scale: float = 1.0
+    search_dilation: float = 2.0
 
     def __post_init__(self) -> None:
         if not self.th_low < self.th_high:
             raise ValueError("recovery: th_low must be < th_high")
-        if self.step_s <= 0:
-            raise ValueError("recovery: step_s must be > 0")
+        if not self.step_s > 0:
+            raise ValueError("recovery.step_s: must be > 0")
+        if not self.search_dilation > 0:
+            raise ValueError("recovery.search_dilation: must be > 0")
+
+
+@dataclass(frozen=True)
+class RecoveryState:
+    """Failure-recovery run state: the failure flag and the current
+    search-region multiplier (>= 1)."""
+
+    failure_state: bool = False
+    region_scale: float = 1.0
+
+    def __post_init__(self) -> None:
         if self.region_scale < 1.0:
             raise ValueError("recovery: region_scale must be >= 1")
 
 
 def recovery_step(
-    state: RecoveryState, score: float, scale_cap: float = math.inf
+    state: RecoveryState,
+    score: float,
+    scale_cap: float = math.inf,
+    policy: RecoveryPolicy = RecoveryPolicy(),
 ) -> RecoveryState:
     """One transition of the failure-recovery machine.
 
@@ -136,20 +152,15 @@ def recovery_step(
     ``step_s`` per tick, capped at ``scale_cap`` (full-image coverage).
     """
     failed = state.failure_state
-    if score <= state.th_low:
+    if score <= policy.th_low:
         failed = True
-    elif score >= state.th_high:
+    elif score >= policy.th_high:
         failed = False
     if failed:
-        scale = min(state.region_scale + state.step_s, max(scale_cap, 1.0))
+        scale = min(state.region_scale + policy.step_s, max(scale_cap, 1.0))
     else:
         scale = 1.0
-    return replace(state, failure_state=failed, region_scale=scale)
-
-
-def region_half_side(last_box: BoxMeasurement, region_scale: float, dilation: float) -> float:
-    """Half side of the square search region around the last box center."""
-    return region_scale * dilation * last_box.half_height
+    return RecoveryState(failure_state=failed, region_scale=scale)
 
 
 def region_contains(
@@ -158,7 +169,8 @@ def region_contains(
     center: tuple[float, float],
     dilation: float,
 ) -> bool:
-    half = region_half_side(last_box, region_scale, dilation)
+    """Whether ``center`` is inside the square search region around the last box."""
+    half = region_scale * dilation * last_box.half_height
     return (
         abs(center[0] - last_box.u) <= half and abs(center[1] - last_box.v) <= half
     )
@@ -171,7 +183,7 @@ def simulated_track(
     noise: NoiseModel,
     t: float,
     rng: np.random.Generator,
-    dilation: float = 2.0,
+    dilation: float = RecoveryPolicy.search_dilation,
 ) -> TrackerOutput:
     """One tracker update against the synthetic measurement channel.
 
@@ -218,23 +230,22 @@ class PerceptionPipeline:
     def __init__(
         self,
         noise: NoiseModel,
-        recovery: RecoveryState,
+        policy: RecoveryPolicy,
         intrinsics: CameraIntrinsics,
         gate: DetectionGate | None = None,
-        search_dilation: float = 2.0,
     ) -> None:
         self.noise = noise
-        self.recovery = recovery
+        self.policy = policy
+        self.recovery = RecoveryState()
         self.intrinsics = intrinsics
         self.gate = gate or DetectionGate()
-        self.search_dilation = search_dilation
         self.initialized = False
         self._tracker_box: Optional[BoxMeasurement] = None
         self._confident_box: Optional[BoxMeasurement] = None
 
     def _scale_cap(self, box: BoxMeasurement) -> float:
         """Multiplier at which the search region covers the whole image."""
-        nominal = self.search_dilation * box.half_height
+        nominal = self.policy.search_dilation * box.half_height
         if nominal <= 0:
             return 1.0
         return max(1.0, max(self.intrinsics.width, self.intrinsics.height) / nominal)
@@ -263,22 +274,16 @@ class PerceptionPipeline:
         assert self._tracker_box is not None and self._confident_box is not None
         out = simulated_track(
             truth, self._tracker_box, self.recovery.region_scale,
-            self.noise, t, rng, self.search_dilation,
+            self.noise, t, rng, self.policy.search_dilation,
         )
         self._tracker_box = out.box
         self.recovery = recovery_step(
-            self.recovery, out.score, self._scale_cap(self._tracker_box)
+            self.recovery, out.score, self._scale_cap(self._tracker_box), self.policy
         )
-        if out.score >= self.recovery.th_high:
+        if out.score >= self.policy.th_high:
             self._confident_box = out.box
-        if self.recovery.failure_state:
-            return PerceptionOutput(
-                box=self._confident_box, hold=True, score=out.score,
-                region_scale=self.recovery.region_scale, failure_state=True,
-                initialized=True,
-            )
+        failed = self.recovery.failure_state
         return PerceptionOutput(
-            box=out.box, hold=False, score=out.score,
-            region_scale=self.recovery.region_scale, failure_state=False,
-            initialized=True,
+            box=self._confident_box if failed else out.box, hold=failed, score=out.score,
+            region_scale=self.recovery.region_scale, failure_state=failed, initialized=True,
         )

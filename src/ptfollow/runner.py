@@ -30,15 +30,14 @@ def run_scenario(config: ScenarioConfig) -> TimeSeriesLog:
     )
     pipeline = PerceptionPipeline(
         noise=config.noise,
-        recovery=config.recovery,
+        policy=config.recovery,
         intrinsics=config.intrinsics,
-        search_dilation=config.search_dilation,
     )
     rng = np.random.default_rng(config.seed)
     state = SimState(
         t=0.0,
         robot=config.robot_start,
-        angles=config.joint_limits.clamp(config.initial_angles),
+        angles=config.joints.clamp(config.initial_angles),
         target=target_position(0.0, config.trajectory),
     )
     log = TimeSeriesLog()
@@ -81,7 +80,7 @@ def run_scenario(config: ScenarioConfig) -> TimeSeriesLog:
                 1.0 if seen.failure_state else 0.0,
             )
         )
-        state = integrate(state, cmd, config.dt, config.joint_limits)
+        state = integrate(state, cmd, config.dt, config.joints)
 
     return log
 

@@ -86,13 +86,13 @@ class WaypointTrajectory:
     makes scripted move-during-occlusion scenarios easy to write.
     """
 
-    points: tuple[tuple[float, float], ...]
+    points: tuple[tuple[float, float], ...] = ()
     speed: float = 1.0
     delay: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.points:
-            raise ValueError("trajectory: waypoint list must be non-empty")
+            raise ValueError("trajectory.points: must be a non-empty list of [x, y] pairs")
         if self.speed <= 0:
             raise ValueError("trajectory: waypoint speed must be > 0")
 
@@ -121,17 +121,20 @@ def target_position(t: float, traj: TargetTrajectory) -> tuple[float, float]:
 class BodyModel:
     """Vertical-segment person model plus the camera mount height, meters.
 
-    The body center sits at half the person's height.
+    The body center sits at half the person's height; ``None`` derives it.
     """
 
     camera_height: float = 0.7
-    body_center_height: float = 0.9
+    body_center_height: float | None = None
     head_height: float = 1.8
 
     def __post_init__(self) -> None:
+        center = self.head_height / 2.0
+        if self.body_center_height is None:
+            object.__setattr__(self, "body_center_height", center)
         if not 0.0 < self.camera_height < self.head_height:
             raise ValueError("body: need 0 < camera_height < head_height")
-        if abs(self.body_center_height - self.head_height / 2.0) > 1e-9:
+        if abs(self.body_center_height - center) > 1e-9:
             raise ValueError("body: body_center_height must equal head_height/2")
 
     @property
@@ -241,7 +244,3 @@ def true_body_center_depth(
     )
     return p.z
 
-
-def distance_to_target(state: SimState) -> float:
-    """Planar robot-to-target distance."""
-    return math.hypot(state.target[0] - state.robot[0], state.target[1] - state.robot[1])

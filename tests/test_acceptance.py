@@ -262,7 +262,7 @@ def test_criterion_07_failure_recovery_behavior():
     latency = int(recovered[0]) if len(recovered) else 10**9
     reacq_u = log.column("e_u")[end_tick + latency] + cfg.intrinsics.u0
     displacement = abs(reacq_u - held_u)
-    nominal = cfg.search_dilation * held_h
+    nominal = cfg.recovery.search_dilation * held_h
     bound = math.ceil(max(0.0, displacement / nominal - 1.0) / cfg.recovery.step_s)
     within_bound = latency <= bound
 

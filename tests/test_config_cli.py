@@ -1,14 +1,20 @@
 """Scenario presets, YAML parsing with strict validation, and the CLI."""
 
+import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
+import yaml
 
 from ptfollow.cli import main
 from ptfollow.config import (
     ConfigError,
     PRESETS,
+    TRAJECTORIES,
+    ScenarioConfig,
     load_config,
     parse_config,
     preset_circle_sim,
@@ -17,7 +23,35 @@ from ptfollow.config import (
     resolve_scenario,
     signed_lambdas,
 )
-from ptfollow.simworld import BodyModel, CircleTrajectory
+from ptfollow.controller import ControllerGains, SaturationLimits
+from ptfollow.geometry import CameraIntrinsics, JointLimits, PanTiltAngles
+from ptfollow.perception import NoiseModel, RecoveryPolicy
+from ptfollow.runner import run_scenario
+from ptfollow.simworld import (
+    BodyModel,
+    CircleTrajectory,
+    LineTrajectory,
+    WaypointTrajectory,
+)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# Scenario-file section -> the dataclass whose fields are its keys.
+SECTIONS = {
+    "intrinsics": CameraIntrinsics,
+    "body": BodyModel,
+    "gains": ControllerGains,
+    "saturation": SaturationLimits,
+    "joints": JointLimits,
+    "noise": NoiseModel,
+    "recovery": RecoveryPolicy,
+    "initial_angles": PanTiltAngles,
+}
+TRAJECTORY_SAMPLES = {
+    "circle": CircleTrajectory(),
+    "line": LineTrajectory(),
+    "waypoints": WaypointTrajectory(points=((1.0, 0.0), (2.0, 1.0))),
+}
 
 
 class TestPresets:
@@ -95,9 +129,11 @@ class TestParseConfig:
     def test_full_round_trip(self, tmp_path):
         text = """
 name: walk
-intrinsics: {alpha_x: 400, alpha_y: 400, u0: 320, v0: 240, width: 640, height: 480}
+intrinsics: {alpha_x: 400, alpha_y: 410, u0: 300, v0: 250, width: 600, height: 500}
 body: {camera_height: 0.8, head_height: 1.7, body_center_height: 0.85}
-gains: {k1: 0.4, k2: 0.4, k3: 0.4, target_half_height: 120, lambda1: 20.0, lambda2: 1.111}
+gains: {k1: 0.4, k2: 0.3, k3: 0.2, target_half_height: 120, lambda1: 20.0, lambda2: 1.111}
+saturation: {v_max: 1.0, omega_alpha_max: 1.4, omega_beta_max: 1.3, omega_r_max: 0.9}
+joints: {alpha_max: 1.5, beta_max: 1.0}
 trajectory:
   kind: waypoints
   points: [[3.0, 0.0], [3.0, 2.0]]
@@ -106,22 +142,104 @@ trajectory:
 noise:
   sigma_px: 1.0
   occlusion_windows: [[4.0, 6.0]]
-recovery: {th_low: 0.3, th_high: 0.7, step_s: 0.25}
-robot_start: {x: 0.0, y: 0.0, theta: 0.0}
-dt: 0.02
+  dropout_prob: 0.1
+  score_visible: 0.9
+  score_occluded: 0.2
+recovery: {th_low: 0.3, th_high: 0.7, step_s: 0.25, search_dilation: 1.5}
+robot_start: {x: 0.5, y: -0.5, theta: 0.25}
+initial_angles: {alpha: 0.1, beta: -0.1}
+dt: 0.01
 duration: 12.0
 seed: 7
-mode: re-derived
+mode: as-printed
 """
         path = tmp_path / "walk.yaml"
         path.write_text(text)
-        cfg = load_config(path)
-        assert cfg.name == "walk"
-        assert cfg.gains.target_half_height == 120.0
-        assert cfg.gains.lambda1 == -20.0  # sign normalized from body geometry
-        assert cfg.noise.occlusion_windows == ((4.0, 6.0),)
-        assert cfg.recovery.step_s == 0.25
-        assert cfg.trajectory.delay == 4.0
+        expected = ScenarioConfig(
+            name="walk",
+            intrinsics=CameraIntrinsics(
+                alpha_x=400.0, alpha_y=410.0, u0=300.0, v0=250.0, width=600, height=500
+            ),
+            body=BodyModel(camera_height=0.8, body_center_height=0.85, head_height=1.7),
+            # lambda magnitudes get the sign of the body geometry (points above
+            # the camera are negative)
+            gains=ControllerGains(
+                k1=0.4, k2=0.3, k3=0.2, lambda1=-20.0, lambda2=-1.111,
+                target_half_height=120.0,
+            ),
+            saturation=SaturationLimits(
+                v_max=1.0, omega_alpha_max=1.4, omega_beta_max=1.3, omega_r_max=0.9
+            ),
+            joints=JointLimits(alpha_max=1.5, beta_max=1.0),
+            trajectory=WaypointTrajectory(
+                points=((3.0, 0.0), (3.0, 2.0)), speed=0.5, delay=4.0
+            ),
+            noise=NoiseModel(
+                sigma_px=1.0, occlusion_windows=((4.0, 6.0),), dropout_prob=0.1,
+                score_visible=0.9, score_occluded=0.2,
+            ),
+            recovery=RecoveryPolicy(th_low=0.3, th_high=0.7, step_s=0.25, search_dilation=1.5),
+            robot_start=(0.5, -0.5, 0.25),
+            initial_angles=PanTiltAngles(alpha=0.1, beta=-0.1),
+            dt=0.01,
+            duration=12.0,
+            seed=7,
+            mode="as-printed",
+        )
+        assert load_config(path) == expected
+
+    @pytest.mark.parametrize(
+        "data",
+        [{section: {}} for section in [*SECTIONS, "robot_start"]]
+        + [{"trajectory": {"kind": "circle"}}],  # the kind is required
+        ids=str,
+    )
+    def test_empty_section_keeps_defaults(self, data):
+        assert parse_config(data) == parse_config({})
+
+    def test_schema_covers_every_config_field(self):
+        top_level = {"name", "trajectory", "robot_start", "dt", "duration", "seed", "mode"}
+        assert {f.name for f in dataclasses.fields(ScenarioConfig)} == set(SECTIONS) | top_level
+        assert set(TRAJECTORY_SAMPLES) == set(TRAJECTORIES)
+
+    @pytest.mark.parametrize("section", SECTIONS)
+    def test_every_section_field_is_a_key(self, section):
+        sample = SECTIONS[section]()
+        for f in dataclasses.fields(sample):
+            value = getattr(sample, f.name)
+            cfg = parse_config({section: {f.name: _as_yaml(value)}})
+            assert getattr(getattr(cfg, section), f.name) == value, f.name
+
+    @pytest.mark.parametrize("kind", TRAJECTORY_SAMPLES)
+    def test_every_trajectory_field_is_a_key(self, kind):
+        sample = TRAJECTORY_SAMPLES[kind]
+        for f in dataclasses.fields(sample):
+            given = {"kind": kind, f.name: _as_yaml(getattr(sample, f.name))}
+            if kind == "waypoints":
+                given.setdefault("points", _as_yaml(sample.points))
+            cfg = parse_config({"trajectory": given})
+            assert getattr(cfg.trajectory, f.name) == getattr(sample, f.name), f.name
+
+    def test_top_level_fields_are_keys(self):
+        given = {"name": "n", "dt": 0.01, "duration": 2.0, "seed": 3, "mode": "as-printed"}
+        cfg = parse_config(given)
+        assert {key: getattr(cfg, key) for key in given} == given
+        pose = parse_config({"robot_start": {"x": 1.0, "y": 2.0, "theta": 0.5}})
+        assert pose.robot_start == (1.0, 2.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "data, path",
+        [
+            ({"recovery": {"region_scale": 1.0}}, "recovery.region_scale"),
+            ({"recovery": {"failure_state": False}}, "recovery.failure_state"),
+            ({"search_dilation": 2.0}, "search_dilation"),
+            ({"joint_limits": {}}, "joint_limits"),
+            ({"robot_start": {"z": 0.0}}, "robot_start.z"),
+        ],
+    )
+    def test_non_schema_keys_rejected(self, data, path):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown key '{path}'")):
+            parse_config(data)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -135,6 +253,70 @@ mode: re-derived
 
     def test_resolve_prefers_presets(self):
         assert resolve_scenario("circle-sim").name == "circle-sim"
+
+
+def _as_yaml(value):
+    """A field value as the YAML loader would produce it (lists for tuples)."""
+    return [_as_yaml(v) for v in value] if isinstance(value, tuple) else value
+
+
+BAD_INPUTS = [
+    # non-finite numbers, one or more per section
+    ("intrinsics: {alpha_x: .nan}", "intrinsics.alpha_x"),
+    ("intrinsics: {width: .inf}", "intrinsics.width"),
+    ("body: {head_height: .inf}", "body.head_height"),
+    ("gains: {k1: .nan}", "gains.k1"),
+    ("gains: {lambda2: -.inf}", "gains.lambda2"),
+    ("saturation: {v_max: .inf}", "saturation.v_max"),
+    ("joints: {beta_max: .nan}", "joints.beta_max"),
+    ("trajectory: {kind: circle, radius: .nan}", "trajectory.radius"),
+    ("trajectory: {kind: line, velocity: [.inf, 0]}", "trajectory.velocity[0]"),
+    ("noise: {sigma_px: .inf}", "noise.sigma_px"),
+    ("noise: {occlusion_windows: [[1.0, .inf]]}", "noise.occlusion_windows[0][1]"),
+    ("recovery: {step_s: .nan}", "recovery.step_s"),
+    ("robot_start: {theta: .inf}", "robot_start.theta"),
+    ("initial_angles: {alpha: .nan}", "initial_angles.alpha"),
+    ("dt: .nan", "dt"),
+    ("duration: .inf", "duration"),
+    ("dt: 1" + "0" * 400, "dt"),  # an integer beyond the float range
+    # null values
+    ("dt: null", "dt"),
+    ("seed: null", "seed"),
+    ("name: null", "name"),
+    ("gains: {k1: null}", "gains.k1"),
+    ("noise: null", "noise"),
+    ("trajectory: {kind: line, start: null}", "trajectory.start"),
+    ("robot_start: {x: null}", "robot_start.x"),
+    # strings and bools inside pairs
+    ("trajectory: {kind: line, start: [a, 1]}", "trajectory.start[0]"),
+    ("trajectory: {kind: circle, center: [0.5, true]}", "trajectory.center[1]"),
+    ("trajectory: {kind: waypoints, points: [[1, 2], [false, 1]]}", "trajectory.points[1][0]"),
+    ("noise: {occlusion_windows: [[1.0, x]]}", "noise.occlusion_windows[0][1]"),
+    # limits and policies that must be positive
+    ("saturation: {v_max: -1}", "saturation.v_max"),
+    ("saturation: {omega_r_max: 0}", "saturation.omega_r_max"),
+    ("joints: {alpha_max: -1}", "joints.alpha_max"),
+    ("recovery: {search_dilation: 0}", "recovery.search_dilation"),
+]
+
+
+@pytest.mark.parametrize("text, path", BAD_INPUTS)
+def test_bad_input_is_config_error_naming_its_path(tmp_path, capsys, text, path):
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}:"):
+        parse_config(yaml.safe_load(text))
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text(text)
+    assert main(["--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert path in capsys.readouterr().err
+
+
+def test_readme_scenario_example_runs_one_tick(tmp_path):
+    blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(), re.DOTALL)
+    assert len(blocks) == 1
+    path = tmp_path / "example.yaml"
+    path.write_text(blocks[0])
+    cfg = load_config(path)
+    assert len(run_scenario(dataclasses.replace(cfg, duration=cfg.dt))) == 1
 
 
 class TestCli:
@@ -219,6 +401,16 @@ class TestCli:
             "--scenario", "circle-sim", "--out", str(tmp_path), "--dt", "0",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--duration", "nan"), ("--duration", "inf"), ("--dt", "inf"), ("--dt", "nan")],
+    )
+    def test_non_finite_override_is_config_error(self, tmp_path, capsys, flag, value):
+        code = main(["--scenario", "circle-sim", "--out", str(tmp_path), flag, value])
+        assert code == 2
+        assert f"{flag[2:]}: must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
 
     @pytest.mark.parametrize("preset", ["indoor", "outdoor"])
     def test_other_presets_run(self, tmp_path, preset):

@@ -9,6 +9,7 @@ from ptfollow.perception import (
     DetectionGate,
     NoiseModel,
     PerceptionPipeline,
+    RecoveryPolicy,
     RecoveryState,
     gate_update,
     recovery_step,
@@ -173,14 +174,14 @@ class TestRecoveryStep:
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            RecoveryState(th_low=0.8, th_high=0.4)
+            RecoveryPolicy(th_low=0.8, th_high=0.4)
 
 
 class TestPerceptionPipeline:
     def _pipeline(self, noise=None):
         return PerceptionPipeline(
             noise=noise or NoiseModel(),
-            recovery=RecoveryState(),
+            policy=RecoveryPolicy(),
             intrinsics=CameraIntrinsics(),
         )
 

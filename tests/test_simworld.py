@@ -208,5 +208,5 @@ class TestDepthAgreement:
                 true_depth = true_body_center_depth(state, cfg.body, cfg.intrinsics)
                 assert abs(recovered - true_depth) <= 1e-6 * true_depth
                 checked += 1
-            state = integrate(state, cmd, cfg.dt, cfg.joint_limits)
+            state = integrate(state, cmd, cfg.dt, cfg.joints)
         assert checked > 500

@@ -35,6 +35,7 @@ from .controller import (
 )
 from .geometry import (
     BehindCameraError,
+    BodyModel,
     CameraIntrinsics,
     CameraPoint,
     DepthUnobservableError,
@@ -63,7 +64,6 @@ from .perception import (
 from .runlog import RunSummary, TimeSeriesLog, summarize
 from .runner import run_scenario, summarize_run
 from .simworld import (
-    BodyModel,
     CircleTrajectory,
     LineTrajectory,
     SimState,

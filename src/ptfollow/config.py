@@ -33,10 +33,9 @@ from typing import Any
 import yaml
 
 from .controller import ControllerGains, SaturationLimits, JACOBIAN_MODES
-from .geometry import CameraIntrinsics, JointLimits, PanTiltAngles
+from .geometry import BodyModel, CameraIntrinsics, JointLimits, PanTiltAngles
 from .perception import NoiseModel, RecoveryPolicy
 from .simworld import (
-    BodyModel,
     CircleTrajectory,
     LineTrajectory,
     TargetTrajectory,
@@ -71,8 +70,15 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ConfigError(f"dt: must be a finite number > 0, got {self.dt!r}")
-        if not (math.isfinite(self.duration) and self.duration >= 0):
-            raise ConfigError(f"duration: must be a finite number >= 0, got {self.duration!r}")
+        if not (self.duration >= 0 and math.isfinite(self.duration / self.dt)):
+            raise ConfigError(
+                f"duration: must be a finite number >= 0 and a finite number of dt steps,"
+                f" got {self.duration!r} at dt {self.dt!r}"
+            )
+        for name in ("alpha", "beta"):
+            value, limit = getattr(self.initial_angles, name), getattr(self.joints, f"{name}_max")
+            if abs(value) > limit:
+                raise ConfigError(f"initial_angles.{name}: {value!r} outside +/-{limit!r}")
         if self.seed < 0:
             raise ConfigError("seed: must be >= 0")
         if self.mode not in JACOBIAN_MODES:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, PanTiltAngles
+from .geometry import BodyModel, CameraIntrinsics, PanTiltAngles
 
 JACOBIAN_MODES = ("re-derived", "as-printed")
 
@@ -104,14 +104,15 @@ class ControllerGains:
 
     ``lambda1``/``lambda2`` are the reciprocals of the body-center and
     head-top vertical offsets from the camera, in the down-positive sense
-    (negative for a person taller than the camera mount).
+    (negative for a person taller than the camera mount); the defaults are
+    those of the default :class:`BodyModel`.
     """
 
     k1: float = 0.5
     k2: float = 0.5
     k3: float = 0.5
-    lambda1: float = -5.0
-    lambda2: float = -1.0 / 1.1
+    lambda1: float = BodyModel().lambda1
+    lambda2: float = BodyModel().lambda2
     target_half_height: float = 100.0
 
     def __post_init__(self) -> None:

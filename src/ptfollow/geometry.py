@@ -124,23 +124,14 @@ class JointLimits:
 
 DEFAULT_JOINT_LIMITS = JointLimits()
 
-# Robot axes expressed in camera coordinates at alpha = beta = 0:
-# X_r -> Z_c (forward onto optical axis), Y_r -> -X_c, Z_r -> -Y_c.
-_BASE_ALIGNMENT = np.array(
-    [
-        [0.0, -1.0, 0.0],
-        [0.0, 0.0, -1.0],
-        [1.0, 0.0, 0.0],
-    ]
-)
-
 
 def rotation_camera_from_robot(
     angles: PanTiltAngles, limits: JointLimits = DEFAULT_JOINT_LIMITS
 ) -> np.ndarray:
     """Rotation taking robot-frame coordinates to camera-frame coordinates.
 
-    Composition: base alignment, then pan about the vertical axis, then tilt
+    Composition: base alignment (robot X onto camera Z, robot Y onto camera
+    -X, robot Z onto camera -Y), then pan about the vertical axis, then tilt
     about the camera lateral axis.  The returned matrix is orthonormal with
     determinant +1.
 
@@ -253,9 +244,15 @@ def world_to_camera(
     # world -> robot frame (rotation about Z by -theta)
     rx = ct * dx + st * dy
     ry = -st * dx + ct * dy
-    rot = rotation_camera_from_robot(angles, limits)
-    c = rot @ np.array([rx, ry, dz])
-    return CameraPoint(float(c[0]), float(c[1]), float(c[2]))
+    limits.check(angles)
+    sa, ca = math.sin(angles.alpha), math.cos(angles.alpha)
+    sb, cb = math.sin(angles.beta), math.cos(angles.beta)
+    # rotation_camera_from_robot's rows times (rx, ry, dz), summed left to right
+    return CameraPoint(
+        sa * rx - ca * ry,
+        sb * ca * rx + sb * sa * ry - cb * dz,
+        cb * ca * rx + cb * sa * ry + sb * dz,
+    )
 
 
 def depth_eps(k: CameraIntrinsics) -> float:
@@ -291,3 +288,42 @@ def depth_from_height(
 def vertical_offset(camera_height: float, point_height: float) -> float:
     """Down-positive vertical offset of a world point relative to the camera."""
     return camera_height - point_height
+
+
+@dataclass(frozen=True)
+class BodyModel:
+    """Vertical-segment person model plus the camera mount height, meters.
+
+    The body center sits at half the person's height; ``None`` derives it.
+    """
+
+    camera_height: float = 0.7
+    body_center_height: float | None = None
+    head_height: float = 1.8
+
+    def __post_init__(self) -> None:
+        center = self.head_height / 2.0
+        if self.body_center_height is None:
+            object.__setattr__(self, "body_center_height", center)
+        if not 0.0 < self.camera_height < self.head_height:
+            raise ValueError("body: need 0 < camera_height < head_height")
+        if abs(self.body_center_height - center) > 1e-9:
+            raise ValueError("body: body_center_height must equal head_height/2")
+
+    @property
+    def offset_body(self) -> float:
+        """Down-positive vertical offset of the body center from the camera."""
+        return vertical_offset(self.camera_height, self.body_center_height)
+
+    @property
+    def offset_head(self) -> float:
+        return vertical_offset(self.camera_height, self.head_height)
+
+    @property
+    def lambda1(self) -> float:
+        """Inverse body-center offset (signed, down-positive convention)."""
+        return 1.0 / self.offset_body
+
+    @property
+    def lambda2(self) -> float:
+        return 1.0 / self.offset_head

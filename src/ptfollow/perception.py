@@ -200,7 +200,7 @@ def simulated_track(
         return TrackerOutput(last_box, noise.score_occluded)
     box = truth
     if noise.sigma_px > 0.0:
-        du, dv, dv2 = rng.normal(0.0, noise.sigma_px, size=3)
+        du, dv, dv2 = rng.normal(0.0, noise.sigma_px, size=3).tolist()
         v = truth.v + dv
         v2 = min(truth.v2 + dv2, v - 1.0)  # keep at least 1 px of half height
         box = BoxMeasurement(u=truth.u + du, v=v, v2=v2, score=truth.score)

@@ -9,7 +9,6 @@ configuration and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -34,18 +33,13 @@ def run_scenario(config: ScenarioConfig) -> TimeSeriesLog:
         intrinsics=config.intrinsics,
     )
     rng = np.random.default_rng(config.seed)
-    state = SimState(
-        t=0.0,
-        robot=config.robot_start,
-        angles=config.joints.clamp(config.initial_angles),
-        target=target_position(0.0, config.trajectory),
-    )
+    state = SimState(robot=config.robot_start, angles=config.initial_angles)
     log = TimeSeriesLog()
     nan = math.nan
 
     for tick in range(config.n_ticks):
         t = tick * config.dt
-        state = replace(state, t=t, target=target_position(t, config.trajectory))
+        state = SimState(t, state.robot, state.angles, target_position(t, config.trajectory))
         truth = render_measurement(state, config.body, config.intrinsics)
         seen = pipeline.step(truth, t, rng)
         cmd = controller.step(seen.box, state.angles, hold=seen.hold)

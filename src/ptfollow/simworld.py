@@ -10,17 +10,17 @@ two points through the pinhole model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .controller import BoxMeasurement, ControlCommand
 from .geometry import (
     DEFAULT_JOINT_LIMITS,
+    BodyModel,
     CameraIntrinsics,
     JointLimits,
     PanTiltAngles,
     project,
-    vertical_offset,
     world_to_camera,
 )
 
@@ -117,45 +117,6 @@ def target_position(t: float, traj: TargetTrajectory) -> tuple[float, float]:
     return traj.position(t)
 
 
-@dataclass(frozen=True)
-class BodyModel:
-    """Vertical-segment person model plus the camera mount height, meters.
-
-    The body center sits at half the person's height; ``None`` derives it.
-    """
-
-    camera_height: float = 0.7
-    body_center_height: float | None = None
-    head_height: float = 1.8
-
-    def __post_init__(self) -> None:
-        center = self.head_height / 2.0
-        if self.body_center_height is None:
-            object.__setattr__(self, "body_center_height", center)
-        if not 0.0 < self.camera_height < self.head_height:
-            raise ValueError("body: need 0 < camera_height < head_height")
-        if abs(self.body_center_height - center) > 1e-9:
-            raise ValueError("body: body_center_height must equal head_height/2")
-
-    @property
-    def offset_body(self) -> float:
-        """Down-positive vertical offset of the body center from the camera."""
-        return vertical_offset(self.camera_height, self.body_center_height)
-
-    @property
-    def offset_head(self) -> float:
-        return vertical_offset(self.camera_height, self.head_height)
-
-    @property
-    def lambda1(self) -> float:
-        """Inverse body-center offset (signed, down-positive convention)."""
-        return 1.0 / self.offset_body
-
-    @property
-    def lambda2(self) -> float:
-        return 1.0 / self.offset_head
-
-
 def integrate(
     state: SimState,
     cmd: ControlCommand,
@@ -176,7 +137,7 @@ def integrate(
             beta=state.angles.beta + cmd.omega_beta * dt,
         )
     )
-    return replace(state, t=state.t + dt, robot=(x, y, theta), angles=angles)
+    return SimState(state.t + dt, (x, y, theta), angles, state.target)
 
 
 def integrate_exact_arc(
@@ -205,7 +166,7 @@ def integrate_exact_arc(
             beta=state.angles.beta + cmd.omega_beta * dt,
         )
     )
-    return replace(state, t=state.t + dt, robot=(x, y, theta), angles=angles)
+    return SimState(state.t + dt, (x, y, theta), angles, state.target)
 
 
 def render_measurement(

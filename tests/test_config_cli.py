@@ -102,6 +102,9 @@ class TestParseConfig:
         cfg = parse_config({})
         assert cfg.dt == 0.02 and cfg.mode == "re-derived"
 
+    def test_code_built_defaults_equal_parsed_defaults(self):
+        assert ScenarioConfig() == parse_config({})
+
     def test_zero_dt_rejected_naming_field(self):
         with pytest.raises(ConfigError, match="dt"):
             parse_config({"dt": 0.0})
@@ -297,6 +300,10 @@ BAD_INPUTS = [
     ("saturation: {omega_r_max: 0}", "saturation.omega_r_max"),
     ("joints: {alpha_max: -1}", "joints.alpha_max"),
     ("recovery: {search_dilation: 0}", "recovery.search_dilation"),
+    # initial angles outside the joint range
+    ("initial_angles: {alpha: 10.0}", "initial_angles.alpha"),
+    ("initial_angles: {beta: -1.1}", "initial_angles.beta"),
+    ("{joints: {alpha_max: 0.5}, initial_angles: {alpha: 0.6}}", "initial_angles.alpha"),
 ]
 
 
@@ -404,7 +411,10 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--duration", "nan"), ("--duration", "inf"), ("--dt", "inf"), ("--dt", "nan")],
+        [
+            ("--duration", "nan"), ("--duration", "inf"), ("--dt", "inf"), ("--dt", "nan"),
+            ("--duration", "1e308"),  # finite, but duration / dt overflows
+        ],
     )
     def test_non_finite_override_is_config_error(self, tmp_path, capsys, flag, value):
         code = main(["--scenario", "circle-sim", "--out", str(tmp_path), flag, value])

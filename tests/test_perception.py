@@ -117,6 +117,14 @@ class TestSimulatedTrack:
             out = simulated_track(truth, last, 1.0, noise, 0.0, rng)
             assert out.box.v2 < out.box.v
 
+    def test_noisy_box_is_plain_floats(self):
+        rng = np.random.default_rng(1)
+        truth = _box(320.0, 240.0)
+        out = simulated_track(truth, truth, 1.0, NoiseModel(sigma_px=1.0), 0.0, rng)
+        assert out.box != truth
+        # numpy scalars would make every later per-tick operation slower
+        assert [type(v) for v in (out.box.u, out.box.v, out.box.v2)] == [float] * 3
+
     def test_noise_model_validation(self):
         with pytest.raises(ValueError):
             NoiseModel(score_visible=0.5, score_occluded=0.6)

@@ -42,11 +42,7 @@ from .geometry import (
     JointLimitError,
     JointLimits,
     PanTiltAngles,
-    depth_from_height,
-    point_velocity,
-    point_velocity_expanded,
     project,
-    rotation_camera_from_robot,
     world_to_camera,
 )
 from .perception import (
@@ -70,7 +66,6 @@ from .simworld import (
     TargetTrajectory,
     WaypointTrajectory,
     integrate,
-    integrate_exact_arc,
     render_measurement,
     target_position,
 )

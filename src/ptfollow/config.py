@@ -30,8 +30,6 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
-import yaml
-
 from .controller import ControllerGains, SaturationLimits, JACOBIAN_MODES
 from .geometry import BodyModel, CameraIntrinsics, JointLimits, PanTiltAngles
 from .perception import NoiseModel, RecoveryPolicy
@@ -45,6 +43,14 @@ from .simworld import (
 
 class ConfigError(ValueError):
     """Invalid scenario configuration; the message names the offending field."""
+
+
+# Longest run accepted, in ticks: 5.5 hours of simulated time at the default
+# 20 ms tick, 66x the longest shipped scenario (15000 ticks).  The in-memory log
+# holds one 19-float row per tick, about 0.9 kB on 64-bit CPython, so the cap
+# keeps it under 1 GB and the loop under a minute; without it a tiny ``dt``
+# (``--dt 1e-9`` is 6e10 ticks) runs for weeks until memory runs out.
+MAX_TICKS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -74,6 +80,11 @@ class ScenarioConfig:
             raise ConfigError(
                 f"duration: must be a finite number >= 0 and a finite number of dt steps,"
                 f" got {self.duration!r} at dt {self.dt!r}"
+            )
+        if self.n_ticks > MAX_TICKS:
+            raise ConfigError(
+                f"duration: {self.duration!r} s at dt {self.dt!r} s is {self.n_ticks} ticks,"
+                f" above the cap of {MAX_TICKS} ticks (duration / dt)"
             )
         for name in ("alpha", "beta"):
             value, limit = getattr(self.initial_angles, name), getattr(self.joints, f"{name}_max")
@@ -287,6 +298,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
         ConfigError: missing file, malformed YAML, unknown keys, or any
             violated field invariant (the message names the field).
     """
+    import yaml  # only scenario files need it; presets do not
+
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"scenario file not found: {path}")

@@ -35,8 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from .geometry import BodyModel, CameraIntrinsics, PanTiltAngles
 
 JACOBIAN_MODES = ("re-derived", "as-printed")
@@ -439,6 +437,8 @@ def jacobian_discrepancy_report(
     states where the two modes disagree in sign.  Useful for documenting how
     far the hand-tabulated block drifts from the re-derived one.
     """
+    import numpy as np  # only this report samples random states
+
     k = k or CameraIntrinsics()
     gains = gains or ControllerGains()
     rng = np.random.default_rng(seed)

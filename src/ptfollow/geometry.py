@@ -35,8 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 class JointLimitError(ValueError):
     """Pan or tilt angle outside the configured joint range."""
@@ -78,9 +76,6 @@ class CameraPoint:
     x: float
     y: float
     z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
 
 
 @dataclass(frozen=True)
@@ -125,93 +120,6 @@ class JointLimits:
 DEFAULT_JOINT_LIMITS = JointLimits()
 
 
-def rotation_camera_from_robot(
-    angles: PanTiltAngles, limits: JointLimits = DEFAULT_JOINT_LIMITS
-) -> np.ndarray:
-    """Rotation taking robot-frame coordinates to camera-frame coordinates.
-
-    Composition: base alignment (robot X onto camera Z, robot Y onto camera
-    -X, robot Z onto camera -Y), then pan about the vertical axis, then tilt
-    about the camera lateral axis.  The returned matrix is orthonormal with
-    determinant +1.
-
-    Raises:
-        JointLimitError: if either angle is outside ``limits``.
-    """
-    limits.check(angles)
-    sa, ca = math.sin(angles.alpha), math.cos(angles.alpha)
-    sb, cb = math.sin(angles.beta), math.cos(angles.beta)
-    # Closed form of Rx(beta)^T @ Ry(-alpha)^T @ base alignment; rows are the
-    # camera axes expressed in the robot frame.
-    return np.array(
-        [
-            [sa, -ca, 0.0],
-            [sb * ca, sb * sa, -cb],
-            [cb * ca, cb * sa, sb],
-        ]
-    )
-
-
-def camera_motion(
-    angles: PanTiltAngles,
-    v_r: float,
-    omega_r: float,
-    omega_alpha: float,
-    omega_beta: float,
-    limits: JointLimits = DEFAULT_JOINT_LIMITS,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Linear and angular velocity of the camera, in camera coordinates.
-
-    The base contributes forward speed ``v_r`` along robot X; base yaw and pan
-    both rotate about the vertical axis, the tilt rate rotates about the
-    camera lateral axis.
-    """
-    rot = rotation_camera_from_robot(angles, limits)
-    v_c = rot @ np.array([v_r, 0.0, 0.0])
-    w_c = rot @ np.array([0.0, 0.0, omega_r + omega_alpha])
-    w_c[0] += omega_beta
-    return v_c, w_c
-
-
-def point_velocity(
-    p: CameraPoint,
-    angles: PanTiltAngles,
-    v_r: float,
-    omega_r: float,
-    omega_alpha: float,
-    omega_beta: float,
-) -> np.ndarray:
-    """Apparent velocity of a static world point seen from the moving camera:
-    ``-v_c - w_c x p``."""
-    v_c, w_c = camera_motion(angles, v_r, omega_r, omega_alpha, omega_beta)
-    return -v_c - np.cross(w_c, p.as_array())
-
-
-def point_velocity_expanded(
-    p: CameraPoint,
-    angles: PanTiltAngles,
-    v_r: float,
-    omega_r: float,
-    omega_alpha: float,
-    omega_beta: float,
-) -> np.ndarray:
-    """Component-wise expansion of :func:`point_velocity`.
-
-    Kept as an independent closed form so the matrix construction and the
-    hand expansion can be checked against each other.
-    """
-    sa, ca = math.sin(angles.alpha), math.cos(angles.alpha)
-    sb, cb = math.sin(angles.beta), math.cos(angles.beta)
-    w = omega_alpha + omega_r
-    return np.array(
-        [
-            -v_r * sa + w * cb * p.z + w * sb * p.y,
-            -v_r * ca * sb - w * sb * p.x + omega_beta * p.z,
-            -v_r * ca * cb - omega_beta * p.y - w * cb * p.x,
-        ]
-    )
-
-
 def project(p: CameraPoint, k: CameraIntrinsics) -> tuple[float, float]:
     """Pinhole projection to pixel coordinates ``(u, v)``, v increasing down.
 
@@ -247,42 +155,13 @@ def world_to_camera(
     limits.check(angles)
     sa, ca = math.sin(angles.alpha), math.cos(angles.alpha)
     sb, cb = math.sin(angles.beta), math.cos(angles.beta)
-    # rotation_camera_from_robot's rows times (rx, ry, dz), summed left to right
+    # the rows of oracles.rotation_camera_from_robot times (rx, ry, dz), summed
+    # left to right
     return CameraPoint(
         sa * rx - ca * ry,
         sb * ca * rx + sb * sa * ry - cb * dz,
         cb * ca * rx + cb * sa * ry + sb * dz,
     )
-
-
-def depth_eps(k: CameraIntrinsics) -> float:
-    """Scale-invariant guard for the depth denominator."""
-    return 1e-6 * k.alpha_y
-
-
-def depth_from_height(
-    e_v: float, beta: float, b_y: float, k: CameraIntrinsics
-) -> float:
-    """Recover optical-axis depth from a known vertical offset.
-
-    ``b_y`` is the point's vertical offset from the camera in the pan frame,
-    down-positive (negative for points above the camera).  ``e_v`` is the
-    pixel row error ``v - v0`` of the point's projection.
-
-    Returns:
-        Depth in meters; positive for physically consistent inputs.
-
-    Raises:
-        DepthUnobservableError: when ``e_v*cos(beta) - alpha_y*sin(beta)`` is
-            within the guard band of zero (the row is degenerate with the
-            current tilt and carries no depth information).
-    """
-    den = e_v * math.cos(beta) - k.alpha_y * math.sin(beta)
-    if abs(den) <= depth_eps(k):
-        raise DepthUnobservableError(
-            f"depth denominator {den:.3e} within guard {depth_eps(k):.3e}"
-        )
-    return k.alpha_y * b_y / den
 
 
 def vertical_offset(camera_height: float, point_height: float) -> float:

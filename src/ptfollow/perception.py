@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .controller import BoxMeasurement
 from .geometry import CameraIntrinsics
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -94,6 +95,11 @@ class NoiseModel:
         for (a0, a1), (b0, _) in zip(windows, windows[1:]):
             if b0 < a1:
                 raise ValueError("noise: occlusion windows overlap")
+
+    @property
+    def draws(self) -> bool:
+        """Whether the channel draws random numbers (noise or dropouts)."""
+        return self.sigma_px > 0.0 or self.dropout_prob > 0.0
 
     def occluded_at(self, t: float) -> bool:
         return any(t0 <= t < t1 for t0, t1 in self.occlusion_windows)
@@ -182,7 +188,7 @@ def simulated_track(
     region_scale: float,
     noise: NoiseModel,
     t: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     dilation: float = RecoveryPolicy.search_dilation,
 ) -> TrackerOutput:
     """One tracker update against the synthetic measurement channel.
@@ -190,7 +196,8 @@ def simulated_track(
     Returns the stale ``last_box`` with the occluded score whenever the
     target is occluded, absent, outside the current search region, or lost to
     a random dropout; otherwise returns the (possibly noise-perturbed) truth
-    with the visible score.
+    with the visible score.  ``rng`` may be ``None`` when ``noise.draws`` is
+    false.
     """
     if truth is None or noise.occluded_at(t):
         return TrackerOutput(last_box, noise.score_occluded)
@@ -251,7 +258,7 @@ class PerceptionPipeline:
         return max(1.0, max(self.intrinsics.width, self.intrinsics.height) / nominal)
 
     def step(
-        self, truth: Optional[BoxMeasurement], t: float, rng: np.random.Generator
+        self, truth: Optional[BoxMeasurement], t: float, rng: np.random.Generator | None
     ) -> PerceptionOutput:
         """Advance the pipeline by one frame."""
         if not self.initialized:

@@ -4,7 +4,9 @@ One CSV row per control tick, fixed column order, floats written as their
 shortest round-trip decimal so identical runs produce byte-identical files.
 The summary is a pure function of the logged columns (plus the configured
 reference values), so recomputing it from a written CSV reproduces the
-in-memory result.
+in-memory result.  It is plain Python whose sums follow numpy's float64
+summation order, so its values equal those of the numpy computation bit for
+bit (``tests/summary_oracle.py`` keeps that as the reference).
 """
 
 from __future__ import annotations
@@ -12,12 +14,16 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import islice
+from operator import add, itemgetter
 from pathlib import Path
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .controller import SaturationLimits
+
+if TYPE_CHECKING:
+    import numpy as np
 
 COLUMNS = (
     "t",
@@ -38,16 +44,10 @@ COLUMNS = (
     "target_y",
     "score",
     "region_scale",
-    "failure_state",
+    "failure_state",  # last: written as an integer, every other column as a float
 )
 
-_FAILURE_COL = COLUMNS.index("failure_state")
-
-
-def _format(value: float, column_index: int) -> str:
-    if column_index == _FAILURE_COL:
-        return str(int(value))
-    return repr(float(value))
+_T = COLUMNS.index("t")
 
 
 @dataclass
@@ -66,6 +66,8 @@ class TimeSeriesLog:
         return len(self.rows)
 
     def column(self, name: str) -> np.ndarray:
+        import numpy as np  # for analysis and tests; the run and its summary do without
+
         idx = COLUMNS.index(name)
         return np.array([row[idx] for row in self.rows])
 
@@ -73,7 +75,7 @@ class TimeSeriesLog:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(COLUMNS) + "\n")
             for row in self.rows:
-                fh.write(",".join(_format(v, i) for i, v in enumerate(row)) + "\n")
+                fh.write(f"{','.join(map(repr, row[:-1]))},{int(row[-1])}\n")
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "TimeSeriesLog":
@@ -124,25 +126,61 @@ class RunSummary:
         }
 
 
-def _settling_time(t: np.ndarray, e: np.ndarray, threshold: float) -> float:
+# numpy's pairwise-summation block size (PW_BLOCKSIZE).
+_BLOCK = 128
+
+
+def _pairwise_sum(values: list[float], lo: int, hi: int) -> float:
+    """Sum of ``values[lo:hi]`` in the order of numpy's float64 ``add.reduce``,
+    so that it equals ``np.sum`` bit for bit.
+
+    That order is pairwise: above ``_BLOCK`` values the range splits at half
+    its length rounded down to a multiple of 8; a block of 8 or more values
+    sums into eight interleaved accumulators combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and then adds the remainder; fewer
+    than 8 values add one by one onto 0.0.  ``math.fsum`` and a running total
+    differ from it in the last bit.
+    """
+    n = hi - lo
+    if n > _BLOCK:
+        mid = lo + n // 2 - n // 2 % 8
+        return _pairwise_sum(values, lo, mid) + _pairwise_sum(values, mid, hi)
+    total = 0.0
+    if n >= 8:
+        whole = hi - n % 8
+        r = [reduce(add, values[j:whole:8]) for j in range(lo, lo + 8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        lo = whole
+    for value in values[lo:hi]:
+        total += value
+    return total
+
+
+def _mean(values: list[float]) -> float:
+    """``np.mean(values)`` bit for bit; NaN if there are none."""
+    return _pairwise_sum(values, 0, len(values)) / len(values) if values else math.nan
+
+
+def _steady(log: TimeSeriesLog, name: str) -> Iterator[float]:
+    """Non-NaN values of column ``name`` in the steady-state window, the final
+    half of the run."""
+    values = map(itemgetter(COLUMNS.index(name)), islice(log.rows, len(log) // 2, None))
+    return (v for v in values if not math.isnan(v))
+
+
+def _settling_time(log: TimeSeriesLog, name: str, threshold: float) -> float:
     """First time after which |e| stays below threshold (NaN rows never settle)."""
-    below = np.abs(e) < threshold
-    below &= ~np.isnan(e)
-    # last index where the condition fails; settled from the next sample on
-    failing = np.nonzero(~below)[0]
-    if len(failing) == 0:
-        return float(t[0])
-    last_fail = failing[-1]
-    if last_fail + 1 >= len(t):
-        return math.nan
-    return float(t[last_fail + 1])
+    idx = COLUMNS.index(name)
+    rows = log.rows
+    for i in range(len(rows) - 1, -1, -1):
+        if not abs(rows[i][idx]) < threshold:
+            # the last failing row; settled from the next one on
+            return rows[i + 1][_T] if i + 1 < len(rows) else math.nan
+    return rows[0][_T]
 
 
-def _rms(values: np.ndarray) -> float:
-    values = values[~np.isnan(values)]
-    if len(values) == 0:
-        return math.nan
-    return float(np.sqrt(np.mean(values**2)))
+def _rms(log: TimeSeriesLog, name: str) -> float:
+    return math.sqrt(_mean([e * e for e in _steady(log, name)]))
 
 
 def summarize(
@@ -171,43 +209,41 @@ def summarize(
             saturation_duty_cycle=0.0,
         )
 
-    t = log.column("t")
-    steady = slice(len(log) // 2, len(log))
+    failures = COLUMNS.index("failure_state")
+    episodes, latencies, start = 0, [], None
+    for i, row in enumerate(log.rows):
+        if row[failures]:
+            if start is None:
+                episodes, start = episodes + 1, i
+        elif start is not None:
+            latencies.append(i - start)
+            start = None
 
-    h = log.column("h")[steady]
-    h = h[~np.isnan(h)]
-    mean_h_err = float(np.mean(np.abs(h - target_half_height))) if len(h) else math.nan
-
-    failure = log.column("failure_state").astype(bool)
-    rising = np.nonzero(failure[1:] & ~failure[:-1])[0] + 1
-    if len(failure) and failure[0]:
-        rising = np.concatenate(([0], rising))
-    episodes = len(rising)
-    latencies = []
-    for start in rising:
-        rest = np.nonzero(~failure[start:])[0]
-        if len(rest):
-            latencies.append(int(rest[0]))
-
-    def _saturated(col: str, limit: float) -> np.ndarray:
-        return np.abs(log.column(col)) >= limit * (1.0 - 1e-12)
-
-    any_sat = (
-        _saturated("V_r", saturation.v_max)
-        | _saturated("omega_r", saturation.omega_r_max)
-        | _saturated("omega_alpha", saturation.omega_alpha_max)
-        | _saturated("omega_beta", saturation.omega_beta_max)
+    commands = itemgetter(*map(COLUMNS.index, ("V_r", "omega_r", "omega_alpha", "omega_beta")))
+    cv, cw, ca, cb = (
+        limit * (1.0 - 1e-12)
+        for limit in (
+            saturation.v_max,
+            saturation.omega_r_max,
+            saturation.omega_alpha_max,
+            saturation.omega_beta_max,
+        )
+    )
+    saturated = sum(
+        1
+        for v, w, a, b in map(commands, log.rows)
+        if abs(v) >= cv or abs(w) >= cw or abs(a) >= ca or abs(b) >= cb
     )
 
     return RunSummary(
-        settling_time_e_u=_settling_time(t, log.column("e_u"), settle_px),
-        settling_time_e_v=_settling_time(t, log.column("e_v"), settle_px),
-        settling_time_e_v2=_settling_time(t, log.column("e_v2"), settle_px),
-        rms_e_u=_rms(log.column("e_u")[steady]),
-        rms_e_v=_rms(log.column("e_v")[steady]),
-        rms_e_v2=_rms(log.column("e_v2")[steady]),
-        mean_abs_height_error=mean_h_err,
+        settling_time_e_u=_settling_time(log, "e_u", settle_px),
+        settling_time_e_v=_settling_time(log, "e_v", settle_px),
+        settling_time_e_v2=_settling_time(log, "e_v2", settle_px),
+        rms_e_u=_rms(log, "e_u"),
+        rms_e_v=_rms(log, "e_v"),
+        rms_e_v2=_rms(log, "e_v2"),
+        mean_abs_height_error=_mean([abs(h - target_half_height) for h in _steady(log, "h")]),
         failure_episodes=episodes,
         reacquisition_latencies=tuple(latencies),
-        saturation_duty_cycle=float(np.mean(any_sat)),
+        saturation_duty_cycle=saturated / len(log),
     )

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .config import ScenarioConfig
 from .controller import FollowController, compute_errors
 from .perception import PerceptionPipeline
@@ -32,7 +30,11 @@ def run_scenario(config: ScenarioConfig) -> TimeSeriesLog:
         policy=config.recovery,
         intrinsics=config.intrinsics,
     )
-    rng = np.random.default_rng(config.seed)
+    rng = None
+    if config.noise.draws:  # noiseless runs never import numpy
+        import numpy as np
+
+        rng = np.random.default_rng(config.seed)
     state = SimState(robot=config.robot_start, angles=config.initial_angles)
     log = TimeSeriesLog()
     nan = math.nan

@@ -140,35 +140,6 @@ def integrate(
     return SimState(state.t + dt, (x, y, theta), angles, state.target)
 
 
-def integrate_exact_arc(
-    state: SimState,
-    cmd: ControlCommand,
-    dt: float,
-    joint_limits: JointLimits = DEFAULT_JOINT_LIMITS,
-) -> SimState:
-    """Closed-form unicycle flow for constant commands over ``dt``.
-
-    Exact for any sign of ``dt``; used as the integration oracle and for
-    finite-difference checks where Euler bias would pollute the comparison.
-    """
-    x, y, theta = state.robot
-    if abs(cmd.omega_r) > 1e-12:
-        ratio = cmd.v_r / cmd.omega_r
-        x += ratio * (math.sin(theta + cmd.omega_r * dt) - math.sin(theta))
-        y -= ratio * (math.cos(theta + cmd.omega_r * dt) - math.cos(theta))
-    else:
-        x += cmd.v_r * math.cos(theta) * dt
-        y += cmd.v_r * math.sin(theta) * dt
-    theta = wrap_angle(theta + cmd.omega_r * dt)
-    angles = joint_limits.clamp(
-        PanTiltAngles(
-            alpha=state.angles.alpha + cmd.omega_alpha * dt,
-            beta=state.angles.beta + cmd.omega_beta * dt,
-        )
-    )
-    return SimState(state.t + dt, (x, y, theta), angles, state.target)
-
-
 def render_measurement(
     state: SimState, body: BodyModel, k: CameraIntrinsics
 ) -> Optional[BoxMeasurement]:
@@ -193,15 +164,3 @@ def render_measurement(
     if not v2 < v:  # only possible for degenerate geometry behind the mast
         return None
     return BoxMeasurement(u=u, v=v, v2=v2, score=1.0)
-
-
-def true_body_center_depth(
-    state: SimState, body: BodyModel, k: CameraIntrinsics
-) -> float:
-    """Camera-frame depth of the body-center point (test oracle)."""
-    tx, ty = state.target
-    p = world_to_camera(
-        state.robot, body.camera_height, state.angles, (tx, ty, body.body_center_height)
-    )
-    return p.z
-

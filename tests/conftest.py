@@ -18,10 +18,10 @@ from ptfollow.controller import (
     singularity_eps,
 )
 from ptfollow.geometry import CameraIntrinsics, PanTiltAngles
+from ptfollow.oracles import integrate_exact_arc
 from ptfollow.simworld import (
     BodyModel,
     SimState,
-    integrate_exact_arc,
     render_measurement,
 )
 

@@ -37,13 +37,11 @@ from ptfollow.geometry import (
     CameraPoint,
     DepthUnobservableError,
     PanTiltAngles,
-    depth_from_height,
-    point_velocity,
-    point_velocity_expanded,
     project,
     vertical_offset,
     world_to_camera,
 )
+from ptfollow.oracles import depth_from_height, point_velocity, point_velocity_expanded
 from ptfollow.perception import NoiseModel, RecoveryState, recovery_step
 from ptfollow.runner import run_scenario
 from ptfollow.simworld import BodyModel, WaypointTrajectory

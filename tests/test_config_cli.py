@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 import yaml
 
+from ptfollow import cli
 from ptfollow.cli import main
 from ptfollow.config import (
+    MAX_TICKS,
     ConfigError,
     PRESETS,
     TRAJECTORIES,
@@ -104,6 +106,13 @@ class TestParseConfig:
 
     def test_code_built_defaults_equal_parsed_defaults(self):
         assert ScenarioConfig() == parse_config({})
+
+    def test_tick_count_capped(self):
+        assert ScenarioConfig(dt=1.0, duration=float(MAX_TICKS)).n_ticks == MAX_TICKS
+        with pytest.raises(ConfigError, match=f"^duration: .* above the cap of {MAX_TICKS}"):
+            ScenarioConfig(dt=1.0, duration=float(MAX_TICKS + 1))
+        with pytest.raises(ConfigError, match="60000000000 ticks"):
+            ScenarioConfig(dt=1e-9)
 
     def test_zero_dt_rejected_naming_field(self):
         with pytest.raises(ConfigError, match="dt"):
@@ -421,6 +430,16 @@ class TestCli:
         assert code == 2
         assert f"{flag[2:]}: must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--dt", "1e-9"), ("--duration", "1e7")])
+    def test_tick_count_above_cap_is_config_error(
+        self, tmp_path, capsys, monkeypatch, flag, value
+    ):
+        monkeypatch.setattr(cli, "run", lambda *args, **kwargs: pytest.fail("run started"))
+        code = main(["--scenario", "circle-sim", "--out", str(tmp_path), flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "duration: " in err and " at dt " in err and f"cap of {MAX_TICKS} ticks" in err
 
     @pytest.mark.parametrize("preset", ["indoor", "outdoor"])
     def test_other_presets_run(self, tmp_path, preset):

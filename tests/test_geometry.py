@@ -18,13 +18,15 @@ from ptfollow.geometry import (
     JointLimitError,
     JointLimits,
     PanTiltAngles,
+    project,
+    vertical_offset,
+    world_to_camera,
+)
+from ptfollow.oracles import (
     depth_from_height,
     point_velocity,
     point_velocity_expanded,
-    project,
     rotation_camera_from_robot,
-    vertical_offset,
-    world_to_camera,
 )
 
 

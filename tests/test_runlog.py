@@ -5,13 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ptfollow.config import ScenarioConfig, preset_circle_sim
+from ptfollow.config import ScenarioConfig, parse_config, preset_circle_sim
 from ptfollow.controller import SaturationLimits
 from ptfollow.perception import NoiseModel
-from ptfollow.runlog import COLUMNS, TimeSeriesLog, summarize
+from ptfollow.runlog import COLUMNS, TimeSeriesLog, _pairwise_sum, summarize
 from ptfollow.runner import run_scenario, summarize_run
 from ptfollow.simworld import LineTrajectory
+from summary_oracle import summarize as numpy_summarize
 
 
 def _row(t, e=0.0, h=100.0, v_r=0.0, failure=0.0, score=0.95):
@@ -171,3 +173,93 @@ class TestRunScenario:
             tail = e[first + 1:]
             diffs = np.diff(tail)
             assert np.all(diffs <= 1e-9), channel
+
+
+def _bits(value):
+    """A summary field in a form that compares bit for bit, NaN equal to NaN."""
+    if isinstance(value, float):
+        return "nan" if math.isnan(value) else value.hex()
+    return value
+
+
+def assert_same_summary(log, target_half_height, saturation=None):
+    ours = summarize(log, target_half_height, saturation).to_dict()
+    reference = numpy_summarize(log, target_half_height, saturation).to_dict()
+    assert {k: _bits(v) for k, v in ours.items()} == {
+        k: _bits(v) for k, v in reference.items()
+    }
+    assert [type(v) for v in ours.values()] == [type(v) for v in reference.values()]
+
+
+SAT = SaturationLimits()
+H_REF = 100.0
+SETTLE_PX = 5.0
+
+
+def _channel(*edges):
+    """Per-tick values of one column: NaN gaps, arbitrary floats, and the
+    values at which a metric's comparison flips."""
+    return st.one_of(
+        st.just(math.nan),
+        st.floats(-1e3, 1e3),
+        st.sampled_from(edges + (0.0, -0.0)),
+    )
+
+
+def _saturating(limit):
+    cap = limit * (1.0 - 1e-12)  # the summary's saturation threshold
+    return _channel(cap, -cap, math.nextafter(cap, 0.0), limit, -limit)
+
+
+_ERROR = _channel(SETTLE_PX, -SETTLE_PX, math.nextafter(SETTLE_PX, 0.0))
+_ROW = st.tuples(
+    _ERROR, _ERROR, _ERROR,
+    _channel(H_REF, math.nextafter(H_REF, 0.0), 1e300),
+    _saturating(SAT.v_max),
+    _saturating(SAT.omega_r_max),
+    _saturating(SAT.omega_alpha_max),
+    _saturating(SAT.omega_beta_max),
+    st.sampled_from((0.0, 1.0)),  # failure runs may start at tick 0 or never end
+)
+
+
+@st.composite
+def _logs(draw):
+    # steady-state halves below and above numpy's 128-value summation block
+    n = draw(st.one_of(st.integers(0, 40), st.integers(257, 400)))
+    pattern = draw(st.lists(_ROW, min_size=1, max_size=40))  # tiled to n rows
+    rows = [pattern[i % len(pattern)] for i in range(n)]
+    blank_steady = draw(st.booleans())
+    log = TimeSeriesLog()
+    for i, (e_u, e_v, e_v2, h, v_r, w_r, w_a, w_b, failure) in enumerate(rows):
+        if blank_steady and i >= n // 2:  # no tracked box in the steady half
+            e_u = e_v = e_v2 = h = math.nan
+        values = dict.fromkeys(COLUMNS, 0.0)
+        values.update(
+            t=i * 0.02, e_u=e_u, e_v=e_v, e_v2=e_v2, h=h, V_r=v_r, omega_r=w_r,
+            omega_alpha=w_a, omega_beta=w_b, failure_state=failure,
+        )
+        log.append([values[c] for c in COLUMNS])
+    return log
+
+
+@settings(max_examples=100, deadline=None)
+@given(_logs())
+def test_summary_equals_numpy_reference(log):
+    assert_same_summary(log, H_REF, SAT)
+
+
+def test_summary_equals_numpy_reference_on_a_noisy_run():
+    cfg = parse_config({
+        "trajectory": {"kind": "waypoints", "points": [[4.5, 0.0], [20.0, 3.0]], "speed": 0.5},
+        "noise": {"sigma_px": 1.0, "dropout_prob": 0.05, "occlusion_windows": [[20.0, 22.0]]},
+        "duration": 60.0,
+    })
+    assert_same_summary(run_scenario(cfg), cfg.gains.target_half_height, cfg.saturation)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 127, 128, 129, 136, 1000, 8193, 20001])
+def test_pairwise_sum_equals_numpy_sum(n):
+    rng = np.random.default_rng(n)
+    values = rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-6.0, 6.0, n)
+    assert _pairwise_sum(values.tolist(), 0, n) == float(np.sum(values))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ptfollow.controller import ControlCommand, compute_errors
-from ptfollow.geometry import DepthUnobservableError, PanTiltAngles, depth_from_height
+from ptfollow.geometry import DepthUnobservableError, PanTiltAngles
+from ptfollow.oracles import depth_from_height, integrate_exact_arc, true_body_center_depth
 from ptfollow.simworld import (
     BodyModel,
     CircleTrajectory,
@@ -14,10 +15,8 @@ from ptfollow.simworld import (
     SimState,
     WaypointTrajectory,
     integrate,
-    integrate_exact_arc,
     render_measurement,
     target_position,
-    true_body_center_depth,
     wrap_angle,
 )
 

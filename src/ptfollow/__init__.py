@@ -52,7 +52,6 @@ from .perception import (
     PerceptionPipeline,
     RecoveryPolicy,
     RecoveryState,
-    TrackerOutput,
     gate_update,
     recovery_step,
     simulated_track,

@@ -32,7 +32,7 @@ from typing import Any
 
 from .controller import ControllerGains, SaturationLimits, JACOBIAN_MODES
 from .geometry import BodyModel, CameraIntrinsics, JointLimits, PanTiltAngles
-from .perception import NoiseModel, RecoveryPolicy
+from .perception import NoiseModel, RecoveryPolicy, score_conflict
 from .simworld import (
     CircleTrajectory,
     LineTrajectory,
@@ -90,6 +90,8 @@ class ScenarioConfig:
             value, limit = getattr(self.initial_angles, name), getattr(self.joints, f"{name}_max")
             if abs(value) > limit:
                 raise ConfigError(f"initial_angles.{name}: {value!r} outside +/-{limit!r}")
+        if conflict := score_conflict(self.noise, self.recovery):
+            raise ConfigError(conflict)
         if self.seed < 0:
             raise ConfigError("seed: must be >= 0")
         if self.mode not in JACOBIAN_MODES:

@@ -49,7 +49,7 @@ class SingularConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class BoxMeasurement:
-    """Tracked person box: center pixel, top-border midpoint row, confidence.
+    """Tracked person box: center pixel and top-border midpoint row.
 
     ``v2 < v`` always holds (the top border sits above the center in the
     down-positive image convention); the half height is ``v - v2``.
@@ -58,13 +58,10 @@ class BoxMeasurement:
     u: float
     v: float
     v2: float
-    score: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.v2 < self.v:
             raise ValueError(f"box top row v2={self.v2} must lie above center v={self.v}")
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"box score {self.score} outside [0, 1]")
 
     @property
     def half_height(self) -> float:
@@ -183,14 +180,14 @@ def jacobian_terms(
     box: BoxMeasurement,
     angles: PanTiltAngles,
     k: CameraIntrinsics,
-    gains: ControllerGains | None = None,
+    gains: ControllerGains,
     mode: str = "re-derived",
 ) -> JacobianTerms:
     """Evaluate the coefficient block at the current measurement.
 
-    ``gains`` supplies the lambda ratio used by the re-derived mode to place
-    the top point's column exactly; when omitted the top point is assumed to
-    share the center column.
+    ``gains`` supplies the lambda ratio the re-derived mode uses to place the
+    top point's column exactly; where that ratio is undefined (``g1 == 0``)
+    the top point is assumed to share the center column.
     """
     if mode not in JACOBIAN_MODES:
         raise ValueError(f"unknown jacobian mode {mode!r}; expected one of {JACOBIAN_MODES}")
@@ -216,7 +213,7 @@ def jacobian_terms(
 
     g1 = e_v * cb - ay * sb
     g2 = vt2 * cb - ay * sb
-    if gains is not None and g1 != 0.0:
+    if g1 != 0.0:
         # The two body points share the camera-frame lateral coordinate, so
         # the top point's column offset is the center's scaled by the depth
         # ratio, which the lambda values recover from the two row errors.
@@ -366,9 +363,6 @@ class FollowController:
         self.saturation = saturation or SaturationLimits()
         self.mode = mode
         self._eps_den = singularity_eps(intrinsics, gains)
-        self._last = ZERO_COMMAND
-
-    def reset(self) -> None:
         self._last = ZERO_COMMAND
 
     def _hold_and_decay(self, freeze_rotation: bool) -> ControlCommand:

@@ -4,15 +4,16 @@ Three stages stand in for a real perception stack:
 
 1. A detection stability gate that only hands the first box to the tracker
    once three consecutive detections agree to within a pixel tolerance.
-2. A measurement channel that perturbs the ground-truth box with Gaussian
-   pixel noise, scripted occlusion windows and random dropouts, and reports
-   a confidence score.
-3. A hysteretic failure-recovery state machine: a low score enters the
-   failure state, a high score leaves it, and while failed the tracker's
-   search region grows by a constant step per tick up to full-image coverage.
+2. A tracker channel that reports each tick the ground-truth box, perturbed
+   by Gaussian pixel noise, or that the target is lost (scripted occlusion
+   windows, outside the search region, random dropouts).
+3. A hysteretic failure-recovery state machine fed the score the pipeline
+   gives that verdict: a low score enters the failure state, a high score
+   leaves it, and while failed the search region grows by a constant step
+   per tick up to full-image coverage.
 
-While failed, the pipeline keeps reporting the last confident box together
-with a hold flag so the controller can stop chasing stale measurements.
+While failed, the pipeline reports the last box seen with a hold flag so the
+controller can stop chasing stale measurements.
 """
 
 from __future__ import annotations
@@ -106,12 +107,6 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class TrackerOutput:
-    box: BoxMeasurement
-    score: float
-
-
-@dataclass(frozen=True)
 class RecoveryPolicy:
     """Failure-recovery settings: hysteresis thresholds on the tracker score,
     the per-tick growth step of the search region multiplier, and the region's
@@ -129,6 +124,22 @@ class RecoveryPolicy:
             raise ValueError("recovery.step_s: must be > 0")
         if not self.search_dilation > 0:
             raise ValueError("recovery.search_dilation: must be > 0")
+
+
+def score_conflict(noise: NoiseModel, policy: RecoveryPolicy) -> Optional[str]:
+    """Why the tracker scores defeat the recovery thresholds, or ``None``: a
+    lost tick must enter the failure state and a seen tick must leave it."""
+    if not noise.score_occluded <= policy.th_low:
+        return (
+            f"noise.score_occluded: {noise.score_occluded!r} must be <= recovery.th_low"
+            f" {policy.th_low!r}, or a lost target never enters the failure state"
+        )
+    if not noise.score_visible >= policy.th_high:
+        return (
+            f"noise.score_visible: {noise.score_visible!r} must be >= recovery.th_high"
+            f" {policy.th_high!r}, or a seen target never leaves the failure state"
+        )
+    return None
 
 
 @dataclass(frozen=True)
@@ -190,28 +201,26 @@ def simulated_track(
     t: float,
     rng: np.random.Generator | None,
     dilation: float = RecoveryPolicy.search_dilation,
-) -> TrackerOutput:
+) -> Optional[BoxMeasurement]:
     """One tracker update against the synthetic measurement channel.
 
-    Returns the stale ``last_box`` with the occluded score whenever the
-    target is occluded, absent, outside the current search region, or lost to
-    a random dropout; otherwise returns the (possibly noise-perturbed) truth
-    with the visible score.  ``rng`` may be ``None`` when ``noise.draws`` is
-    false.
+    Returns ``None`` (target lost) whenever the target is occluded, absent,
+    outside the search region around ``last_box``, or lost to a random
+    dropout; otherwise returns the (possibly noise-perturbed) truth.  ``rng``
+    may be ``None`` when ``noise.draws`` is false.
     """
     if truth is None or noise.occluded_at(t):
-        return TrackerOutput(last_box, noise.score_occluded)
+        return None
     if not region_contains(last_box, region_scale, (truth.u, truth.v), dilation):
-        return TrackerOutput(last_box, noise.score_occluded)
+        return None
     if noise.dropout_prob > 0.0 and rng.uniform() < noise.dropout_prob:
-        return TrackerOutput(last_box, noise.score_occluded)
-    box = truth
+        return None
     if noise.sigma_px > 0.0:
         du, dv, dv2 = rng.normal(0.0, noise.sigma_px, size=3).tolist()
         v = truth.v + dv
         v2 = min(truth.v2 + dv2, v - 1.0)  # keep at least 1 px of half height
-        box = BoxMeasurement(u=truth.u + du, v=v, v2=v2, score=truth.score)
-    return TrackerOutput(box, noise.score_visible)
+        return BoxMeasurement(u=truth.u + du, v=v, v2=v2)
+    return truth
 
 
 @dataclass(frozen=True)
@@ -232,65 +241,56 @@ class PerceptionPipeline:
     Owns all perception state for a scenario; independent pipelines may run
     concurrently.  Detections fed to the gate are noiseless truth centers
     (detector internals are out of scope); occlusion suppresses them too.
+
+    Raises ``ValueError`` if the tracker scores defeat the recovery
+    thresholds (see :func:`score_conflict`).
     """
 
     def __init__(
-        self,
-        noise: NoiseModel,
-        policy: RecoveryPolicy,
-        intrinsics: CameraIntrinsics,
-        gate: DetectionGate | None = None,
+        self, noise: NoiseModel, policy: RecoveryPolicy, intrinsics: CameraIntrinsics
     ) -> None:
+        if conflict := score_conflict(noise, policy):
+            raise ValueError(conflict)
         self.noise = noise
         self.policy = policy
         self.recovery = RecoveryState()
         self.intrinsics = intrinsics
-        self.gate = gate or DetectionGate()
-        self.initialized = False
-        self._tracker_box: Optional[BoxMeasurement] = None
-        self._confident_box: Optional[BoxMeasurement] = None
+        self.gate = DetectionGate()
+        self._box: Optional[BoxMeasurement] = None  # last box seen; None until initialized
 
     def _scale_cap(self, box: BoxMeasurement) -> float:
         """Multiplier at which the search region covers the whole image."""
         nominal = self.policy.search_dilation * box.half_height
-        if nominal <= 0:
-            return 1.0
         return max(1.0, max(self.intrinsics.width, self.intrinsics.height) / nominal)
 
     def step(
         self, truth: Optional[BoxMeasurement], t: float, rng: np.random.Generator | None
     ) -> PerceptionOutput:
         """Advance the pipeline by one frame."""
-        if not self.initialized:
+        if self._box is None:
             detection = None if (truth is None or self.noise.occluded_at(t)) else truth
-            initial = gate_update(self.gate, detection)
-            if initial is None:
+            self._box = gate_update(self.gate, detection)
+            if self._box is None:
                 return PerceptionOutput(
                     box=None, hold=False, score=0.0, region_scale=1.0,
                     failure_state=False, initialized=False,
                 )
-            self.initialized = True
-            self._tracker_box = initial
-            self._confident_box = initial
-            return PerceptionOutput(
-                box=initial, hold=False, score=self.noise.score_visible,
-                region_scale=self.recovery.region_scale, failure_state=False,
-                initialized=True,
+            score = self.noise.score_visible
+        else:
+            seen = simulated_track(
+                truth, self._box, self.recovery.region_scale,
+                self.noise, t, rng, self.policy.search_dilation,
             )
-
-        assert self._tracker_box is not None and self._confident_box is not None
-        out = simulated_track(
-            truth, self._tracker_box, self.recovery.region_scale,
-            self.noise, t, rng, self.policy.search_dilation,
-        )
-        self._tracker_box = out.box
-        self.recovery = recovery_step(
-            self.recovery, out.score, self._scale_cap(self._tracker_box), self.policy
-        )
-        if out.score >= self.policy.th_high:
-            self._confident_box = out.box
+            if seen is None:
+                score = self.noise.score_occluded
+            else:
+                score = self.noise.score_visible
+                self._box = seen
+            self.recovery = recovery_step(
+                self.recovery, score, self._scale_cap(self._box), self.policy
+            )
         failed = self.recovery.failure_state
         return PerceptionOutput(
-            box=self._confident_box if failed else out.box, hold=failed, score=out.score,
+            box=self._box, hold=failed, score=score,
             region_scale=self.recovery.region_scale, failure_state=failed, initialized=True,
         )

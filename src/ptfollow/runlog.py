@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import reduce
 from itertools import islice
 from operator import add, itemgetter
@@ -112,18 +112,9 @@ class RunSummary:
     saturation_duty_cycle: float
 
     def to_dict(self) -> dict:
-        return {
-            "settling_time_e_u": self.settling_time_e_u,
-            "settling_time_e_v": self.settling_time_e_v,
-            "settling_time_e_v2": self.settling_time_e_v2,
-            "rms_e_u": self.rms_e_u,
-            "rms_e_v": self.rms_e_v,
-            "rms_e_v2": self.rms_e_v2,
-            "mean_abs_height_error": self.mean_abs_height_error,
-            "failure_episodes": self.failure_episodes,
-            "reacquisition_latencies": list(self.reacquisition_latencies),
-            "saturation_duty_cycle": self.saturation_duty_cycle,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["reacquisition_latencies"] = list(self.reacquisition_latencies)
+        return out
 
 
 # numpy's pairwise-summation block size (PW_BLOCKSIZE).

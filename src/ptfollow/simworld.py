@@ -141,20 +141,21 @@ def integrate(
 
 
 def render_measurement(
-    state: SimState, body: BodyModel, k: CameraIntrinsics
+    state: SimState,
+    body: BodyModel,
+    k: CameraIntrinsics,
+    joint_limits: JointLimits = DEFAULT_JOINT_LIMITS,
 ) -> Optional[BoxMeasurement]:
     """Ground-truth box from projecting the body-center and head-top points.
 
     Returns ``None`` when the target is not measurable: either point at or
     behind the optical center, or the box center outside the image bounds.
+    ``joint_limits`` are the run's, the ones :func:`integrate` clamps to.
     """
     tx, ty = state.target
-    p_center = world_to_camera(
-        state.robot, body.camera_height, state.angles, (tx, ty, body.body_center_height)
-    )
-    p_head = world_to_camera(
-        state.robot, body.camera_height, state.angles, (tx, ty, body.head_height)
-    )
+    pose, h_cam, ang = state.robot, body.camera_height, state.angles
+    p_center = world_to_camera(pose, h_cam, ang, (tx, ty, body.body_center_height), joint_limits)
+    p_head = world_to_camera(pose, h_cam, ang, (tx, ty, body.head_height), joint_limits)
     if p_center.z <= 0.0 or p_head.z <= 0.0:
         return None
     u, v = project(p_center, k)
@@ -163,4 +164,4 @@ def render_measurement(
         return None
     if not v2 < v:  # only possible for degenerate geometry behind the mast
         return None
-    return BoxMeasurement(u=u, v=v, v2=v2, score=1.0)
+    return BoxMeasurement(u=u, v=v, v2=v2)

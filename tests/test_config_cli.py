@@ -1,5 +1,6 @@
 """Scenario presets, YAML parsing with strict validation, and the CLI."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -313,6 +314,9 @@ BAD_INPUTS = [
     ("initial_angles: {alpha: 10.0}", "initial_angles.alpha"),
     ("initial_angles: {beta: -1.1}", "initial_angles.beta"),
     ("{joints: {alpha_max: 0.5}, initial_angles: {alpha: 0.6}}", "initial_angles.alpha"),
+    # tracker scores inside the hysteresis band of the recovery thresholds
+    ("noise: {score_occluded: 0.5}", "noise.score_occluded"),
+    ("noise: {score_visible: 0.7}", "noise.score_visible"),
 ]
 
 
@@ -447,6 +451,15 @@ class TestCli:
         code = main(["--scenario", preset, "--out", str(out), "--duration", "1.0"])
         assert code == 0
         assert (out / "timeseries.csv").is_file()
+
+    def test_joint_limits_wider_than_default(self, tmp_path):
+        # the render must check the run's joint limits, not the default ones
+        path = tmp_path / "wide.yaml"
+        path.write_text("joints: {alpha_max: 2.0}\ninitial_angles: {alpha: 1.8}\nduration: 1.0\n")
+        out = tmp_path / "out"
+        assert main(["--scenario", str(path), "--out", str(out)]) == 0
+        with open(out / "timeseries.csv") as fh:
+            assert float(next(csv.DictReader(fh))["alpha"]) == 1.8
 
     def test_scenario_file_runs(self, tmp_path):
         path = tmp_path / "s.yaml"

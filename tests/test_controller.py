@@ -54,8 +54,6 @@ class TestComputeErrors:
     def test_box_invariants(self):
         with pytest.raises(ValueError):
             BoxMeasurement(u=320.0, v=240.0, v2=240.0)  # zero half height
-        with pytest.raises(ValueError):
-            BoxMeasurement(u=320.0, v=240.0, v2=140.0, score=1.5)
 
 
 def _centered_box(intrinsics, half_height=100.0):

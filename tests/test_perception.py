@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptfollow.controller import BoxMeasurement
 from ptfollow.geometry import CameraIntrinsics
@@ -18,8 +19,8 @@ from ptfollow.perception import (
 )
 
 
-def _box(u, v, h=100.0, score=1.0):
-    return BoxMeasurement(u=u, v=v, v2=v - h, score=score)
+def _box(u, v, h=100.0):
+    return BoxMeasurement(u=u, v=v, v2=v - h)
 
 
 class TestDetectionGate:
@@ -64,27 +65,22 @@ class TestSimulatedTrack:
         noise = NoiseModel()
         truth = _box(330.0, 250.0)
         last = _box(320.0, 240.0)
-        out = simulated_track(truth, last, 1.0, noise, 0.0, rng)
-        assert out.box == truth
-        assert out.score == noise.score_visible
+        assert simulated_track(truth, last, 1.0, noise, 0.0, rng) == truth
 
     def test_occlusion_window_forces_held_box(self):
         rng = np.random.default_rng(0)
         noise = NoiseModel(occlusion_windows=((1.0, 2.0),))
         truth = _box(330.0, 250.0)
         last = _box(320.0, 240.0)
-        out = simulated_track(truth, last, 1.0, noise, 1.5, rng)
-        assert out.box == last
-        assert out.score == noise.score_occluded
+        assert simulated_track(truth, last, 1.0, noise, 1.5, rng) is None
         # outside the window tracking resumes
-        assert simulated_track(truth, last, 1.0, noise, 2.0, rng).score == noise.score_visible
+        assert simulated_track(truth, last, 1.0, noise, 2.0, rng) == truth
 
     def test_absent_truth_forces_held_box(self):
         rng = np.random.default_rng(0)
         noise = NoiseModel()
         last = _box(320.0, 240.0)
-        out = simulated_track(None, last, 1.0, noise, 0.0, rng)
-        assert out.box == last and out.score == noise.score_occluded
+        assert simulated_track(None, last, 1.0, noise, 0.0, rng) is None
 
     def test_region_containment_scales(self):
         # last box half height 50 px, dilation 2: half side 100*scale;
@@ -95,18 +91,15 @@ class TestSimulatedTrack:
         truth = _box(320.0 + 250.0, 240.0, h=50.0)
         assert not region_contains(last, 1.0, (truth.u, truth.v), 2.0)
         assert region_contains(last, 3.0, (truth.u, truth.v), 2.0)
-        out1 = simulated_track(truth, last, 1.0, noise, 0.0, rng)
-        out3 = simulated_track(truth, last, 3.0, noise, 0.0, rng)
-        assert out1.score == noise.score_occluded
-        assert out3.score == noise.score_visible
+        assert simulated_track(truth, last, 1.0, noise, 0.0, rng) is None
+        assert simulated_track(truth, last, 3.0, noise, 0.0, rng) == truth
 
     def test_dropout(self):
         rng = np.random.default_rng(0)
         noise = NoiseModel(dropout_prob=1.0)
         truth = _box(330.0, 250.0)
         last = _box(320.0, 240.0)
-        out = simulated_track(truth, last, 1.0, noise, 0.0, rng)
-        assert out.score == noise.score_occluded
+        assert simulated_track(truth, last, 1.0, noise, 0.0, rng) is None
 
     def test_noise_keeps_box_valid(self):
         rng = np.random.default_rng(1)
@@ -114,16 +107,16 @@ class TestSimulatedTrack:
         truth = _box(320.0, 240.0, h=30.0)
         last = truth
         for _ in range(200):
-            out = simulated_track(truth, last, 1.0, noise, 0.0, rng)
-            assert out.box.v2 < out.box.v
+            box = simulated_track(truth, last, 1.0, noise, 0.0, rng)
+            assert box.v2 < box.v
 
     def test_noisy_box_is_plain_floats(self):
         rng = np.random.default_rng(1)
         truth = _box(320.0, 240.0)
-        out = simulated_track(truth, truth, 1.0, NoiseModel(sigma_px=1.0), 0.0, rng)
-        assert out.box != truth
+        box = simulated_track(truth, truth, 1.0, NoiseModel(sigma_px=1.0), 0.0, rng)
+        assert box != truth
         # numpy scalars would make every later per-tick operation slower
-        assert [type(v) for v in (out.box.u, out.box.v, out.box.v2)] == [float] * 3
+        assert [type(v) for v in (box.u, box.v, box.v2)] == [float] * 3
 
     def test_noise_model_validation(self):
         with pytest.raises(ValueError):
@@ -264,3 +257,73 @@ class TestPerceptionPipeline:
                     seq.append((out.box.u, out.box.v, out.box.v2, out.score))
             outs.append(seq)
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "noise, path",
+        [
+            (NoiseModel(score_occluded=0.5), "noise.score_occluded"),
+            (NoiseModel(score_visible=0.7), "noise.score_visible"),
+        ],
+    )
+    def test_scores_inside_threshold_band_rejected(self, noise, path):
+        with pytest.raises(ValueError, match=f"^{path}:"):
+            self._pipeline(noise)
+
+
+DT = 0.02
+
+
+@st.composite
+def _runs(draw):
+    """A pipeline setting and a truth stream: a random walk of the box that
+    is sometimes absent and sometimes jumps out of the search region."""
+    th_low = draw(st.floats(0.05, 0.5))
+    th_high = draw(st.floats(th_low + 0.05, 0.95))
+    windows, start = [], 0
+    gaps_and_lengths = st.tuples(st.integers(0, 40), st.integers(1, 15))
+    for gap, length in draw(st.lists(gaps_and_lengths, max_size=3)):
+        start += gap
+        windows.append((DT * start, DT * (start + length)))
+        start += length
+    noise = NoiseModel(
+        sigma_px=draw(st.sampled_from([0.0, 0.5, 3.0, 30.0])),
+        occlusion_windows=tuple(windows),
+        dropout_prob=draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])),
+        score_visible=draw(st.floats(th_high, 1.0)),
+        score_occluded=draw(st.floats(0.0, th_low)),
+    )
+    policy = RecoveryPolicy(th_low=th_low, th_high=th_high)
+    u, v, h = 320.0, 240.0, draw(st.floats(5.0, 150.0))
+    truths = []
+    for _ in range(draw(st.integers(1, 120))):
+        step = draw(st.sampled_from([2.0, 8.0, 400.0]))
+        u += draw(st.floats(-step, step))
+        v += draw(st.floats(-step, step))
+        truths.append(_box(u, v, h) if draw(st.integers(0, 9)) else None)
+    return noise, policy, truths, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_runs())
+def test_pipeline_reports_one_verdict_per_tick(run):
+    noise, policy, truths, seed = run
+    pipe = PerceptionPipeline(noise=noise, policy=policy, intrinsics=CameraIntrinsics())
+    rng = np.random.default_rng(seed)
+    prev = None
+    for i, truth in enumerate(truths):
+        out = pipe.step(truth, DT * i, rng)
+        assert out.hold == out.failure_state
+        assert out.initialized == (out.box is not None)
+        if not out.initialized:
+            assert (out.score, out.region_scale, out.failure_state) == (0.0, 1.0, False)
+            continue
+        seen = out.score == noise.score_visible
+        assert seen or out.score == noise.score_occluded
+        assert out.failure_state == (not seen)
+        if prev is None or out.box != prev.box:
+            assert seen  # the box changes only on a seen tick
+        if seen:
+            assert out.region_scale == 1.0
+        elif prev is not None and prev.failure_state:
+            assert out.region_scale >= prev.region_scale
+        prev = out

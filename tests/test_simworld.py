@@ -170,10 +170,6 @@ class TestRenderMeasurement:
         state = SimState(robot=(0.0, 0.0, 0.0), target=(2.0, 1.9))
         assert render_measurement(state, body, intrinsics) is None
 
-    def test_score_is_one(self, intrinsics, body):
-        state = SimState(robot=(0.0, 0.0, 0.0), target=(4.5, 0.0))
-        assert render_measurement(state, body, intrinsics).score == 1.0
-
 
 class TestDepthAgreement:
     def test_depth_formula_matches_true_depth_along_a_run(self, intrinsics, body):

@@ -38,7 +38,6 @@ from .geometry import (
     BodyModel,
     CameraIntrinsics,
     CameraPoint,
-    DepthUnobservableError,
     JointLimitError,
     JointLimits,
     PanTiltAngles,

@@ -76,7 +76,7 @@ def run(config: ScenarioConfig, out_dir: str | Path, summary_only: bool = False)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     log = run_scenario(config)
-    summary = summarize_run(config, log)
+    summary = summarize_run(config, log).to_dict()
 
     paths = {}
     if not summary_only:
@@ -84,11 +84,13 @@ def run(config: ScenarioConfig, out_dir: str | Path, summary_only: bool = False)
         log.write_csv(csv_path)
         paths["csv"] = str(csv_path)
     summary_path = out / SUMMARY_NAME
+    # strict JSON: NaN (a channel that never settles) is written as null
+    strict = {k: None if v != v else v for k, v in summary.items()}
     with open(summary_path, "w") as fh:
-        json.dump(summary.to_dict(), fh, indent=2)
+        json.dump(strict, fh, indent=2, allow_nan=False)
         fh.write("\n")
     paths["summary"] = str(summary_path)
-    return {"paths": paths, "summary": summary.to_dict(), "ticks": len(log)}
+    return {"paths": paths, "summary": summary, "ticks": len(log)}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -6,8 +6,9 @@ dataclass (``recovery`` is :class:`RecoveryPolicy`, ``trajectory`` the class
 its ``kind`` picks from :data:`TRAJECTORIES`).  Values are checked against the
 field annotations, so numbers must be finite and ``null`` is rejected; an
 omitted key keeps the dataclass default, and an unknown key is an error.  Every
-error names the full key path.  Two exceptions: ``robot_start`` is the mapping
-``{x, y, theta}``, and the derived ``body.body_center_height`` (half of
+error reads ``<key path>: <reason>``: each dataclass names its own field and
+this module prefixes the section.  Two exceptions: ``robot_start`` is the
+mapping ``{x, y, theta}``, and the derived ``body.body_center_height`` (half of
 ``head_height``) and ``gains.lambda1``/``lambda2`` (see :func:`signed_lambdas`)
 follow the body model.
 
@@ -31,7 +32,7 @@ from pathlib import Path
 from typing import Any
 
 from .controller import ControllerGains, SaturationLimits, JACOBIAN_MODES
-from .geometry import BodyModel, CameraIntrinsics, JointLimits, PanTiltAngles
+from .geometry import BodyModel, CameraIntrinsics, JointLimitError, JointLimits, PanTiltAngles
 from .perception import NoiseModel, RecoveryPolicy, score_conflict
 from .simworld import (
     CircleTrajectory,
@@ -60,7 +61,7 @@ class ScenarioConfig:
     name: str = "custom"
     intrinsics: CameraIntrinsics = field(default_factory=CameraIntrinsics)
     body: BodyModel = field(default_factory=BodyModel)
-    gains: ControllerGains = field(default_factory=ControllerGains)
+    gains: ControllerGains | None = None  # None: default gains, lambdas from ``body``
     saturation: SaturationLimits = field(default_factory=SaturationLimits)
     joints: JointLimits = field(default_factory=JointLimits)
     trajectory: TargetTrajectory = field(default_factory=CircleTrajectory)
@@ -74,6 +75,9 @@ class ScenarioConfig:
     mode: str = "re-derived"
 
     def __post_init__(self) -> None:
+        if self.gains is None:
+            l1, l2 = signed_lambdas(self.body, None, None)
+            object.__setattr__(self, "gains", ControllerGains(lambda1=l1, lambda2=l2))
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ConfigError(f"dt: must be a finite number > 0, got {self.dt!r}")
         if not (self.duration >= 0 and math.isfinite(self.duration / self.dt)):
@@ -86,10 +90,10 @@ class ScenarioConfig:
                 f"duration: {self.duration!r} s at dt {self.dt!r} s is {self.n_ticks} ticks,"
                 f" above the cap of {MAX_TICKS} ticks (duration / dt)"
             )
-        for name in ("alpha", "beta"):
-            value, limit = getattr(self.initial_angles, name), getattr(self.joints, f"{name}_max")
-            if abs(value) > limit:
-                raise ConfigError(f"initial_angles.{name}: {value!r} outside +/-{limit!r}")
+        try:
+            self.joints.check(self.initial_angles)
+        except JointLimitError as exc:
+            raise ConfigError(f"initial_angles.{exc}") from None
         if conflict := score_conflict(self.noise, self.recovery):
             raise ConfigError(conflict)
         if self.seed < 0:
@@ -111,6 +115,8 @@ def signed_lambdas(
     are treated as magnitudes (the usual way they are quoted) and get the
     sign the geometry dictates: negative for points above the camera.
     """
+    if body.offset_body == 0.0:  # lambda1 would be 1 / 0
+        raise ConfigError("body.camera_height: must differ from body_center_height")
     exact1, exact2 = body.lambda1, body.lambda2
     out1 = exact1 if lambda1 is None else math.copysign(abs(lambda1), exact1)
     out2 = exact2 if lambda2 is None else math.copysign(abs(lambda2), exact2)
@@ -198,13 +204,21 @@ def _fields(cls: type, value: Any, path: str) -> dict:
     return kwargs
 
 
+def _build(cls: type, kwargs: dict, path: str) -> Any:
+    """``cls(**kwargs)``; the field a dataclass check names gets the section path."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
+
+
 def _trajectory(value: Any) -> TargetTrajectory:
     given = _mapping(value, "trajectory")
     kind = given.pop("kind", None)
     cls = TRAJECTORIES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(f"trajectory.kind: expected one of {list(TRAJECTORIES)}, got {kind!r}")
-    return cls(**_fields(cls, given, "trajectory"))
+    return _build(cls, _fields(cls, given, "trajectory"), "trajectory")
 
 
 def _robot_start(value: Any, default: tuple[float, float, float]) -> tuple[float, float, float]:
@@ -224,31 +238,26 @@ def parse_config(data: dict, name: str | None = None) -> ScenarioConfig:
     """
     root = _mapping(data, "")
     values: dict[str, Any] = {} if name is None else {"name": name}
-    lambdas = (None, None)
-    try:
-        for f in fields(ScenarioConfig):
-            if f.name not in root:
-                continue
-            value = root.pop(f.name)
-            if f.name == "trajectory":
-                values[f.name] = _trajectory(value)
-            elif f.name == "robot_start":
-                values[f.name] = _robot_start(value, f.default)
-            elif f.default_factory is not MISSING:
-                kwargs = _fields(f.default_factory, value, f.name)
-                if f.name == "gains":
-                    lambdas = (kwargs.pop("lambda1", None), kwargs.pop("lambda2", None))
-                values[f.name] = f.default_factory(**kwargs)
-            else:
-                values[f.name] = _VALIDATORS[f.type](value, f.name)
-        _reject_unknown(root, "")
-        config = ScenarioConfig(**values)
-        l1, l2 = signed_lambdas(config.body, *lambdas)
-        return replace(config, gains=replace(config.gains, lambda1=l1, lambda2=l2))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    for f in fields(ScenarioConfig):
+        if f.name not in root:
+            continue
+        value = root.pop(f.name)
+        if f.name == "trajectory":
+            values[f.name] = _trajectory(value)
+        elif f.name == "robot_start":
+            values[f.name] = _robot_start(value, f.default)
+        elif f.name == "gains":  # signed by the body, which precedes it
+            kwargs = _fields(ControllerGains, value, f.name)
+            body = values.get("body", BodyModel())
+            l1, l2 = signed_lambdas(body, kwargs.get("lambda1"), kwargs.get("lambda2"))
+            values[f.name] = _build(ControllerGains, {**kwargs, "lambda1": l1, "lambda2": l2}, f.name)
+        elif f.default_factory is not MISSING:
+            cls = f.default_factory
+            values[f.name] = _build(cls, _fields(cls, value, f.name), f.name)
+        else:
+            values[f.name] = _VALIDATORS[f.type](value, f.name)
+    _reject_unknown(root, "")
+    return ScenarioConfig(**values)
 
 
 def preset_circle_sim() -> ScenarioConfig:

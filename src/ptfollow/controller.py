@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .geometry import BodyModel, CameraIntrinsics, PanTiltAngles
+from .geometry import BodyModel, CameraIntrinsics, PanTiltAngles, require_positive
 
 JACOBIAN_MODES = ("re-derived", "as-printed")
 
@@ -111,12 +111,10 @@ class ControllerGains:
     target_half_height: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.k1 <= 0 or self.k2 <= 0 or self.k3 <= 0:
-            raise ValueError("gains k1, k2, k3 must be > 0")
-        if self.target_half_height <= 0:
-            raise ValueError("target_half_height must be > 0")
-        if self.lambda1 == 0 or self.lambda2 == 0:
-            raise ValueError("lambda1 and lambda2 must be nonzero")
+        require_positive(self, "k1", "k2", "k3", "target_half_height")
+        for name in ("lambda1", "lambda2"):
+            if getattr(self, name) == 0:
+                raise ValueError(f"{name}: must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -129,9 +127,7 @@ class SaturationLimits:
     omega_r_max: float = 1.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if not getattr(self, f.name) > 0:
-                raise ValueError(f"saturation.{f.name}: must be > 0")
+        require_positive(self, *(f.name for f in fields(self)))
 
 
 @dataclass(frozen=True)

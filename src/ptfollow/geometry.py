@@ -44,9 +44,12 @@ class BehindCameraError(ValueError):
     """Projection requested for a point at or behind the optical center."""
 
 
-class DepthUnobservableError(ValueError):
-    """Depth recovery is degenerate: the measured row is too close to the
-    horizon line for the current tilt."""
+def require_positive(obj, *names: str) -> None:
+    """Reject the first named field of ``obj`` that is not > 0, naming only the field."""
+    for name in names:
+        value = getattr(obj, name)
+        if not value > 0:
+            raise ValueError(f"{name}: must be > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -61,12 +64,11 @@ class CameraIntrinsics:
     height: int = 480
 
     def __post_init__(self) -> None:
-        if self.alpha_x <= 0 or self.alpha_y <= 0:
-            raise ValueError("intrinsics: focal scales alpha_x/alpha_y must be > 0")
+        require_positive(self, "alpha_x", "alpha_y")
         if not (0 <= self.u0 < self.width):
-            raise ValueError("intrinsics: u0 must lie in [0, width)")
+            raise ValueError("u0: must lie in [0, width)")
         if not (0 <= self.v0 < self.height):
-            raise ValueError("intrinsics: v0 must lie in [0, height)")
+            raise ValueError("v0: must lie in [0, height)")
 
 
 @dataclass(frozen=True)
@@ -95,20 +97,14 @@ class JointLimits:
     beta_max: float = math.pi / 3
 
     def __post_init__(self) -> None:
-        if not self.alpha_max > 0:
-            raise ValueError("joints.alpha_max: must be > 0")
-        if not self.beta_max > 0:
-            raise ValueError("joints.beta_max: must be > 0")
+        require_positive(self, "alpha_max", "beta_max")
 
     def check(self, angles: PanTiltAngles) -> None:
-        if abs(angles.alpha) > self.alpha_max:
-            raise JointLimitError(
-                f"pan angle {angles.alpha:.4f} exceeds limit +/-{self.alpha_max:.4f}"
-            )
-        if abs(angles.beta) > self.beta_max:
-            raise JointLimitError(
-                f"tilt angle {angles.beta:.4f} exceeds limit +/-{self.beta_max:.4f}"
-            )
+        """Raise :class:`JointLimitError` naming the first angle outside the range."""
+        for name, limit in (("alpha", self.alpha_max), ("beta", self.beta_max)):
+            value = getattr(angles, name)
+            if abs(value) > limit:
+                raise JointLimitError(f"{name}: {value!r} outside +/-{limit!r}")
 
     def clamp(self, angles: PanTiltAngles) -> PanTiltAngles:
         return PanTiltAngles(
@@ -138,12 +134,12 @@ def world_to_camera(
     camera_height: float,
     angles: PanTiltAngles,
     p_world,
-    limits: JointLimits = DEFAULT_JOINT_LIMITS,
 ) -> CameraPoint:
     """Transform a world point into the camera frame.
 
     ``robot_pose`` is ``(x, y, theta)``; the optical center sits at
-    ``(x, y, camera_height)`` in world coordinates.
+    ``(x, y, camera_height)`` in world coordinates.  Valid at any joint
+    angles; the run keeps them inside its range (see :func:`JointLimits.clamp`).
     """
     x, y, theta = robot_pose
     px, py, pz = float(p_world[0]), float(p_world[1]), float(p_world[2])
@@ -152,10 +148,9 @@ def world_to_camera(
     # world -> robot frame (rotation about Z by -theta)
     rx = ct * dx + st * dy
     ry = -st * dx + ct * dy
-    limits.check(angles)
     sa, ca = math.sin(angles.alpha), math.cos(angles.alpha)
     sb, cb = math.sin(angles.beta), math.cos(angles.beta)
-    # the rows of oracles.rotation_camera_from_robot times (rx, ry, dz), summed
+    # the rows of the camera-from-robot rotation matrix times (rx, ry, dz), summed
     # left to right
     return CameraPoint(
         sa * rx - ca * ry,
@@ -185,9 +180,9 @@ class BodyModel:
         if self.body_center_height is None:
             object.__setattr__(self, "body_center_height", center)
         if not 0.0 < self.camera_height < self.head_height:
-            raise ValueError("body: need 0 < camera_height < head_height")
+            raise ValueError("camera_height: must lie in (0, head_height)")
         if abs(self.body_center_height - center) > 1e-9:
-            raise ValueError("body: body_center_height must equal head_height/2")
+            raise ValueError("body_center_height: must equal head_height / 2")
 
     @property
     def offset_body(self) -> float:

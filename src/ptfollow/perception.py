@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .controller import BoxMeasurement
-from .geometry import CameraIntrinsics
+from .geometry import CameraIntrinsics, require_positive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -84,18 +84,18 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         if self.sigma_px < 0:
-            raise ValueError("noise: sigma_px must be >= 0")
+            raise ValueError("sigma_px: must be >= 0")
         if not 0.0 <= self.dropout_prob <= 1.0:
-            raise ValueError("noise: dropout_prob must lie in [0, 1]")
+            raise ValueError("dropout_prob: must lie in [0, 1]")
         if not self.score_occluded < self.score_visible:
-            raise ValueError("noise: score_occluded must be < score_visible")
+            raise ValueError("score_occluded: must be < score_visible")
+        for i, (t0, t1) in enumerate(self.occlusion_windows):
+            if t1 <= t0:
+                raise ValueError(f"occlusion_windows[{i}]: [{t0}, {t1}) is empty")
         windows = sorted(self.occlusion_windows)
-        for (a0, a1) in windows:
-            if a1 <= a0:
-                raise ValueError(f"noise: occlusion window ({a0}, {a1}) is empty")
-        for (a0, a1), (b0, _) in zip(windows, windows[1:]):
-            if b0 < a1:
-                raise ValueError("noise: occlusion windows overlap")
+        for a, b in zip(windows, windows[1:]):
+            if b[0] < a[1]:
+                raise ValueError(f"occlusion_windows: {list(a)} and {list(b)} overlap")
 
     @property
     def draws(self) -> bool:
@@ -119,11 +119,8 @@ class RecoveryPolicy:
 
     def __post_init__(self) -> None:
         if not self.th_low < self.th_high:
-            raise ValueError("recovery: th_low must be < th_high")
-        if not self.step_s > 0:
-            raise ValueError("recovery.step_s: must be > 0")
-        if not self.search_dilation > 0:
-            raise ValueError("recovery.search_dilation: must be > 0")
+            raise ValueError("th_low: must be < th_high")
+        require_positive(self, "step_s", "search_dilation")
 
 
 def score_conflict(noise: NoiseModel, policy: RecoveryPolicy) -> Optional[str]:
@@ -152,7 +149,7 @@ class RecoveryState:
 
     def __post_init__(self) -> None:
         if self.region_scale < 1.0:
-            raise ValueError("recovery: region_scale must be >= 1")
+            raise ValueError("region_scale: must be >= 1")
 
 
 def recovery_step(

@@ -42,7 +42,7 @@ def run_scenario(config: ScenarioConfig) -> TimeSeriesLog:
     for tick in range(config.n_ticks):
         t = tick * config.dt
         state = SimState(t, state.robot, state.angles, target_position(t, config.trajectory))
-        truth = render_measurement(state, config.body, config.intrinsics, config.joints)
+        truth = render_measurement(state, config.body, config.intrinsics)
         seen = pipeline.step(truth, t, rng)
         cmd = controller.step(seen.box, state.angles, hold=seen.hold)
 

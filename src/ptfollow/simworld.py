@@ -21,6 +21,7 @@ from .geometry import (
     JointLimits,
     PanTiltAngles,
     project,
+    require_positive,
     world_to_camera,
 )
 
@@ -54,8 +55,7 @@ class CircleTrajectory:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise ValueError("trajectory: circle radius must be > 0")
+        require_positive(self, "radius")
 
     def position(self, t: float) -> tuple[float, float]:
         ang = self.rate * t + self.phase
@@ -92,9 +92,8 @@ class WaypointTrajectory:
 
     def __post_init__(self) -> None:
         if not self.points:
-            raise ValueError("trajectory.points: must be a non-empty list of [x, y] pairs")
-        if self.speed <= 0:
-            raise ValueError("trajectory: waypoint speed must be > 0")
+            raise ValueError("points: must be a non-empty list of [x, y] pairs")
+        require_positive(self, "speed")
 
     def position(self, t: float) -> tuple[float, float]:
         remaining = self.speed * max(0.0, t - self.delay)
@@ -141,21 +140,17 @@ def integrate(
 
 
 def render_measurement(
-    state: SimState,
-    body: BodyModel,
-    k: CameraIntrinsics,
-    joint_limits: JointLimits = DEFAULT_JOINT_LIMITS,
+    state: SimState, body: BodyModel, k: CameraIntrinsics
 ) -> Optional[BoxMeasurement]:
     """Ground-truth box from projecting the body-center and head-top points.
 
     Returns ``None`` when the target is not measurable: either point at or
     behind the optical center, or the box center outside the image bounds.
-    ``joint_limits`` are the run's, the ones :func:`integrate` clamps to.
     """
     tx, ty = state.target
     pose, h_cam, ang = state.robot, body.camera_height, state.angles
-    p_center = world_to_camera(pose, h_cam, ang, (tx, ty, body.body_center_height), joint_limits)
-    p_head = world_to_camera(pose, h_cam, ang, (tx, ty, body.head_height), joint_limits)
+    p_center = world_to_camera(pose, h_cam, ang, (tx, ty, body.body_center_height))
+    p_head = world_to_camera(pose, h_cam, ang, (tx, ty, body.head_height))
     if p_center.z <= 0.0 or p_head.z <= 0.0:
         return None
     u, v = project(p_center, k)

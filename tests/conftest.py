@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import integrate_exact_arc
 from ptfollow.controller import (
     BoxMeasurement,
     ControlCommand,
@@ -18,7 +19,6 @@ from ptfollow.controller import (
     singularity_eps,
 )
 from ptfollow.geometry import CameraIntrinsics, PanTiltAngles
-from ptfollow.oracles import integrate_exact_arc
 from ptfollow.simworld import (
     BodyModel,
     SimState,

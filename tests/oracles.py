@@ -4,9 +4,7 @@ The closed loop never calls these.  The tests and acceptance criteria check
 the loop's arithmetic against them: the camera rotation as a matrix, the
 camera and point velocities built from it and their hand expansion, the
 exact unicycle arc flow, depth recovery from a known vertical offset, and
-the true depth of the body center.  This is the one module of the package
-that imports numpy at the top; the loop, the summary and the command line
-do not need it.
+the true depth of the body center.
 """
 
 from __future__ import annotations
@@ -15,18 +13,22 @@ import math
 
 import numpy as np
 
-from .controller import ControlCommand
-from .geometry import (
+from ptfollow.controller import ControlCommand
+from ptfollow.geometry import (
     DEFAULT_JOINT_LIMITS,
     BodyModel,
     CameraIntrinsics,
     CameraPoint,
-    DepthUnobservableError,
     JointLimits,
     PanTiltAngles,
     world_to_camera,
 )
-from .simworld import SimState, wrap_angle
+from ptfollow.simworld import SimState, wrap_angle
+
+
+class DepthUnobservableError(ValueError):
+    """Depth recovery is degenerate: the measured row is too close to the
+    horizon line for the current tilt."""
 
 
 def as_array(p: CameraPoint) -> np.ndarray:

@@ -18,6 +18,12 @@ from conftest import (
     random_command,
     sample_tracking_state,
 )
+from oracles import (
+    DepthUnobservableError,
+    depth_from_height,
+    point_velocity,
+    point_velocity_expanded,
+)
 from ptfollow.config import ScenarioConfig, preset_circle_sim
 from ptfollow.controller import (
     BoxMeasurement,
@@ -35,13 +41,11 @@ from ptfollow.controller import (
 from ptfollow.geometry import (
     CameraIntrinsics,
     CameraPoint,
-    DepthUnobservableError,
     PanTiltAngles,
     project,
     vertical_offset,
     world_to_camera,
 )
-from ptfollow.oracles import depth_from_height, point_velocity, point_velocity_expanded
 from ptfollow.perception import NoiseModel, RecoveryState, recovery_step
 from ptfollow.runner import run_scenario
 from ptfollow.simworld import BodyModel, WaypointTrajectory

@@ -29,7 +29,7 @@ from ptfollow.config import (
 from ptfollow.controller import ControllerGains, SaturationLimits
 from ptfollow.geometry import CameraIntrinsics, JointLimits, PanTiltAngles
 from ptfollow.perception import NoiseModel, RecoveryPolicy
-from ptfollow.runner import run_scenario
+from ptfollow.runner import run_scenario, summarize_run
 from ptfollow.simworld import (
     BodyModel,
     CircleTrajectory,
@@ -107,6 +107,10 @@ class TestParseConfig:
 
     def test_code_built_defaults_equal_parsed_defaults(self):
         assert ScenarioConfig() == parse_config({})
+        # default gains take their lambdas from the config's own body
+        tall = ScenarioConfig(body=BodyModel(head_height=2.0))
+        assert tall == parse_config({"body": {"head_height": 2.0}})
+        assert tall.gains.lambda1 == BodyModel(head_height=2.0).lambda1 == pytest.approx(-1 / 0.3)
 
     def test_tick_count_capped(self):
         assert ScenarioConfig(dt=1.0, duration=float(MAX_TICKS)).n_ticks == MAX_TICKS
@@ -317,6 +321,22 @@ BAD_INPUTS = [
     # tracker scores inside the hysteresis band of the recovery thresholds
     ("noise: {score_occluded: 0.5}", "noise.score_occluded"),
     ("noise: {score_visible: 0.7}", "noise.score_visible"),
+    # invariants a section's dataclass checks on its own fields
+    ("gains: {k1: -1}", "gains.k1"),
+    ("gains: {target_half_height: 0}", "gains.target_half_height"),
+    ("gains: {lambda1: 0}", "gains.lambda1"),
+    ("intrinsics: {alpha_x: 0}", "intrinsics.alpha_x"),
+    ("intrinsics: {u0: 700}", "intrinsics.u0"),
+    ("body: {camera_height: 2.0}", "body.camera_height"),
+    ("body: {camera_height: 0.9}", "body.camera_height"),  # level with the body center
+    ("body: {body_center_height: 1.0}", "body.body_center_height"),
+    ("noise: {sigma_px: -1}", "noise.sigma_px"),
+    ("noise: {dropout_prob: 1.5}", "noise.dropout_prob"),
+    ("noise: {occlusion_windows: [[0.0, 1.0], [2.0, 2.0]]}", "noise.occlusion_windows[1]"),
+    ("noise: {occlusion_windows: [[2.0, 4.0], [1.0, 3.0]]}", "noise.occlusion_windows"),
+    ("recovery: {th_low: 0.9}", "recovery.th_low"),
+    ("trajectory: {kind: circle, radius: 0}", "trajectory.radius"),
+    ("trajectory: {kind: waypoints, points: [[1, 0]], speed: -1}", "trajectory.speed"),
 ]
 
 
@@ -389,6 +409,22 @@ class TestCli:
         assert code == 3
         assert "cannot write" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_summary_is_strict_json(self, tmp_path, preset):
+        out = tmp_path / preset
+        assert main(["--scenario", preset, "--out", str(out), "--summary-only"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        cfg = PRESETS[preset]()
+        for key, value in summarize_run(cfg, run_scenario(cfg)).to_dict().items():
+            if isinstance(value, float) and math.isnan(value):
+                assert summary[key] is None, key  # a channel that never settles
+            else:
+                assert summary[key] == value, key
+
     def test_summary_only(self, tmp_path):
         out = tmp_path / "out"
         code = main([
@@ -453,7 +489,7 @@ class TestCli:
         assert (out / "timeseries.csv").is_file()
 
     def test_joint_limits_wider_than_default(self, tmp_path):
-        # the render must check the run's joint limits, not the default ones
+        # a run may start anywhere inside its own joint range
         path = tmp_path / "wide.yaml"
         path.write_text("joints: {alpha_max: 2.0}\ninitial_angles: {alpha: 1.8}\nduration: 1.0\n")
         out = tmp_path / "out"

@@ -4,10 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptfollow.controller import ControlCommand, compute_errors
-from ptfollow.geometry import DepthUnobservableError, PanTiltAngles
-from ptfollow.oracles import depth_from_height, integrate_exact_arc, true_body_center_depth
+from oracles import (
+    DepthUnobservableError,
+    depth_from_height,
+    integrate_exact_arc,
+    true_body_center_depth,
+)
+from ptfollow.config import ScenarioConfig
+from ptfollow.geometry import JointLimits, PanTiltAngles
+from ptfollow.runner import run_scenario
 from ptfollow.simworld import (
     BodyModel,
     CircleTrajectory,
@@ -205,3 +213,44 @@ class TestDepthAgreement:
                 checked += 1
             state = integrate(state, cmd, cfg.dt, cfg.joints)
         assert checked > 500
+
+
+_XY = st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+_TRAJECTORIES = st.one_of(
+    st.builds(CircleTrajectory, center=_XY, radius=st.floats(0.1, 3.0), rate=st.floats(-2.0, 2.0)),
+    st.builds(
+        LineTrajectory, start=_XY, velocity=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    ),
+    st.builds(
+        WaypointTrajectory,
+        points=st.lists(_XY, min_size=1, max_size=4).map(tuple),
+        speed=st.floats(0.1, 2.0),
+    ),
+)
+
+
+@st.composite
+def _joint_range_runs(draw):
+    """A scenario with a random joint range, initial angles inside it, and a
+    trajectory the robot starts roughly facing, so the pan-tilt unit often
+    drives into its stops."""
+    joints = JointLimits(alpha_max=draw(st.floats(0.02, 3.0)), beta_max=draw(st.floats(0.02, 1.5)))
+    angles = PanTiltAngles(
+        alpha=draw(st.floats(-1.0, 1.0)) * joints.alpha_max,
+        beta=draw(st.floats(-1.0, 1.0)) * joints.beta_max,
+    )
+    trajectory = draw(_TRAJECTORIES)
+    tx, ty = trajectory.position(0.0)
+    theta = math.atan2(ty, tx) + draw(st.floats(-0.8, 0.8))
+    return ScenarioConfig(
+        joints=joints, initial_angles=angles, trajectory=trajectory,
+        robot_start=(0.0, 0.0, theta), duration=2.0,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_joint_range_runs())
+def test_logged_angles_stay_in_joint_range(config):
+    log = run_scenario(config)
+    assert np.all(np.abs(log.column("alpha")) <= config.joints.alpha_max)
+    assert np.all(np.abs(log.column("beta")) <= config.joints.beta_max)

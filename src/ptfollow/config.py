@@ -48,9 +48,9 @@ class ConfigError(ValueError):
 
 # Longest run accepted, in ticks: 5.5 hours of simulated time at the default
 # 20 ms tick, 66x the longest shipped scenario (15000 ticks).  The in-memory log
-# holds one 19-float row per tick, about 0.9 kB on 64-bit CPython, so the cap
-# keeps it under 1 GB and the loop under a minute; without it a tiny ``dt``
-# (``--dt 1e-9`` is 6e10 ticks) runs for weeks until memory runs out.
+# holds 19 float64 values per tick, 152 B, so the cap keeps it at about 156 MB
+# (with the array's growth margin) and the loop under a minute; without it a
+# tiny ``dt`` (``--dt 1e-9`` is 6e10 ticks) runs for weeks until memory runs out.
 MAX_TICKS = 1_000_000
 
 
@@ -78,6 +78,9 @@ class ScenarioConfig:
         if self.gains is None:
             l1, l2 = signed_lambdas(self.body, None, None)
             object.__setattr__(self, "gains", ControllerGains(lambda1=l1, lambda2=l2))
+        else:  # lambdas given in code are magnitudes too, as in a scenario file
+            l1, l2 = signed_lambdas(self.body, self.gains.lambda1, self.gains.lambda2)
+            object.__setattr__(self, "gains", replace(self.gains, lambda1=l1, lambda2=l2))
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ConfigError(f"dt: must be a finite number > 0, got {self.dt!r}")
         if not (self.duration >= 0 and math.isfinite(self.duration / self.dt)):

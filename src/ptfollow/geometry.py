@@ -64,7 +64,7 @@ class CameraIntrinsics:
     height: int = 480
 
     def __post_init__(self) -> None:
-        require_positive(self, "alpha_x", "alpha_y")
+        require_positive(self, "alpha_x", "alpha_y", "width", "height")
         if not (0 <= self.u0 < self.width):
             raise ValueError("u0: must lie in [0, width)")
         if not (0 <= self.v0 < self.height):

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields
+from array import array
+from dataclasses import dataclass, fields
 from functools import reduce
-from itertools import islice
-from operator import add, itemgetter
+from operator import add
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from .controller import SaturationLimits
 
@@ -47,35 +47,36 @@ COLUMNS = (
     "failure_state",  # last: written as an integer, every other column as a float
 )
 
-_T = COLUMNS.index("t")
-
-
-@dataclass
 class TimeSeriesLog:
-    """Column-ordered per-tick records of one scenario run."""
+    """Per-tick records of one scenario run: the rows of ``COLUMNS`` back to
+    back in one float array."""
 
-    rows: list[list[float]] = field(default_factory=list)
+    def __init__(self) -> None:
+        self._values = array("d")
 
     def append(self, values: Iterable[float]) -> None:
-        row = [float(v) for v in values]
+        row = array("d", values)
         if len(row) != len(COLUMNS):
             raise ValueError(f"expected {len(COLUMNS)} values per row, got {len(row)}")
-        self.rows.append(row)
+        self._values.extend(row)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._values) // len(COLUMNS)
+
+    def series(self, name: str) -> array:
+        """Column ``name``, one float per tick."""
+        return self._values[COLUMNS.index(name) :: len(COLUMNS)]
 
     def column(self, name: str) -> np.ndarray:
         import numpy as np  # for analysis and tests; the run and its summary do without
 
-        idx = COLUMNS.index(name)
-        return np.array([row[idx] for row in self.rows])
+        return np.array(self.series(name))
 
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(COLUMNS) + "\n")
-            for row in self.rows:
-                fh.write(f"{','.join(map(repr, row[:-1]))},{int(row[-1])}\n")
+            for *row, flag in zip(*map(self.series, COLUMNS)):
+                fh.write(f"{','.join(map(repr, row))},{int(flag)}\n")
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "TimeSeriesLog":
@@ -152,22 +153,20 @@ def _mean(values: list[float]) -> float:
     return _pairwise_sum(values, 0, len(values)) / len(values) if values else math.nan
 
 
-def _steady(log: TimeSeriesLog, name: str) -> Iterator[float]:
+def _steady(log: TimeSeriesLog, name: str) -> list[float]:
     """Non-NaN values of column ``name`` in the steady-state window, the final
     half of the run."""
-    values = map(itemgetter(COLUMNS.index(name)), islice(log.rows, len(log) // 2, None))
-    return (v for v in values if not math.isnan(v))
+    return [v for v in log.series(name)[len(log) // 2 :] if not math.isnan(v)]
 
 
 def _settling_time(log: TimeSeriesLog, name: str, threshold: float) -> float:
     """First time after which |e| stays below threshold (NaN rows never settle)."""
-    idx = COLUMNS.index(name)
-    rows = log.rows
-    for i in range(len(rows) - 1, -1, -1):
-        if not abs(rows[i][idx]) < threshold:
-            # the last failing row; settled from the next one on
-            return rows[i + 1][_T] if i + 1 < len(rows) else math.nan
-    return rows[0][_T]
+    t, e = log.series("t"), log.series(name)
+    i = len(e) - 1
+    while i >= 0 and abs(e[i]) < threshold:
+        i -= 1
+    # i is the last failing row (-1 if none); settled from the next one on
+    return t[i + 1] if i + 1 < len(t) else math.nan
 
 
 def _rms(log: TimeSeriesLog, name: str) -> float:
@@ -186,31 +185,15 @@ def summarize(
     values the metrics are measured against.
     """
     saturation = saturation or SaturationLimits()
-    if len(log) == 0:
-        return RunSummary(
-            settling_time_e_u=math.nan,
-            settling_time_e_v=math.nan,
-            settling_time_e_v2=math.nan,
-            rms_e_u=math.nan,
-            rms_e_v=math.nan,
-            rms_e_v2=math.nan,
-            mean_abs_height_error=math.nan,
-            failure_episodes=0,
-            reacquisition_latencies=(),
-            saturation_duty_cycle=0.0,
-        )
-
-    failures = COLUMNS.index("failure_state")
     episodes, latencies, start = 0, [], None
-    for i, row in enumerate(log.rows):
-        if row[failures]:
+    for i, failed in enumerate(log.series("failure_state")):
+        if failed:
             if start is None:
                 episodes, start = episodes + 1, i
         elif start is not None:
             latencies.append(i - start)
             start = None
 
-    commands = itemgetter(*map(COLUMNS.index, ("V_r", "omega_r", "omega_alpha", "omega_beta")))
     cv, cw, ca, cb = (
         limit * (1.0 - 1e-12)
         for limit in (
@@ -222,7 +205,7 @@ def summarize(
     )
     saturated = sum(
         1
-        for v, w, a, b in map(commands, log.rows)
+        for v, w, a, b in zip(*map(log.series, ("V_r", "omega_r", "omega_alpha", "omega_beta")))
         if abs(v) >= cv or abs(w) >= cw or abs(a) >= ca or abs(b) >= cb
     )
 
@@ -236,5 +219,5 @@ def summarize(
         mean_abs_height_error=_mean([abs(h - target_half_height) for h in _steady(log, "h")]),
         failure_episodes=episodes,
         reacquisition_latencies=tuple(latencies),
-        saturation_duty_cycle=saturated / len(log),
+        saturation_duty_cycle=saturated / len(log) if len(log) else 0.0,
     )

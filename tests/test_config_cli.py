@@ -112,6 +112,11 @@ class TestParseConfig:
         assert tall == parse_config({"body": {"head_height": 2.0}})
         assert tall.gains.lambda1 == BodyModel(head_height=2.0).lambda1 == pytest.approx(-1 / 0.3)
 
+    def test_code_built_lambdas_get_the_body_sign(self):
+        # the published magnitudes, as the indoor preset quotes them
+        gains = ControllerGains(lambda1=5.0, lambda2=0.91, target_half_height=500.0)
+        assert dataclasses.replace(preset_indoor(), gains=gains) == preset_indoor()
+
     def test_tick_count_capped(self):
         assert ScenarioConfig(dt=1.0, duration=float(MAX_TICKS)).n_ticks == MAX_TICKS
         with pytest.raises(ConfigError, match=f"^duration: .* above the cap of {MAX_TICKS}"):
@@ -327,6 +332,8 @@ BAD_INPUTS = [
     ("gains: {lambda1: 0}", "gains.lambda1"),
     ("intrinsics: {alpha_x: 0}", "intrinsics.alpha_x"),
     ("intrinsics: {u0: 700}", "intrinsics.u0"),
+    ("intrinsics: {width: 0}", "intrinsics.width"),
+    ("intrinsics: {height: -480}", "intrinsics.height"),
     ("body: {camera_height: 2.0}", "body.camera_height"),
     ("body: {camera_height: 0.9}", "body.camera_height"),  # level with the body center
     ("body: {body_center_height: 1.0}", "body.body_center_height"),

@@ -1,6 +1,7 @@
 """CSV log format, summary metrics, and closed-loop run properties."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,17 +24,29 @@ def _row(t, e=0.0, h=100.0, v_r=0.0, failure=0.0, score=0.95):
     return [values[c] for c in COLUMNS]
 
 
+# floats the CSV must carry exactly: NaN, signed zeros, subnormals, infinities, the range's ends
+_LOGGED = st.one_of(
+    st.just(math.nan),
+    st.floats(allow_nan=False),
+    st.sampled_from((0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308)),
+)
+_LOGGED_ROW = st.tuples(*[_LOGGED] * (len(COLUMNS) - 1), st.sampled_from((0.0, 1.0)))
+
+
 class TestTimeSeriesLog:
-    def test_csv_round_trip(self, tmp_path):
+    @settings(max_examples=50, deadline=None)
+    @given(rows=st.lists(_LOGGED_ROW, max_size=20))
+    def test_csv_round_trip(self, tmp_path_factory, rows):
         log = TimeSeriesLog()
-        log.append(_row(0.0, e=1.2345678901234567))
-        log.append(_row(0.02, e=float("nan")))
-        path = tmp_path / "log.csv"
+        for row in rows:
+            log.append(row)
+        path = tmp_path_factory.mktemp("csv") / "log.csv"
         log.write_csv(path)
         back = TimeSeriesLog.read_csv(path)
-        assert len(back) == 2
-        assert back.rows[0][1] == 1.2345678901234567  # shortest repr round-trips
-        assert math.isnan(back.rows[1][1])
+        assert len(back) == len(rows)
+        for i, name in enumerate(COLUMNS):  # shortest repr round-trips bit for bit
+            expected = np.array([row[i] for row in rows], dtype=float)
+            assert back.column(name).tobytes() == expected.tobytes(), name
 
     def test_failure_column_written_as_int(self, tmp_path):
         log = TimeSeriesLog()
@@ -44,8 +57,27 @@ class TestTimeSeriesLog:
         assert last_field == "1"
 
     def test_row_length_checked(self):
-        with pytest.raises(ValueError):
-            TimeSeriesLog().append([0.0, 1.0])
+        log = TimeSeriesLog()
+        log.append(_row(0.0, e=3.5))
+        for wrong in ([0.0, 1.0], _row(0.02) + [0.0], iter(_row(0.02)[1:])):
+            with pytest.raises(ValueError):
+                log.append(wrong)
+        assert len(log) == 1
+        assert [log.column(name).tolist() for name in COLUMNS] == [[v] for v in _row(0.0, e=3.5)]
+
+    def test_log_holds_at_most_200_bytes_per_tick(self):
+        ticks = 2000
+        tracemalloc.start()
+        try:
+            log = TimeSeriesLog()
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(ticks):  # distinct float objects, as a run logs them
+                log.append([i + k / 32 for k in range(len(COLUMNS))])
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(log) == ticks
+        assert held / ticks <= 200
 
 
 class TestSummarize:

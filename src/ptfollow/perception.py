@@ -6,7 +6,8 @@ Three stages stand in for a real perception stack:
    once three consecutive detections agree to within a pixel tolerance.
 2. A tracker channel that reports each tick the ground-truth box, perturbed
    by Gaussian pixel noise, or that the target is lost (scripted occlusion
-   windows, outside the search region, random dropouts).
+   windows, outside the search region, random dropouts).  Dropouts and noise
+   are drawn from the run's seeded ``random.Random``.
 3. A hysteretic failure-recovery state machine fed the score the pipeline
    gives that verdict: a low score enters the failure state, a high score
    leaves it, and while failed the search region grows by a constant step
@@ -20,13 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from random import Random
+from typing import Optional
 
 from .controller import BoxMeasurement
 from .geometry import CameraIntrinsics, require_positive
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass
@@ -96,11 +95,6 @@ class NoiseModel:
         for a, b in zip(windows, windows[1:]):
             if b[0] < a[1]:
                 raise ValueError(f"occlusion_windows: {list(a)} and {list(b)} overlap")
-
-    @property
-    def draws(self) -> bool:
-        """Whether the channel draws random numbers (noise or dropouts)."""
-        return self.sigma_px > 0.0 or self.dropout_prob > 0.0
 
     def occluded_at(self, t: float) -> bool:
         return any(t0 <= t < t1 for t0, t1 in self.occlusion_windows)
@@ -196,24 +190,24 @@ def simulated_track(
     region_scale: float,
     noise: NoiseModel,
     t: float,
-    rng: np.random.Generator | None,
+    rng: Random,
     dilation: float = RecoveryPolicy.search_dilation,
 ) -> Optional[BoxMeasurement]:
     """One tracker update against the synthetic measurement channel.
 
     Returns ``None`` (target lost) whenever the target is occluded, absent,
     outside the search region around ``last_box``, or lost to a random
-    dropout; otherwise returns the (possibly noise-perturbed) truth.  ``rng``
-    may be ``None`` when ``noise.draws`` is false.
+    dropout; otherwise returns the (possibly noise-perturbed) truth.
     """
     if truth is None or noise.occluded_at(t):
         return None
     if not region_contains(last_box, region_scale, (truth.u, truth.v), dilation):
         return None
-    if noise.dropout_prob > 0.0 and rng.uniform() < noise.dropout_prob:
+    if noise.dropout_prob > 0.0 and rng.random() < noise.dropout_prob:
         return None
     if noise.sigma_px > 0.0:
-        du, dv, dv2 = rng.normal(0.0, noise.sigma_px, size=3).tolist()
+        normal, sigma = rng.normalvariate, noise.sigma_px
+        du, dv, dv2 = normal(0.0, sigma), normal(0.0, sigma), normal(0.0, sigma)
         v = truth.v + dv
         v2 = min(truth.v2 + dv2, v - 1.0)  # keep at least 1 px of half height
         return BoxMeasurement(u=truth.u + du, v=v, v2=v2)
@@ -260,9 +254,7 @@ class PerceptionPipeline:
         nominal = self.policy.search_dilation * box.half_height
         return max(1.0, max(self.intrinsics.width, self.intrinsics.height) / nominal)
 
-    def step(
-        self, truth: Optional[BoxMeasurement], t: float, rng: np.random.Generator | None
-    ) -> PerceptionOutput:
+    def step(self, truth: Optional[BoxMeasurement], t: float, rng: Random) -> PerceptionOutput:
         """Advance the pipeline by one frame."""
         if self._box is None:
             detection = None if (truth is None or self.noise.occluded_at(t)) else truth

@@ -88,6 +88,8 @@ class TimeSeriesLog:
                 raise ValueError(f"unexpected CSV header {header}")
             for row in reader:
                 log.append([float(v) for v in row])
+                if row[-1] not in ("0", "1"):
+                    raise ValueError(f"line {reader.line_num}: failure_state {row[-1]!r} is not 0 or 1")
         return log
 
 

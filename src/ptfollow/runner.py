@@ -2,13 +2,15 @@
 
 One tick is: render the ground-truth box from the world state, push it
 through the perception pipeline, compute the control command, log, and
-integrate the kinematics.  Runs are fully deterministic for a given
-configuration and seed.
+integrate the kinematics.  The tracker noise comes from one
+``random.Random(seed)`` per run, so a configuration and seed give the same
+outputs in every process on a given Python version.
 """
 
 from __future__ import annotations
 
 import math
+from random import Random
 
 from .config import ScenarioConfig
 from .controller import FollowController, compute_errors
@@ -30,11 +32,7 @@ def run_scenario(config: ScenarioConfig) -> TimeSeriesLog:
         policy=config.recovery,
         intrinsics=config.intrinsics,
     )
-    rng = None
-    if config.noise.draws:  # noiseless runs never import numpy
-        import numpy as np
-
-        rng = np.random.default_rng(config.seed)
+    rng = Random(config.seed)
     state = SimState(robot=config.robot_start, angles=config.initial_angles)
     log = TimeSeriesLog()
     nan = math.nan

@@ -69,18 +69,18 @@ GOLDENS = {
     }),
     "noisy-walk": (1500, {
         "settling_time_e_u": NAN,
-        "settling_time_e_v": 28.62,
+        "settling_time_e_v": 29.64,
         "settling_time_e_v2": NAN,
-        "rms_e_u": 11.12041829315972,
-        "rms_e_v": 4.164766460131229,
-        "rms_e_v2": 17.28589698559168,
-        "mean_abs_height_error": 17.016509143402416,
-        "failure_episodes": 36,
+        "rms_e_u": 11.249975265336225,
+        "rms_e_v": 4.2186716467468575,
+        "rms_e_v2": 17.077432968583707,
+        "mean_abs_height_error": 16.77603813678321,
+        "failure_episodes": 27,
         "reacquisition_latencies": [
-            1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 2, 1,
-            1, 100, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+            1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 100,
+            1, 1, 1, 1, 1, 1, 1, 1, 1,
         ],
-        "saturation_duty_cycle": 0.008666666666666666,
+        "saturation_duty_cycle": 0.009333333333333334,
     }),
 }
 

@@ -1,6 +1,8 @@
-"""What a run imports: numpy only for runs that draw noise, yaml only for
-scenario files.  Each case runs in a fresh interpreter, because the test
-process itself has both loaded."""
+"""What a run imports, and what it writes, in a fresh interpreter: no run
+loads numpy, even one that draws tracker noise, and yaml is loaded for
+scenario files only.  Fresh interpreters are needed because the test process
+itself has both loaded, and to show that a noisy run writes the same bytes
+in every process."""
 
 import json
 import os
@@ -22,10 +24,10 @@ print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "yaml": "yaml" 
 """
 
 
-def _loaded(tmp_path, *scenario_args):
+def _loaded(tmp_path, *scenario_args, **env):
     done = subprocess.run(
         [sys.executable, "-c", PROBE, *scenario_args, "--out", str(tmp_path / "out")],
-        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC), **env}, capture_output=True, text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -40,17 +42,28 @@ def test_preset_run_loads_neither_numpy_nor_yaml(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "noise, numpy_loaded",
+    "noise",
     [
-        ("", False),
-        ("noise: {occlusion_windows: [[0.2, 0.4]]}\n", False),
-        ("noise: {sigma_px: 1.0}\n", True),
-        ("noise: {dropout_prob: 0.1}\n", True),
+        pytest.param("", id="none"),
+        pytest.param("noise: {occlusion_windows: [[0.2, 0.4]]}\n", id="occlusion"),
+        pytest.param("noise: {sigma_px: 1.0}\n", id="sigma"),
+        pytest.param("noise: {dropout_prob: 0.1}\n", id="dropout"),
     ],
 )
-def test_scenario_file_loads_yaml_and_numpy_only_for_noise(tmp_path, noise, numpy_loaded):
+def test_scenario_file_loads_yaml_but_never_numpy(tmp_path, noise):
     scenario = tmp_path / "s.yaml"
     scenario.write_text("duration: 1.0\n" + noise)
-    assert _loaded(tmp_path, "--scenario", str(scenario)) == {
-        "numpy": numpy_loaded, "yaml": True,
-    }
+    assert _loaded(tmp_path, "--scenario", str(scenario)) == {"numpy": False, "yaml": True}
+
+
+def test_noisy_run_writes_the_same_bytes_in_every_process(tmp_path):
+    # str and bytes hashes change with PYTHONHASHSEED, so a generator seeded
+    # through hash() would draw different noise in these two interpreters
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text("duration: 2.0\nnoise: {sigma_px: 1.0, dropout_prob: 0.1}\n")
+    csvs = []
+    for hash_seed in ("1", "2"):
+        run_dir = tmp_path / f"hash{hash_seed}"
+        _loaded(run_dir, "--scenario", str(scenario), PYTHONHASHSEED=hash_seed)
+        csvs.append((run_dir / "out" / "timeseries.csv").read_bytes())
+    assert csvs[0] == csvs[1]

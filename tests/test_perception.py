@@ -1,6 +1,9 @@
 """Detection gate, simulated tracker channel, and failure recovery."""
 
-import numpy as np
+import math
+import random
+import statistics
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -61,14 +64,14 @@ class TestDetectionGate:
 
 class TestSimulatedTrack:
     def test_noiseless_visible_in_region_is_identity(self):
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)
         noise = NoiseModel()
         truth = _box(330.0, 250.0)
         last = _box(320.0, 240.0)
         assert simulated_track(truth, last, 1.0, noise, 0.0, rng) == truth
 
     def test_occlusion_window_forces_held_box(self):
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)
         noise = NoiseModel(occlusion_windows=((1.0, 2.0),))
         truth = _box(330.0, 250.0)
         last = _box(320.0, 240.0)
@@ -77,7 +80,7 @@ class TestSimulatedTrack:
         assert simulated_track(truth, last, 1.0, noise, 2.0, rng) == truth
 
     def test_absent_truth_forces_held_box(self):
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)
         noise = NoiseModel()
         last = _box(320.0, 240.0)
         assert simulated_track(None, last, 1.0, noise, 0.0, rng) is None
@@ -85,7 +88,7 @@ class TestSimulatedTrack:
     def test_region_containment_scales(self):
         # last box half height 50 px, dilation 2: half side 100*scale;
         # a 250 px displacement is outside at scale 1, inside at scale 3
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)
         noise = NoiseModel()
         last = _box(320.0, 240.0, h=50.0)
         truth = _box(320.0 + 250.0, 240.0, h=50.0)
@@ -95,14 +98,14 @@ class TestSimulatedTrack:
         assert simulated_track(truth, last, 3.0, noise, 0.0, rng) == truth
 
     def test_dropout(self):
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)
         noise = NoiseModel(dropout_prob=1.0)
         truth = _box(330.0, 250.0)
         last = _box(320.0, 240.0)
         assert simulated_track(truth, last, 1.0, noise, 0.0, rng) is None
 
     def test_noise_keeps_box_valid(self):
-        rng = np.random.default_rng(1)
+        rng = random.Random(1)
         noise = NoiseModel(sigma_px=80.0)
         truth = _box(320.0, 240.0, h=30.0)
         last = truth
@@ -111,12 +114,27 @@ class TestSimulatedTrack:
             assert box.v2 < box.v
 
     def test_noisy_box_is_plain_floats(self):
-        rng = np.random.default_rng(1)
+        rng = random.Random(1)
         truth = _box(320.0, 240.0)
         box = simulated_track(truth, truth, 1.0, NoiseModel(sigma_px=1.0), 0.0, rng)
         assert box != truth
         # numpy scalars would make every later per-tick operation slower
         assert [type(v) for v in (box.u, box.v, box.v2)] == [float] * 3
+
+    def test_noise_and_dropout_statistics(self):
+        # holds for any generator that draws what the model says
+        n, sigma, dropout = 20000, 2.0, 0.1
+        noise = NoiseModel(sigma_px=sigma, dropout_prob=dropout)
+        rng = random.Random(5)
+        truth = _box(320.0, 240.0)
+        boxes = [simulated_track(truth, truth, 1.0, noise, 0.0, rng) for _ in range(n)]
+        seen = [b for b in boxes if b is not None]
+        lost = 1.0 - len(seen) / n
+        assert abs(lost - dropout) < 4.0 * math.sqrt(dropout * (1.0 - dropout) / n)
+        for name in ("u", "v", "v2"):
+            offsets = [getattr(b, name) - getattr(truth, name) for b in seen]
+            assert abs(statistics.fmean(offsets)) < 4.0 * sigma / math.sqrt(len(seen)), name
+            assert statistics.stdev(offsets) == pytest.approx(sigma, rel=0.05), name
 
     def test_noise_model_validation(self):
         with pytest.raises(ValueError):
@@ -153,7 +171,7 @@ class TestRecoveryStep:
         assert out.region_scale == 1.0
 
     def test_hysteresis_never_flaps_in_band(self):
-        rng = np.random.default_rng(2)
+        rng = random.Random(2)
         state = RecoveryState(failure_state=True, region_scale=1.0)
         for _ in range(50):
             state = recovery_step(state, rng.uniform(0.41, 0.79), scale_cap=4.0)
@@ -188,7 +206,7 @@ class TestPerceptionPipeline:
 
     def test_initialization_takes_three_frames(self):
         pipe = self._pipeline()
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)
         assert pipe.step(_box(320, 240), 0.00, rng).box is None
         assert pipe.step(_box(321, 240), 0.02, rng).box is None
         out = pipe.step(_box(322, 240), 0.04, rng)
@@ -196,7 +214,7 @@ class TestPerceptionPipeline:
 
     def test_transparent_channel_after_initialization(self):
         pipe = self._pipeline()
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)
         for i in range(3):
             pipe.step(_box(320 + i, 240), 0.02 * i, rng)
         truth = _box(325.0, 241.5)
@@ -207,7 +225,7 @@ class TestPerceptionPipeline:
     def test_failure_reports_last_confident_box_with_hold(self):
         noise = NoiseModel(occlusion_windows=((0.1, 0.3),))
         pipe = self._pipeline(noise)
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)
         for i in range(3):
             pipe.step(_box(320 + i, 240), 0.02 * i, rng)
         confident = _box(330.0, 240.0)
@@ -219,7 +237,7 @@ class TestPerceptionPipeline:
     def test_permanent_occlusion_caps_scale_and_stays_failed(self):
         noise = NoiseModel(occlusion_windows=((0.05, 1e9),))
         pipe = self._pipeline(noise)
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)
         for i in range(3):
             pipe.step(_box(320 + i, 240), 0.01 * i, rng)
         scales = []
@@ -234,7 +252,7 @@ class TestPerceptionPipeline:
     def test_reacquisition_resets_scale(self):
         noise = NoiseModel(occlusion_windows=((0.1, 0.2),))
         pipe = self._pipeline(noise)
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)
         for i in range(3):
             pipe.step(_box(320 + i, 240), 0.02 * i, rng)
         pipe.step(_box(322, 240), 0.1, rng)   # enters failure
@@ -249,7 +267,7 @@ class TestPerceptionPipeline:
         outs = []
         for _ in range(2):
             pipe = self._pipeline(noise)
-            rng = np.random.default_rng(99)
+            rng = random.Random(99)
             seq = []
             for i in range(50):
                 out = pipe.step(_box(320 + 0.3 * i, 240), 0.02 * i, rng)
@@ -308,7 +326,7 @@ def _runs(draw):
 def test_pipeline_reports_one_verdict_per_tick(run):
     noise, policy, truths, seed = run
     pipe = PerceptionPipeline(noise=noise, policy=policy, intrinsics=CameraIntrinsics())
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     prev = None
     for i, truth in enumerate(truths):
         out = pipe.step(truth, DT * i, rng)

@@ -56,6 +56,21 @@ class TestTimeSeriesLog:
         last_field = path.read_text().splitlines()[1].split(",")[-1]
         assert last_field == "1"
 
+    @pytest.mark.parametrize("flag", ["0.5", "nan", "2"])
+    def test_failure_column_read_only_as_0_or_1(self, tmp_path, flag):
+        # 0.5 would count as failed but be written back as 0, nan would make
+        # write_csv raise, and 2 would round-trip as a state no run writes
+        log = TimeSeriesLog()
+        log.append(_row(0.0))
+        log.append(_row(0.02))
+        path = tmp_path / "log.csv"
+        log.write_csv(path)
+        lines = path.read_text().splitlines()
+        assert lines[2].endswith(",0")
+        path.write_text("\n".join([*lines[:2], lines[2][:-1] + flag]) + "\n")
+        with pytest.raises(ValueError, match=f"^line 3: failure_state '{flag}' is not 0 or 1"):
+            TimeSeriesLog.read_csv(path)
+
     def test_row_length_checked(self):
         log = TimeSeriesLog()
         log.append(_row(0.0, e=3.5))

@@ -33,7 +33,8 @@ per channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .geometry import BodyModel, CameraIntrinsics, PanTiltAngles, require_positive
 
@@ -68,8 +69,7 @@ class BoxMeasurement:
         return self.v - self.v2
 
 
-@dataclass(frozen=True)
-class ImageErrors:
+class ImageErrors(NamedTuple):
     """The three regulated pixel errors."""
 
     e_u: float
@@ -77,8 +77,7 @@ class ImageErrors:
     e_v2: float
 
 
-@dataclass(frozen=True)
-class JacobianTerms:
+class JacobianTerms(NamedTuple):
     """Coefficient block of the error dynamics (see module docstring)."""
 
     omega1: float
@@ -130,8 +129,9 @@ class SaturationLimits:
         require_positive(self, *(f.name for f in fields(self)))
 
 
-@dataclass(frozen=True)
-class SaturationFlags:
+class SaturationFlags(NamedTuple):
+    """Which commanded rates were clipped to their limit this tick."""
+
     v_r: bool = False
     omega_r: bool = False
     omega_alpha: bool = False
@@ -142,8 +142,7 @@ class SaturationFlags:
         return self.v_r or self.omega_r or self.omega_alpha or self.omega_beta
 
 
-@dataclass(frozen=True)
-class ControlCommand:
+class ControlCommand(NamedTuple):
     """Actuator outputs for one tick.  ``hold`` marks a degraded tick
     (stale measurement or singular solve) where the rotation rates were
     frozen or held and the linear speed decayed."""
@@ -152,7 +151,7 @@ class ControlCommand:
     omega_r: float
     omega_alpha: float
     omega_beta: float
-    saturated: SaturationFlags = field(default_factory=SaturationFlags)
+    saturated: SaturationFlags = SaturationFlags()
     hold: bool = False
 
 
@@ -164,11 +163,7 @@ def compute_errors(
 ) -> ImageErrors:
     """Pixel errors of a box measurement against the image center and the
     half-height reference."""
-    return ImageErrors(
-        e_u=box.u - k.u0,
-        e_v=box.v - k.v0,
-        e_v2=box.v - box.v2 - target_half_height,
-    )
+    return ImageErrors(box.u - k.u0, box.v - k.v0, box.v - box.v2 - target_half_height)
 
 
 def jacobian_terms(
@@ -196,15 +191,15 @@ def jacobian_terms(
     if mode == "as-printed":
         u2 = e_u  # top-border midpoint shares the center column
         return JacobianTerms(
-            omega1=(ax * sa - e_v * ca * cb) * (e_v * cb + ay * sb) / ay,
-            omega2=(e_v * ca * cb + ay * ca * sb) * (-e_v * cb - ay * sb) / ay,
-            omega3=(vt2 * ca * cb + ay * ca * sb) * (-vt2 * cb - ay * sb) / ay,
-            a=(ax * ax * ay * cb - ax * ax * sb * e_v + e_u * e_u * ay * cb) / (ax * ay),
-            b=-e_u * e_v / ay,
-            c=(ay * sb * e_u + e_u * e_v * cb) / ax,
-            d=-(ay * ay + e_v * e_v) / ay,
-            e=(ay * sb * u2 - u2 * vt2 * cb) / ax,
-            f=-(ay * ay + err.e_v2 * err.e_v2) / ay,
+            (ax * sa - e_v * ca * cb) * (e_v * cb + ay * sb) / ay,  # omega1
+            (e_v * ca * cb + ay * ca * sb) * (-e_v * cb - ay * sb) / ay,  # omega2
+            (vt2 * ca * cb + ay * ca * sb) * (-vt2 * cb - ay * sb) / ay,  # omega3
+            (ax * ax * ay * cb - ax * ax * sb * e_v + e_u * e_u * ay * cb) / (ax * ay),  # a
+            -e_u * e_v / ay,  # b
+            (ay * sb * e_u + e_u * e_v * cb) / ax,  # c
+            -(ay * ay + e_v * e_v) / ay,  # d
+            (ay * sb * u2 - u2 * vt2 * cb) / ax,  # e
+            -(ay * ay + err.e_v2 * err.e_v2) / ay,  # f
         )
 
     g1 = e_v * cb - ay * sb
@@ -217,15 +212,15 @@ def jacobian_terms(
     else:
         u2 = e_u
     return JacobianTerms(
-        omega1=(e_u * ca * cb - ax * sa) * g1 / ay,
-        omega2=ca * g1 * g1 / ay,
-        omega3=ca * g2 * g2 / ay,
-        a=ax * cb + (ax / ay) * sb * e_v + e_u * e_u * cb / ax,
-        b=e_u * e_v / ay,
-        c=(e_u / ax) * g1,
-        d=(ay * ay + e_v * e_v) / ay,
-        e=(u2 / ax) * g2,
-        f=(ay * ay + vt2 * vt2) / ay,
+        (e_u * ca * cb - ax * sa) * g1 / ay,  # omega1
+        ca * g1 * g1 / ay,  # omega2
+        ca * g2 * g2 / ay,  # omega3
+        ax * cb + (ax / ay) * sb * e_v + e_u * e_u * cb / ax,  # a
+        e_u * e_v / ay,  # b
+        (e_u / ax) * g1,  # c
+        (ay * ay + e_v * e_v) / ay,  # d
+        (u2 / ax) * g2,  # e
+        (ay * ay + vt2 * vt2) / ay,  # f
     )
 
 
@@ -377,11 +372,14 @@ class FollowController:
         box: BoxMeasurement | None,
         angles: PanTiltAngles,
         hold: bool = False,
+        err: ImageErrors | None = None,
     ) -> ControlCommand:
         """Compute the command for one tick.
 
         ``box is None`` (nothing tracked yet) gives the zero command;
         ``hold=True`` or a singular solve gives the hold-and-decay command.
+        ``err`` is ``compute_errors`` of ``box`` when the caller has it
+        already; otherwise it is computed here.
         """
         if box is None:
             self._last = ZERO_COMMAND
@@ -389,7 +387,8 @@ class FollowController:
         if hold:
             return self._hold_and_decay(freeze_rotation=True)
 
-        err = compute_errors(box, self.intrinsics, self.gains.target_half_height)
+        if err is None:
+            err = compute_errors(box, self.intrinsics, self.gains.target_half_height)
         terms = jacobian_terms(err, box, angles, self.intrinsics, self.gains, self.mode)
         omega_r = robot_angular_strategy(angles.alpha)
         try:
@@ -405,11 +404,8 @@ class FollowController:
         omega_alpha, sat_wa = _clamp(omega_alpha, lim.omega_alpha_max)
         omega_beta, sat_wb = _clamp(omega_beta, lim.omega_beta_max)
         cmd = ControlCommand(
-            v_r=v_r,
-            omega_r=omega_r,
-            omega_alpha=omega_alpha,
-            omega_beta=omega_beta,
-            saturated=SaturationFlags(sat_v, sat_wr, sat_wa, sat_wb),
+            v_r, omega_r, omega_alpha, omega_beta,
+            SaturationFlags(sat_v, sat_wr, sat_wa, sat_wb),
         )
         self._last = cmd
         return cmd

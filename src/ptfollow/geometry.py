@@ -106,10 +106,11 @@ class JointLimits:
             if abs(value) > limit:
                 raise JointLimitError(f"{name}: {value!r} outside +/-{limit!r}")
 
-    def clamp(self, angles: PanTiltAngles) -> PanTiltAngles:
+    def clamp(self, alpha: float, beta: float) -> PanTiltAngles:
+        """The angles ``alpha``, ``beta`` clamped to the range."""
         return PanTiltAngles(
-            alpha=min(max(angles.alpha, -self.alpha_max), self.alpha_max),
-            beta=min(max(angles.beta, -self.beta_max), self.beta_max),
+            min(max(alpha, -self.alpha_max), self.alpha_max),
+            min(max(beta, -self.beta_max), self.beta_max),
         )
 
 

@@ -20,9 +20,10 @@ controller can stop chasing stale measurements.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from random import Random
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .controller import BoxMeasurement
 from .geometry import CameraIntrinsics, require_positive
@@ -95,9 +96,16 @@ class NoiseModel:
         for a, b in zip(windows, windows[1:]):
             if b[0] < a[1]:
                 raise ValueError(f"occlusion_windows: {list(a)} and {list(b)} overlap")
+        # in time order, for occluded_at; not dataclass fields, which the
+        # config parser reads as scenario keys
+        object.__setattr__(self, "_starts", tuple(t0 for t0, _ in windows))
+        object.__setattr__(self, "_ends", tuple(t1 for _, t1 in windows))
 
     def occluded_at(self, t: float) -> bool:
-        return any(t0 <= t < t1 for t0, t1 in self.occlusion_windows)
+        # the windows do not overlap, so only the last one starting at or
+        # before t can hold it
+        i = bisect_right(self._starts, t)
+        return i > 0 and t < self._ends[i - 1]
 
 
 @dataclass(frozen=True)
@@ -214,8 +222,7 @@ def simulated_track(
     return truth
 
 
-@dataclass(frozen=True)
-class PerceptionOutput:
+class PerceptionOutput(NamedTuple):
     """Per-tick pipeline result handed to the controller and the logger."""
 
     box: Optional[BoxMeasurement]
@@ -224,6 +231,12 @@ class PerceptionOutput:
     region_scale: float
     failure_state: bool
     initialized: bool
+
+
+# What every tick before the detection gate opens reports.
+_GATING = PerceptionOutput(
+    box=None, hold=False, score=0.0, region_scale=1.0, failure_state=False, initialized=False
+)
 
 
 class PerceptionPipeline:
@@ -260,10 +273,7 @@ class PerceptionPipeline:
             detection = None if (truth is None or self.noise.occluded_at(t)) else truth
             self._box = gate_update(self.gate, detection)
             if self._box is None:
-                return PerceptionOutput(
-                    box=None, hold=False, score=0.0, region_scale=1.0,
-                    failure_state=False, initialized=False,
-                )
+                return _GATING
             score = self.noise.score_visible
         else:
             seen = simulated_track(
@@ -279,7 +289,7 @@ class PerceptionPipeline:
                 self.recovery, score, self._scale_cap(self._box), self.policy
             )
         failed = self.recovery.failure_state
+        # box, hold, score, region_scale, failure_state, initialized
         return PerceptionOutput(
-            box=self._box, hold=failed, score=score,
-            region_scale=self.recovery.region_scale, failure_state=failed, initialized=True,
+            self._box, failed, score, self.recovery.region_scale, failed, True
         )

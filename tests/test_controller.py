@@ -288,3 +288,33 @@ class TestFollowController:
         ctrl = FollowController(gains, intrinsics)
         cmd = ctrl.step(box, state.angles)
         assert cmd.omega_r == pytest.approx(0.07)
+
+    @pytest.mark.parametrize("mode", ["re-derived", "as-printed"])
+    def test_step_with_given_errors_equals_step_computing_them(
+        self, intrinsics, body, gains, mode
+    ):
+        # two controllers fed one sequence of boxes, holds and a singular box:
+        # handing step the errors changes no bit of any command
+        rng = np.random.default_rng(11)
+        given_err = FollowController(gains, intrinsics, SaturationLimits(v_max=0.3), mode)
+        own_err = FollowController(gains, intrinsics, SaturationLimits(v_max=0.3), mode)
+        singular_box = BoxMeasurement(
+            u=intrinsics.u0 + 30.0, v=intrinsics.v0, v2=intrinsics.v0 - 1e-12
+        )
+        holds = singulars = 0
+        for i in range(300):
+            state, box = sample_tracking_state(rng, body, intrinsics, gains)
+            angles = state.angles
+            if i % 17 == 0:
+                box, angles = singular_box, PanTiltAngles()
+            hold = i % 7 == 3
+            err = compute_errors(box, intrinsics, gains.target_half_height)
+            a = given_err.step(box, angles, hold, err)
+            b = own_err.step(box, angles, hold)
+            assert repr(a) == repr(b), i
+            holds += hold
+            singulars += a.hold and not hold
+        assert holds > 0 and singulars > 0
+        assert repr(given_err.step(None, PanTiltAngles(), False, None)) == repr(
+            own_err.step(None, PanTiltAngles())
+        )

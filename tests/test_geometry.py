@@ -73,7 +73,7 @@ class TestRotation:
             rotation_camera_from_robot(PanTiltAngles(alpha=0.2, beta=0.0), tight)
 
     def test_joint_limit_clamp(self):
-        clamped = JointLimits().clamp(PanTiltAngles(alpha=3.0, beta=-2.0))
+        clamped = JointLimits().clamp(3.0, -2.0)
         assert clamped.alpha == math.pi / 2
         assert clamped.beta == -math.pi / 3
 

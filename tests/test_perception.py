@@ -144,6 +144,29 @@ class TestSimulatedTrack:
         with pytest.raises(ValueError):
             NoiseModel(sigma_px=-1.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cuts=st.lists(st.floats(-100.0, 100.0), max_size=12, unique=True),
+        gaps=st.lists(st.booleans(), min_size=6, max_size=6),
+        order=st.randoms(use_true_random=False),
+        times=st.lists(st.floats(-120.0, 120.0), max_size=20),
+    )
+    def test_occluded_at_equals_a_scan_of_every_window(self, cuts, gaps, order, times):
+        # sorted distinct cut points paired into windows; a gap flag makes the
+        # next window start where this one ends, so touching windows occur
+        cuts = sorted(cuts)
+        windows, i = [], 0
+        while i + 1 < len(cuts):
+            windows.append((cuts[i], cuts[i + 1]))
+            i += 1 if gaps[len(windows) % len(gaps)] else 2
+        order.shuffle(windows)  # given in any order
+        noise = NoiseModel(occlusion_windows=tuple(windows))
+        edges = [t for w in windows for t in w]
+        probes = times + edges + [math.nextafter(t, d) for t in edges for d in (-math.inf, math.inf)]
+        for t in probes + [math.nan, -math.inf, math.inf]:
+            scan = any(t0 <= t < t1 for t0, t1 in windows)
+            assert noise.occluded_at(t) == scan, (t, windows)
+
 
 class TestRecoveryStep:
     def test_low_score_enters_failure(self):

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ptfollow.controller
+import ptfollow.runner
 from ptfollow.config import ScenarioConfig, parse_config, preset_circle_sim
 from ptfollow.controller import SaturationLimits
 from ptfollow.perception import NoiseModel
@@ -69,6 +71,43 @@ class TestTimeSeriesLog:
         assert lines[2].endswith(",0")
         path.write_text("\n".join([*lines[:2], lines[2][:-1] + flag]) + "\n")
         with pytest.raises(ValueError, match=f"^line 3: failure_state '{flag}' is not 0 or 1"):
+            TimeSeriesLog.read_csv(path)
+
+    def _written(self, tmp_path):
+        """A three-row log written as CSV: its path and its lines."""
+        log = TimeSeriesLog()
+        for i in range(3):
+            log.append(_row(i * 0.02))
+        path = tmp_path / "log.csv"
+        log.write_csv(path)
+        return path, path.read_text().splitlines()
+
+    def test_empty_file_is_a_value_error(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="^line 1: empty file"):
+            TimeSeriesLog.read_csv(path)
+
+    def test_wrong_header_names_line_1(self, tmp_path):
+        path, lines = self._written(tmp_path)
+        path.write_text("\n".join([lines[0].replace("e_u", "e_x"), *lines[1:]]) + "\n")
+        with pytest.raises(ValueError, match="^line 1: unexpected CSV header"):
+            TimeSeriesLog.read_csv(path)
+
+    def test_non_numeric_field_names_its_line(self, tmp_path):
+        path, lines = self._written(tmp_path)
+        fields = lines[3].split(",")
+        fields[2] = "x"
+        path.write_text("\n".join([*lines[:3], ",".join(fields)]) + "\n")
+        with pytest.raises(ValueError, match="^line 4: could not convert string to float: 'x'"):
+            TimeSeriesLog.read_csv(path)
+
+    @pytest.mark.parametrize("n", [1, len(COLUMNS) - 1, len(COLUMNS) + 1])
+    def test_wrong_row_length_names_its_line(self, tmp_path, n):
+        path, lines = self._written(tmp_path)
+        fields = (lines[2].split(",") + ["0"])[:n]
+        path.write_text("\n".join([lines[0], lines[1], ",".join(fields), lines[3]]) + "\n")
+        with pytest.raises(ValueError, match=f"^line 3: expected {len(COLUMNS)} values, got {n}$"):
             TimeSeriesLog.read_csv(path)
 
     def test_row_length_checked(self):
@@ -189,6 +228,34 @@ class TestRunScenario:
             log.write_csv(p)
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_errors_computed_once_per_tick_with_a_box(self, monkeypatch):
+        # the runner computes each tracked tick's errors once and hands them
+        # to the controller, which then computes none itself
+        calls = {"runner": 0, "controller": 0}
+
+        def counted(where, fn):
+            def wrapper(*args, **kwargs):
+                calls[where] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            ptfollow.runner, "compute_errors", counted("runner", ptfollow.runner.compute_errors)
+        )
+        monkeypatch.setattr(
+            ptfollow.controller, "compute_errors",
+            counted("controller", ptfollow.controller.compute_errors),
+        )
+        cfg = replace(
+            preset_circle_sim(), duration=6.0,
+            noise=NoiseModel(sigma_px=1.0, dropout_prob=0.1, occlusion_windows=((2.0, 2.5),)),
+        )
+        log = run_scenario(cfg)
+        with_box = sum(not math.isnan(h) for h in log.series("h"))
+        assert 0 < with_box < len(log)  # gating ticks carry no box
+        assert sum(log.series("failure_state")) > 0  # held ticks carry one
+        assert calls == {"runner": with_box, "controller": 0}
 
     def test_different_seeds_differ_with_noise(self, tmp_path):
         base = replace(

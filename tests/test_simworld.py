@@ -4,17 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ptfollow.controller import ControlCommand, compute_errors
 from oracles import (
     DepthUnobservableError,
     depth_from_height,
     integrate_exact_arc,
+    render_two_points,
     true_body_center_depth,
 )
 from ptfollow.config import ScenarioConfig
-from ptfollow.geometry import JointLimits, PanTiltAngles
+from ptfollow.geometry import CameraIntrinsics, JointLimits, PanTiltAngles
 from ptfollow.runner import run_scenario
 from ptfollow.simworld import (
     BodyModel,
@@ -177,6 +178,47 @@ class TestRenderMeasurement:
         # leaves the image
         state = SimState(robot=(0.0, 0.0, 0.0), target=(2.0, 1.9))
         assert render_measurement(state, body, intrinsics) is None
+
+    # one example per outcome: x, y, heading, bearing, distance, alpha, beta,
+    # camera_height, head_height, focal
+    @example(18.72, 15.02, -1.22, 2.25, 2.69, 1.32, 0.49, 0.72, 1.63, 205.0)  # a box
+    @example(13.43, -2.69, 1.65, -3.13, 3.73, 0.66, -0.54, 1.38, 1.95, 218.0)  # behind
+    @example(-18.73, -5.51, -2.06, 0.28, 0.4, 1.36, -0.98, 1.11, 1.51, 353.0)  # head behind
+    @example(-14.63, 13.9, 1.66, -1.54, 4.11, -0.15, 0.3, 1.19, 1.55, 217.0)  # center out
+    @example(7.0, 14.4, -2.85, -0.17, 0.45, 1.43, 0.82, 0.3, 1.88, 227.0)  # v2 >= v
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.floats(-20.0, 20.0),
+        y=st.floats(-20.0, 20.0),
+        heading=st.floats(-math.pi, math.pi),
+        bearing=st.floats(-math.pi, math.pi),
+        distance=st.floats(0.3, 8.0),
+        alpha=st.floats(-1.5, 1.5),
+        beta=st.floats(-1.0, 1.0),
+        camera_height=st.floats(0.2, 1.45),
+        head_height=st.floats(1.5, 2.0),
+        focal=st.floats(200.0, 800.0),
+    )
+    def test_fused_render_equals_two_point_reference(
+        self, x, y, heading, bearing, distance, alpha, beta, camera_height, head_height, focal
+    ):
+        # bearing is the target's direction relative to the robot heading
+        target = (
+            x + distance * math.cos(heading + bearing),
+            y + distance * math.sin(heading + bearing),
+        )
+        state = SimState(0.0, (x, y, heading), PanTiltAngles(alpha, beta), target)
+        body = BodyModel(camera_height=camera_height, head_height=head_height)
+        k = CameraIntrinsics(alpha_x=focal, alpha_y=focal)
+        got = render_measurement(state, body, k)
+        want = render_two_points(state, body, k)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert [b.hex() for b in (got.u, got.v, got.v2)] == [
+                w.hex() for w in (want.u, want.v, want.v2)
+            ]
 
 
 class TestDepthAgreement:

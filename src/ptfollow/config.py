@@ -5,12 +5,13 @@ A scenario file is one YAML mapping whose keys are the field names of
 dataclass (``recovery`` is :class:`RecoveryPolicy`, ``trajectory`` the class
 its ``kind`` picks from :data:`TRAJECTORIES`).  Values are checked against the
 field annotations, so numbers must be finite and ``null`` is rejected; an
-omitted key keeps the dataclass default, and an unknown key is an error.  Every
-error reads ``<key path>: <reason>``: each dataclass names its own field and
-this module prefixes the section.  Two exceptions: ``robot_start`` is the
-mapping ``{x, y, theta}``, and the derived ``body.body_center_height`` (half of
-``head_height``) and ``gains.lambda1``/``lambda2`` (see :func:`signed_lambdas`)
-follow the body model.
+omitted key keeps the dataclass default, and an unknown or repeated key is an
+error.  Every error reads ``<key path>: <reason>``: each dataclass names its
+own field and this module prefixes the section.  Two exceptions:
+``robot_start`` is the mapping ``{x, y, theta}``, and the derived
+``body.body_center_height`` (half of ``head_height``) and
+``gains.lambda1``/``lambda2`` (see :func:`signed_lambdas`) follow the body
+model.
 
 Three presets ship built in:
 
@@ -305,12 +306,42 @@ PRESETS = {
 }
 
 
+def _reject_repeated_keys(node, path: str = "", seen=None) -> None:
+    """Raise :class:`ConfigError` for a key given twice in one mapping of a
+    composed YAML document, where the loader would keep the last value.
+
+    Keys merged in with ``<<`` are not in the mapping's own node, so the
+    mapping may override them, as YAML allows.  Each node is visited once,
+    so aliases cannot loop.
+    """
+    seen = set() if seen is None else seen
+    if id(node) in seen:
+        return
+    seen.add(id(node))
+    if node.id == "sequence":
+        for i, item in enumerate(node.value):
+            _reject_repeated_keys(item, f"{path}[{i}]", seen)
+    elif node.id == "mapping":
+        lines: dict[str, int] = {}
+        for key_node, value_node in node.value:
+            if key_node.id != "scalar":
+                continue  # a complex key; the constructor rejects it
+            key, line = key_node.value, key_node.start_mark.line + 1
+            if key in lines:
+                raise ConfigError(
+                    f"{_join(path, key)}: given twice, on lines {lines[key]} and {line}"
+                )
+            lines[key] = line
+            _reject_repeated_keys(value_node, _join(path, key), seen)
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
     """Load and validate a scenario file.
 
     Raises:
-        ConfigError: missing file, malformed YAML, unknown keys, or any
-            violated field invariant (the message names the field).
+        ConfigError: missing file, malformed YAML (undecodable bytes too), a
+            key given twice in one mapping, unknown keys, or any violated
+            field invariant (the message names the field).
     """
     import yaml  # only scenario files need it; presets do not
 
@@ -318,8 +349,17 @@ def load_config(path: str | Path) -> ScenarioConfig:
     if not path.is_file():
         raise ConfigError(f"scenario file not found: {path}")
     try:
-        with open(path) as fh:
-            data = yaml.safe_load(fh)
+        # bytes, so YAML decodes them and undecodable ones are a YAMLError
+        with open(path, "rb") as fh:
+            loader = yaml.SafeLoader(fh)
+            try:
+                node = loader.get_single_node()
+                data = None
+                if node is not None:
+                    _reject_repeated_keys(node)
+                    data = loader.construct_document(node)
+            finally:
+                loader.dispose()
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     if data is None:

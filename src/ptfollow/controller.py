@@ -185,7 +185,7 @@ def jacobian_terms(
     sa, ca = math.sin(angles.alpha), math.cos(angles.alpha)
     sb, cb = math.sin(angles.beta), math.cos(angles.beta)
     ax, ay = k.alpha_x, k.alpha_y
-    e_u, e_v = err.e_u, err.e_v
+    e_u, e_v, e_v2 = err
     vt2 = box.v2 - k.v0  # row error of the top-border midpoint
 
     if mode == "as-printed":
@@ -199,7 +199,7 @@ def jacobian_terms(
             (ay * sb * e_u + e_u * e_v * cb) / ax,  # c
             -(ay * ay + e_v * e_v) / ay,  # d
             (ay * sb * u2 - u2 * vt2 * cb) / ax,  # e
-            -(ay * ay + err.e_v2 * err.e_v2) / ay,  # f
+            -(ay * ay + e_v2 * e_v2) / ay,  # f
         )
 
     g1 = e_v * cb - ay * sb
@@ -234,15 +234,11 @@ def predicted_error_rates(
     omega_beta: float,
 ) -> tuple[float, float, float]:
     """Error rates predicted by the linear model for the given rates."""
+    o1, o2, o3, a, b, c, d, e, f = terms
     w = omega_alpha + omega_r
-    de_u = gains.lambda1 * v_r * terms.omega1 + terms.a * w + terms.b * omega_beta
-    de_v = gains.lambda1 * v_r * terms.omega2 + terms.c * w + terms.d * omega_beta
-    de_v2 = (
-        de_v
-        - gains.lambda2 * v_r * terms.omega3
-        - terms.e * w
-        - terms.f * omega_beta
-    )
+    de_u = gains.lambda1 * v_r * o1 + a * w + b * omega_beta
+    de_v = gains.lambda1 * v_r * o2 + c * w + d * omega_beta
+    de_v2 = de_v - gains.lambda2 * v_r * o3 - e * w - f * omega_beta
     return de_u, de_v, de_v2
 
 
@@ -253,11 +249,11 @@ def singularity_eps(k: CameraIntrinsics, gains: ControllerGains) -> float:
 
 def solve_denominator(terms: JacobianTerms, gains: ControllerGains) -> float:
     """Determinant of the error-rate assignment system."""
-    t = terms
+    o1, o2, o3, a, b, c, d, e, f = terms
     return (
-        (t.b * t.c - t.a * t.d) * t.omega3 * gains.lambda2
-        + (t.a * t.f - t.b * t.e) * t.omega2 * gains.lambda1
-        - (t.c * t.f - t.d * t.e) * t.omega1 * gains.lambda1
+        (b * c - a * d) * o3 * gains.lambda2
+        + (a * f - b * e) * o2 * gains.lambda1
+        - (c * f - d * e) * o1 * gains.lambda1
     )
 
 
@@ -279,8 +275,9 @@ def control_law(
         SingularConfigurationError: if the denominator magnitude is at or
             below ``eps_den``.
     """
-    t = terms
-    k1e, k2e, k3e = gains.k1 * err.e_u, gains.k2 * err.e_v, gains.k3 * err.e_v2
+    o1, o2, o3, a, b, c, d, e, f = terms
+    e_u, e_v, e_v2 = err
+    k1e, k2e, k3e = gains.k1 * e_u, gains.k2 * e_v, gains.k3 * e_v2
     l1, l2 = gains.lambda1, gains.lambda2
     den = solve_denominator(terms, gains)
     if abs(den) <= eps_den:
@@ -288,22 +285,19 @@ def control_law(
             f"solve denominator {den:.3e} within guard {eps_den:.3e}"
         )
     num_v = -(
-        (t.b * t.c - t.a * t.d) * (k2e - k3e)
-        + (t.a * t.f - t.b * t.e) * k2e
-        - (t.c * t.f - t.d * t.e) * k1e
+        (b * c - a * d) * (k2e - k3e)
+        + (a * f - b * e) * k2e
+        - (c * f - d * e) * k1e
     )
     num_wa = (
-        (t.d * k1e - t.b * k2e - t.b * t.c * omega_r + t.a * t.d * omega_r)
-        * t.omega3 * l2
-        + (t.b * t.e * omega_r - t.a * t.f * omega_r - t.b * k3e + t.b * k2e - t.f * k1e)
-        * t.omega2 * l1
-        + (t.c * t.f * omega_r - t.d * t.e * omega_r + t.d * k3e - t.d * k2e + t.f * k2e)
-        * t.omega1 * l1
+        (d * k1e - b * k2e - b * c * omega_r + a * d * omega_r) * o3 * l2
+        + (b * e * omega_r - a * f * omega_r - b * k3e + b * k2e - f * k1e) * o2 * l1
+        + (c * f * omega_r - d * e * omega_r + d * k3e - d * k2e + f * k2e) * o1 * l1
     )
     num_wb = (
-        (t.a * k2e - t.c * k1e) * t.omega3 * l2
-        + (t.e * k1e - t.a * k2e + t.a * k3e) * t.omega2 * l1
-        + (t.c * k2e - t.e * k2e - t.c * k3e) * t.omega1 * l1
+        (a * k2e - c * k1e) * o3 * l2
+        + (e * k1e - a * k2e + a * k3e) * o2 * l1
+        + (c * k2e - e * k2e - c * k3e) * o1 * l1
     )
     return num_v / den, num_wa / den, num_wb / den
 

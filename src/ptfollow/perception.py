@@ -176,7 +176,9 @@ def recovery_step(
         scale = min(state.region_scale + policy.step_s, max(scale_cap, 1.0))
     else:
         scale = 1.0
-    return RecoveryState(failure_state=failed, region_scale=scale)
+    if failed == state.failure_state and scale == state.region_scale:
+        return state  # frozen, so the unchanged state can be shared
+    return RecoveryState(failed, scale)
 
 
 def region_contains(
@@ -218,7 +220,7 @@ def simulated_track(
         du, dv, dv2 = normal(0.0, sigma), normal(0.0, sigma), normal(0.0, sigma)
         v = truth.v + dv
         v2 = min(truth.v2 + dv2, v - 1.0)  # keep at least 1 px of half height
-        return BoxMeasurement(u=truth.u + du, v=v, v2=v2)
+        return BoxMeasurement(truth.u + du, v, v2)
     return truth
 
 
@@ -285,9 +287,11 @@ class PerceptionPipeline:
             else:
                 score = self.noise.score_visible
                 self._box = seen
-            self.recovery = recovery_step(
-                self.recovery, score, self._scale_cap(self._box), self.policy
-            )
+            # Only a lost tick can grow the region, so only it needs the cap:
+            # score_conflict guarantees score_visible >= th_high, and a seen
+            # tick resets the scale to 1.0 without reading the cap.
+            cap = self._scale_cap(self._box) if seen is None else math.inf
+            self.recovery = recovery_step(self.recovery, score, cap, self.policy)
         failed = self.recovery.failure_state
         # box, hold, score, region_scale, failure_state, initialized
         return PerceptionOutput(

@@ -97,11 +97,19 @@ class WaypointTrajectory:
         if not self.points:
             raise ValueError("points: must be a non-empty list of [x, y] pairs")
         require_positive(self, "speed")
+        # (x0, y0, x1, y1, length) per segment, measured once; not a
+        # dataclass field, which the config parser reads as a scenario key
+        segments = tuple(
+            (x0, y0, x1, y1, math.hypot(x1 - x0, y1 - y0))
+            for (x0, y0), (x1, y1) in zip(self.points, self.points[1:])
+        )
+        object.__setattr__(self, "_segments", segments)
 
     def position(self, t: float) -> tuple[float, float]:
+        # subtract each length in turn: cumulative sums would round
+        # differently and move the target's pinned path by an ulp
         remaining = self.speed * max(0.0, t - self.delay)
-        for (x0, y0), (x1, y1) in zip(self.points, self.points[1:]):
-            seg = math.hypot(x1 - x0, y1 - y0)
+        for x0, y0, x1, y1, seg in self._segments:
             if remaining <= seg:
                 if seg == 0.0:
                     continue
@@ -182,4 +190,4 @@ def render_measurement(
         return None
     if not v2 < v:  # only possible for degenerate geometry behind the mast
         return None
-    return BoxMeasurement(u=u, v=v, v2=v2)
+    return BoxMeasurement(u, v, v2)

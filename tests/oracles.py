@@ -4,7 +4,12 @@ The closed loop never calls these.  The tests and acceptance criteria check
 the loop's arithmetic against them: the camera rotation as a matrix, the
 camera and point velocities built from it and their hand expansion, the
 exact unicycle arc flow, depth recovery from a known vertical offset, and
-the true depth of the body center.
+the true depth of the body center.  The per-tick functions that were
+reworked for speed keep their plain form here too (the rate solve reading
+each coefficient as an attribute, the waypoint walk measuring every
+segment per call, a recovery step that always builds a new state, a
+perception step that always computes the search-region cap), so the tests
+can check that the fast forms give the same bits.
 """
 
 from __future__ import annotations
@@ -13,7 +18,14 @@ import math
 
 import numpy as np
 
-from ptfollow.controller import BoxMeasurement, ControlCommand
+from ptfollow.controller import (
+    BoxMeasurement,
+    ControlCommand,
+    ControllerGains,
+    ImageErrors,
+    JacobianTerms,
+    SingularConfigurationError,
+)
 from ptfollow.geometry import (
     DEFAULT_JOINT_LIMITS,
     BodyModel,
@@ -24,7 +36,15 @@ from ptfollow.geometry import (
     project,
     world_to_camera,
 )
-from ptfollow.simworld import SimState, wrap_angle
+from ptfollow.perception import (
+    PerceptionOutput,
+    PerceptionPipeline,
+    RecoveryPolicy,
+    RecoveryState,
+    gate_update,
+    simulated_track,
+)
+from ptfollow.simworld import SimState, WaypointTrajectory, wrap_angle
 
 
 class DepthUnobservableError(ValueError):
@@ -210,3 +230,135 @@ def integrate_exact_arc(
         state.angles.alpha + cmd.omega_alpha * dt, state.angles.beta + cmd.omega_beta * dt
     )
     return SimState(state.t + dt, (x, y, theta), angles, state.target)
+
+
+def solve_denominator_by_attribute(terms: JacobianTerms, gains: ControllerGains) -> float:
+    """:func:`ptfollow.controller.solve_denominator`, reading each
+    coefficient as an attribute."""
+    t = terms
+    return (
+        (t.b * t.c - t.a * t.d) * t.omega3 * gains.lambda2
+        + (t.a * t.f - t.b * t.e) * t.omega2 * gains.lambda1
+        - (t.c * t.f - t.d * t.e) * t.omega1 * gains.lambda1
+    )
+
+
+def control_law_by_attribute(
+    err: ImageErrors,
+    terms: JacobianTerms,
+    gains: ControllerGains,
+    omega_r: float,
+    eps_den: float = 0.0,
+) -> tuple[float, float, float]:
+    """:func:`ptfollow.controller.control_law`, reading each error and
+    coefficient as an attribute."""
+    t = terms
+    k1e, k2e, k3e = gains.k1 * err.e_u, gains.k2 * err.e_v, gains.k3 * err.e_v2
+    l1, l2 = gains.lambda1, gains.lambda2
+    den = solve_denominator_by_attribute(terms, gains)
+    if abs(den) <= eps_den:
+        raise SingularConfigurationError(
+            f"solve denominator {den:.3e} within guard {eps_den:.3e}"
+        )
+    num_v = -(
+        (t.b * t.c - t.a * t.d) * (k2e - k3e)
+        + (t.a * t.f - t.b * t.e) * k2e
+        - (t.c * t.f - t.d * t.e) * k1e
+    )
+    num_wa = (
+        (t.d * k1e - t.b * k2e - t.b * t.c * omega_r + t.a * t.d * omega_r)
+        * t.omega3 * l2
+        + (t.b * t.e * omega_r - t.a * t.f * omega_r - t.b * k3e + t.b * k2e - t.f * k1e)
+        * t.omega2 * l1
+        + (t.c * t.f * omega_r - t.d * t.e * omega_r + t.d * k3e - t.d * k2e + t.f * k2e)
+        * t.omega1 * l1
+    )
+    num_wb = (
+        (t.a * k2e - t.c * k1e) * t.omega3 * l2
+        + (t.e * k1e - t.a * k2e + t.a * k3e) * t.omega2 * l1
+        + (t.c * k2e - t.e * k2e - t.c * k3e) * t.omega1 * l1
+    )
+    return num_v / den, num_wa / den, num_wb / den
+
+
+def predicted_error_rates_by_attribute(
+    terms: JacobianTerms,
+    gains: ControllerGains,
+    v_r: float,
+    omega_r: float,
+    omega_alpha: float,
+    omega_beta: float,
+) -> tuple[float, float, float]:
+    """:func:`ptfollow.controller.predicted_error_rates`, reading each
+    coefficient as an attribute."""
+    w = omega_alpha + omega_r
+    de_u = gains.lambda1 * v_r * terms.omega1 + terms.a * w + terms.b * omega_beta
+    de_v = gains.lambda1 * v_r * terms.omega2 + terms.c * w + terms.d * omega_beta
+    de_v2 = (
+        de_v
+        - gains.lambda2 * v_r * terms.omega3
+        - terms.e * w
+        - terms.f * omega_beta
+    )
+    return de_u, de_v, de_v2
+
+
+def waypoint_position_scan(traj: WaypointTrajectory, t: float) -> tuple[float, float]:
+    """:meth:`ptfollow.simworld.WaypointTrajectory.position`, measuring each
+    segment with ``hypot`` on every call."""
+    remaining = traj.speed * max(0.0, t - traj.delay)
+    for (x0, y0), (x1, y1) in zip(traj.points, traj.points[1:]):
+        seg = math.hypot(x1 - x0, y1 - y0)
+        if remaining <= seg:
+            if seg == 0.0:
+                continue
+            f = remaining / seg
+            return (x0 + f * (x1 - x0), y0 + f * (y1 - y0))
+        remaining -= seg
+    return traj.points[-1]
+
+
+def recovery_rule(
+    state: RecoveryState, score: float, scale_cap: float, policy: RecoveryPolicy
+) -> RecoveryState:
+    """:func:`ptfollow.perception.recovery_step`, building a new state on
+    every call."""
+    failed = state.failure_state
+    if score <= policy.th_low:
+        failed = True
+    elif score >= policy.th_high:
+        failed = False
+    if failed:
+        scale = min(state.region_scale + policy.step_s, max(scale_cap, 1.0))
+    else:
+        scale = 1.0
+    return RecoveryState(failure_state=failed, region_scale=scale)
+
+
+def pipeline_step_with_cap(
+    pipe: PerceptionPipeline, truth: BoxMeasurement | None, t: float, rng
+) -> PerceptionOutput:
+    """:meth:`ptfollow.perception.PerceptionPipeline.step`, computing the
+    search-region cap on every tracked tick and stepping the recovery
+    machine with :func:`recovery_rule`."""
+    if pipe._box is None:
+        detection = None if (truth is None or pipe.noise.occluded_at(t)) else truth
+        pipe._box = gate_update(pipe.gate, detection)
+        if pipe._box is None:
+            return PerceptionOutput(None, False, 0.0, 1.0, False, False)
+        score = pipe.noise.score_visible
+    else:
+        seen = simulated_track(
+            truth, pipe._box, pipe.recovery.region_scale,
+            pipe.noise, t, rng, pipe.policy.search_dilation,
+        )
+        if seen is None:
+            score = pipe.noise.score_occluded
+        else:
+            score = pipe.noise.score_visible
+            pipe._box = seen
+        pipe.recovery = recovery_rule(
+            pipe.recovery, score, pipe._scale_cap(pipe._box), pipe.policy
+        )
+    failed = pipe.recovery.failure_state
+    return PerceptionOutput(pipe._box, failed, score, pipe.recovery.region_scale, failed, True)

@@ -12,9 +12,13 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import ptfollow.runner
-from ptfollow.config import preset_circle_sim
+from ptfollow.config import parse_config, preset_circle_sim
 from ptfollow.perception import NoiseModel
+from ptfollow.runlog import TimeSeriesLog
+from test_goldens import NOISY_WALK
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -50,3 +54,25 @@ def test_traced_run_derives_every_metric(tmp_path):
     assert values["perception.failure_episodes"] == summary.failure_episodes > 0
     assert values["perception.hold_ticks"] == sum(log.column("failure_state"))
     assert values["runlog.csv_bytes"] == (tmp_path / "timeseries.csv").stat().st_size
+
+
+@pytest.mark.parametrize(
+    "make_config",
+    [preset_circle_sim, lambda: parse_config(NOISY_WALK, name="noisy-walk")],
+    ids=["circle-sim", "noisy-walk"],
+)
+def test_one_log_append_per_tick(monkeypatch, make_config):
+    # the benchmark's loop timing (ticks_per_s, and wall_s through
+    # perfbench/cli_child.py) ends one block at each TimeSeriesLog.append
+    # call, so a tick must make exactly one
+    cfg = make_config()
+    calls = []
+    append = TimeSeriesLog.append
+
+    def counted(self, row):
+        calls.append(None)
+        return append(self, row)
+
+    monkeypatch.setattr(TimeSeriesLog, "append", counted)
+    log = ptfollow.runner.run_scenario(cfg)
+    assert len(calls) == len(log) == cfg.n_ticks > 0

@@ -273,6 +273,42 @@ mode: as-printed
         with pytest.raises(ConfigError, match="invalid YAML"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("duration: 1.0\nduration: 2.0\n", "duration: given twice, on lines 1 and 2"),
+            (
+                "noise:\n  sigma_px: 1.0\n  dropout_prob: 0.1\n  sigma_px: 2.0\n",
+                "noise.sigma_px: given twice, on lines 2 and 4",
+            ),
+            ("noise: {sigma_px: 1.0, sigma_px: 2.0}\n", "noise.sigma_px: given twice, on lines 1 and 1"),
+            (
+                "trajectory:\n  kind: waypoints\n  points: [[0, 0], {x: 1, x: 2}]\n",
+                "trajectory.points[1].x: given twice, on lines 3 and 3",
+            ),
+        ],
+        ids=["top-level", "nested", "flow", "in-a-list"],
+    )
+    def test_repeated_key_rejected(self, tmp_path, capsys, text, message):
+        path = tmp_path / "dup.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+        assert main(["--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_merge_key_may_be_overridden(self, tmp_path):
+        path = tmp_path / "merge.yaml"
+        path.write_text("noise: {<<: {sigma_px: 1.0, dropout_prob: 0.1}, sigma_px: 2.0}\n")
+        noise = load_config(path).noise
+        assert (noise.sigma_px, noise.dropout_prob) == (2.0, 0.1)
+
+    def test_recursive_alias_is_a_config_error(self, tmp_path):
+        path = tmp_path / "loop.yaml"
+        path.write_text("name: &a [*a]\n")
+        with pytest.raises(ConfigError, match="^name: expected a string"):
+            load_config(path)
+
     def test_resolve_prefers_presets(self):
         assert resolve_scenario("circle-sim").name == "circle-sim"
 
@@ -355,6 +391,13 @@ def test_bad_input_is_config_error_naming_its_path(tmp_path, capsys, text, path)
     scenario.write_text(text)
     assert main(["--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
     assert path in capsys.readouterr().err
+
+
+def test_undecodable_file_is_invalid_yaml(tmp_path, capsys):
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_bytes(b"duration: 1.0 # \xff\n")
+    assert main(["--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert "invalid YAML" in capsys.readouterr().err
 
 
 def test_readme_scenario_example_runs_one_tick(tmp_path):

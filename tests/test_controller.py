@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     fd_error_rates,
@@ -17,10 +18,18 @@ from conftest import (
     random_command,
     sample_tracking_state,
 )
+from oracles import (
+    control_law_by_attribute,
+    predicted_error_rates_by_attribute,
+    solve_denominator_by_attribute,
+)
 from ptfollow.controller import (
+    JACOBIAN_MODES,
     BoxMeasurement,
     ControllerGains,
     FollowController,
+    ImageErrors,
+    JacobianTerms,
     SaturationLimits,
     SingularConfigurationError,
     compute_errors,
@@ -31,8 +40,9 @@ from ptfollow.controller import (
     predicted_error_rates,
     robot_angular_strategy,
     singularity_eps,
+    solve_denominator,
 )
-from ptfollow.geometry import PanTiltAngles
+from ptfollow.geometry import BodyModel, CameraIntrinsics, PanTiltAngles
 from ptfollow.simworld import SimState, integrate, render_measurement
 
 
@@ -318,3 +328,86 @@ class TestFollowController:
         assert repr(given_err.step(None, PanTiltAngles(), False, None)) == repr(
             own_err.step(None, PanTiltAngles())
         )
+
+
+def _solve_bits(law, err, terms, gains, omega_r, eps_den):
+    """The three rates as ``float.hex``, or the guard's message."""
+    try:
+        return tuple(map(float.hex, law(err, terms, gains, omega_r, eps_den)))
+    except SingularConfigurationError as exc:
+        return str(exc)
+
+
+def _assert_solve_matches_attribute_form(err, terms, gains, omega_r, eps_den):
+    got = _solve_bits(control_law, err, terms, gains, omega_r, eps_den)
+    want = _solve_bits(control_law_by_attribute, err, terms, gains, omega_r, eps_den)
+    assert got == want
+    assert float.hex(solve_denominator(terms, gains)) == float.hex(
+        solve_denominator_by_attribute(terms, gains)
+    )
+    rates = (0.3, omega_r, -0.7, 0.4)  # v_r, omega_r, omega_alpha, omega_beta
+    assert tuple(map(float.hex, predicted_error_rates(err, terms, gains, *rates))) == tuple(
+        map(float.hex, predicted_error_rates_by_attribute(terms, gains, *rates))
+    )
+    return got
+
+
+_COEF = st.floats(-1e4, 1e4)
+_GAINS = st.builds(
+    ControllerGains,
+    k1=st.floats(0.01, 5.0),
+    k2=st.floats(0.01, 5.0),
+    k3=st.floats(0.01, 5.0),
+    lambda1=st.floats(-10.0, -0.1) | st.floats(0.1, 10.0),
+    lambda2=st.floats(-10.0, -0.1) | st.floats(0.1, 10.0),
+)
+_DEFAULT_GAINS = ControllerGains(lambda1=BodyModel().lambda1, lambda2=BodyModel().lambda2)
+
+
+class TestUnpackedSolve:
+    """The rate solve reads its terms by unpacking; every bit, and the
+    guard, must be those of the attribute-reading form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        err=st.tuples(_COEF, _COEF, _COEF).map(lambda e: ImageErrors(*e)),
+        terms=st.tuples(*[_COEF] * 9).map(lambda t: JacobianTerms(*t)),
+        gains=_GAINS,
+        omega_r=st.floats(-1.0, 1.0),
+        eps_den=st.sampled_from([0.0, 1e-3, 1e6, 1e30]),
+    )
+    @example(  # all-zero block: the guard raises even at eps 0
+        ImageErrors(1.0, 2.0, 3.0), JacobianTerms(*[0.0] * 9), _DEFAULT_GAINS, 0.5, 0.0
+    ).via("the guard at a zero denominator")
+    def test_any_terms(self, err, terms, gains, omega_r, eps_den):
+        _assert_solve_matches_attribute_form(err, terms, gains, omega_r, eps_den)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mode=st.sampled_from(JACOBIAN_MODES),
+        u=st.floats(0.0, 639.0),
+        v=st.floats(0.0, 479.0),
+        half_height=st.floats(1e-12, 400.0),
+        alpha=st.floats(-1.5, 1.5),
+        beta=st.floats(-1.0, 1.0),
+        omega_r=st.floats(-1.0, 1.0),
+    )
+    @example(  # both rows on the principal row at zero tilt: singular
+        "re-derived", 350.0, 240.0, 1e-12, 0.0, 0.0, 0.0
+    ).via("the guard on a degenerate box")
+    def test_terms_of_both_modes(self, mode, u, v, half_height, alpha, beta, omega_r):
+        k = CameraIntrinsics()
+        box = BoxMeasurement(u, v, v - half_height)
+        err = compute_errors(box, k, _DEFAULT_GAINS.target_half_height)
+        terms = jacobian_terms(err, box, PanTiltAngles(alpha, beta), k, _DEFAULT_GAINS, mode)
+        eps = singularity_eps(k, _DEFAULT_GAINS)
+        _assert_solve_matches_attribute_form(err, terms, _DEFAULT_GAINS, omega_r, eps)
+
+    def test_guard_raises_in_both_forms(self, intrinsics, gains):
+        box = BoxMeasurement(u=intrinsics.u0 + 30.0, v=intrinsics.v0, v2=intrinsics.v0 - 1e-12)
+        err = compute_errors(box, intrinsics, 100.0)
+        terms = jacobian_terms(err, box, PanTiltAngles(), intrinsics, gains)
+        got = _assert_solve_matches_attribute_form(
+            err, terms, gains, 0.0, singularity_eps(intrinsics, gains)
+        )
+        assert got.startswith("solve denominator")

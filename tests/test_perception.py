@@ -7,6 +7,7 @@ import statistics
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import pipeline_step_with_cap, recovery_rule
 from ptfollow.controller import BoxMeasurement
 from ptfollow.geometry import CameraIntrinsics
 from ptfollow.perception import (
@@ -205,6 +206,28 @@ class TestRecoveryStep:
             state = recovery_step(state, rng.uniform(0.41, 0.79))
             assert not state.failure_state
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        failed=st.booleans(),
+        scale=st.sampled_from([1.0, 1.5, 4.0]) | st.floats(1.0, 50.0),
+        score=st.sampled_from([0.0, 0.1, 0.4, 0.6, 0.8, 0.95, 1.0]) | st.floats(0.0, 1.0),
+        cap=st.sampled_from([0.5, 1.0, 1.5, 4.0, math.inf]) | st.floats(0.0, 60.0),
+        th_low=st.floats(0.05, 0.5),
+        gap=st.floats(0.05, 0.45),
+        step_s=st.sampled_from([0.5]) | st.floats(1e-3, 5.0),
+    )
+    def test_step_equals_a_fresh_state_shared_when_unchanged(
+        self, failed, scale, score, cap, th_low, gap, step_s
+    ):
+        policy = RecoveryPolicy(th_low=th_low, th_high=th_low + gap, step_s=step_s)
+        state = RecoveryState(failure_state=failed, region_scale=scale)
+        out = recovery_step(state, score, cap, policy)
+        want = recovery_rule(state, score, cap, policy)
+        assert out == want
+        assert type(out.failure_state) is bool
+        assert float.hex(out.region_scale) == float.hex(want.region_scale)
+        assert (out is state) == (want == state)
+
     def test_growth_monotone_and_capped(self):
         state = RecoveryState()
         scales = []
@@ -368,3 +391,20 @@ def test_pipeline_reports_one_verdict_per_tick(run):
         elif prev is not None and prev.failure_state:
             assert out.region_scale >= prev.region_scale
         prev = out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_runs())
+def test_cap_only_on_lost_ticks_changes_no_output(run):
+    # the pipeline skips the search-region cap on seen ticks, which reset
+    # the scale; one that computes it on every tick gives the same outputs
+    noise, policy, truths, seed = run
+    fast, full = (
+        PerceptionPipeline(noise=noise, policy=policy, intrinsics=CameraIntrinsics())
+        for _ in range(2)
+    )
+    fast_rng, full_rng = random.Random(seed), random.Random(seed)
+    for i, truth in enumerate(truths):
+        got = fast.step(truth, DT * i, fast_rng)
+        want = pipeline_step_with_cap(full, truth, DT * i, full_rng)
+        assert repr(got) == repr(want), i

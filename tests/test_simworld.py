@@ -1,5 +1,6 @@
 """World kinematics, trajectories, and ground-truth measurement rendering."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from oracles import (
     integrate_exact_arc,
     render_two_points,
     true_body_center_depth,
+    waypoint_position_scan,
 )
 from ptfollow.config import ScenarioConfig
 from ptfollow.geometry import CameraIntrinsics, JointLimits, PanTiltAngles
@@ -62,6 +64,38 @@ class TestTrajectories:
         traj = LineTrajectory(start=(1.0, 1.0), velocity=(0.5, 0.0), delay=2.0)
         assert target_position(1.0, traj) == (1.0, 1.0)
         assert target_position(4.0, traj) == (pytest.approx(2.0), pytest.approx(1.0))
+
+    # a coarse grid repeats points (zero-length segments); fine values do not
+    _COORD = st.integers(-3, 3).map(float) | st.floats(-50.0, 50.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        points=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=7),
+        speed=st.floats(1e-3, 10.0),
+        delay=st.floats(0.0, 20.0),
+        times=st.lists(st.floats(-10.0, 60.0), max_size=10),
+    )
+    @example(((1.0, 1.0), (1.0, 1.0), (2.0, 1.0), (2.0, 1.0)), 1.0, 0.5, [0.0, 0.5, 1.0, 1.5, 9.0])
+    def test_waypoints_equal_a_per_call_scan(self, points, speed, delay, times):
+        traj = WaypointTrajectory(points=tuple(points), speed=speed, delay=delay)
+        total = sum(math.dist(p, q) for p, q in zip(points, points[1:]))
+        # before the delay, at it, at each vertex's time and past the end
+        probes = times + [delay - 1.0, delay, delay + total / speed + 1.0]
+        walked = 0.0
+        for p, q in zip(points, points[1:]):
+            walked += math.dist(p, q)
+            probes.append(delay + walked / speed)
+        for t in probes:
+            want = waypoint_position_scan(traj, t)
+            assert tuple(map(float.hex, traj.position(t))) == tuple(map(float.hex, want)), t
+
+    def test_waypoint_fields_unchanged(self):
+        # the precomputed segments stay off the fields the config parser reads
+        names = [f.name for f in dataclasses.fields(WaypointTrajectory)]
+        assert names == ["points", "speed", "delay"]
+        traj = WaypointTrajectory(points=((0.0, 0.0), (3.0, 4.0)))
+        assert traj == WaypointTrajectory(points=((0.0, 0.0), (3.0, 4.0)))
+        assert dataclasses.replace(traj, speed=2.0).position(1.0) == (0.0 + 0.4 * 3.0, 0.4 * 4.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

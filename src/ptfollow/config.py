@@ -8,7 +8,8 @@ field annotations, so numbers must be finite and ``null`` is rejected; an
 omitted key keeps the dataclass default, and an unknown or repeated key is an
 error.  Every error reads ``<key path>: <reason>``: each dataclass names its
 own field and this module prefixes the section.  Two exceptions:
-``robot_start`` is the mapping ``{x, y, theta}``, and the derived
+``robot_start`` and ``initial_angles`` are mappings of named numbers
+(``{x, y, theta}`` and the fields of :class:`PanTiltAngles`), and the derived
 ``body.body_center_height`` (half of ``head_height``) and
 ``gains.lambda1``/``lambda2`` (see :func:`signed_lambdas`) follow the body
 model.
@@ -69,7 +70,7 @@ class ScenarioConfig:
     noise: NoiseModel = field(default_factory=NoiseModel)
     recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
     robot_start: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    initial_angles: PanTiltAngles = field(default_factory=PanTiltAngles)
+    initial_angles: PanTiltAngles = PanTiltAngles()
     dt: float = 0.02
     duration: float = 60.0
     seed: int = 0
@@ -225,14 +226,17 @@ def _trajectory(value: Any) -> TargetTrajectory:
     return _build(cls, _fields(cls, given, "trajectory"), "trajectory")
 
 
-def _robot_start(value: Any, default: tuple[float, float, float]) -> tuple[float, float, float]:
-    given = _mapping(value, "robot_start")
-    pose = tuple(
-        _number(given.pop(key), f"robot_start.{key}") if key in given else default_value
-        for key, default_value in zip(("x", "y", "theta"), default)
+def _named_floats(value: Any, path: str, names: tuple[str, ...], default: tuple) -> tuple:
+    """The numbers the mapping ``value`` gives under ``names``, in that order,
+    each defaulting to the matching item of ``default``; any other key is an
+    error."""
+    given = _mapping(value, path)
+    floats = tuple(
+        _number(given.pop(key), f"{path}.{key}") if key in given else default_value
+        for key, default_value in zip(names, default)
     )
-    _reject_unknown(given, "robot_start")
-    return pose
+    _reject_unknown(given, path)
+    return floats
 
 
 def parse_config(data: dict, name: str | None = None) -> ScenarioConfig:
@@ -249,7 +253,10 @@ def parse_config(data: dict, name: str | None = None) -> ScenarioConfig:
         if f.name == "trajectory":
             values[f.name] = _trajectory(value)
         elif f.name == "robot_start":
-            values[f.name] = _robot_start(value, f.default)
+            values[f.name] = _named_floats(value, f.name, ("x", "y", "theta"), f.default)
+        elif f.name == "initial_angles":
+            angles = _named_floats(value, f.name, PanTiltAngles._fields, f.default)
+            values[f.name] = PanTiltAngles(*angles)
         elif f.name == "gains":  # signed by the body, which precedes it
             kwargs = _fields(ControllerGains, value, f.name)
             body = values.get("body", BodyModel())

@@ -48,21 +48,29 @@ class SingularConfigurationError(ValueError):
     """The error-rate assignment system is singular at the current state."""
 
 
-@dataclass(frozen=True)
-class BoxMeasurement:
+class _Box(NamedTuple):
+    u: float
+    v: float
+    v2: float
+
+
+class BoxMeasurement(_Box):
     """Tracked person box: center pixel and top-border midpoint row.
 
     ``v2 < v`` always holds (the top border sits above the center in the
     down-positive image convention); the half height is ``v - v2``.
     """
 
-    u: float
-    v: float
-    v2: float
+    __slots__ = ()  # no instance dict: fields and attributes stay read-only
 
-    def __post_init__(self) -> None:
-        if not self.v2 < self.v:
-            raise ValueError(f"box top row v2={self.v2} must lie above center v={self.v}")
+    def __new__(cls, u: float, v: float, v2: float) -> "BoxMeasurement":
+        if not v2 < v:
+            raise ValueError(f"box top row v2={v2} must lie above center v={v}")
+        return tuple.__new__(cls, (u, v, v2))
+
+    @classmethod
+    def _make(cls, iterable) -> "BoxMeasurement":  # so that _replace checks too
+        return cls(*iterable)
 
     @property
     def half_height(self) -> float:
@@ -142,6 +150,9 @@ class SaturationFlags(NamedTuple):
         return self.v_r or self.omega_r or self.omega_alpha or self.omega_beta
 
 
+UNSATURATED = SaturationFlags()
+
+
 class ControlCommand(NamedTuple):
     """Actuator outputs for one tick.  ``hold`` marks a degraded tick
     (stale measurement or singular solve) where the rotation rates were
@@ -151,7 +162,7 @@ class ControlCommand(NamedTuple):
     omega_r: float
     omega_alpha: float
     omega_beta: float
-    saturated: SaturationFlags = SaturationFlags()
+    saturated: SaturationFlags = UNSATURATED
     hold: bool = False
 
 
@@ -310,14 +321,6 @@ def robot_angular_strategy(alpha: float) -> float:
     return YAW_GAIN * alpha
 
 
-def _clamp(value: float, limit: float) -> tuple[float, bool]:
-    if value > limit:
-        return limit, True
-    if value < -limit:
-        return -limit, True
-    return value, False
-
-
 class FollowController:
     """Stateful one-tick controller: errors -> coefficient block -> yaw
     strategy -> rate solve -> saturation.
@@ -392,15 +395,25 @@ class FollowController:
         except SingularConfigurationError:
             return self._hold_and_decay(freeze_rotation=False)
 
+        # clamp each rate to +/-limit; a NaN rate passes through unsaturated
         lim = self.saturation
-        v_r, sat_v = _clamp(v_r, lim.v_max)
-        omega_r, sat_wr = _clamp(omega_r, lim.omega_r_max)
-        omega_alpha, sat_wa = _clamp(omega_alpha, lim.omega_alpha_max)
-        omega_beta, sat_wb = _clamp(omega_beta, lim.omega_beta_max)
-        cmd = ControlCommand(
-            v_r, omega_r, omega_alpha, omega_beta,
-            SaturationFlags(sat_v, sat_wr, sat_wa, sat_wb),
-        )
+        vm, wrm, wam, wbm = lim.v_max, lim.omega_r_max, lim.omega_alpha_max, lim.omega_beta_max
+        sat_v = v_r > vm or v_r < -vm
+        sat_wr = omega_r > wrm or omega_r < -wrm
+        sat_wa = omega_alpha > wam or omega_alpha < -wam
+        sat_wb = omega_beta > wbm or omega_beta < -wbm
+        flags = UNSATURATED
+        if sat_v or sat_wr or sat_wa or sat_wb:
+            flags = SaturationFlags(sat_v, sat_wr, sat_wa, sat_wb)
+            if sat_v:
+                v_r = vm if v_r > 0.0 else -vm
+            if sat_wr:
+                omega_r = wrm if omega_r > 0.0 else -wrm
+            if sat_wa:
+                omega_alpha = wam if omega_alpha > 0.0 else -wam
+            if sat_wb:
+                omega_beta = wbm if omega_beta > 0.0 else -wbm
+        cmd = ControlCommand(v_r, omega_r, omega_alpha, omega_beta, flags)
         self._last = cmd
         return cmd
 

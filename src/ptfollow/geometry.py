@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class JointLimitError(ValueError):
@@ -71,8 +72,7 @@ class CameraIntrinsics:
             raise ValueError("v0: must lie in [0, height)")
 
 
-@dataclass(frozen=True)
-class CameraPoint:
+class CameraPoint(NamedTuple):
     """Point in the camera frame, meters.  ``z`` is optical-axis depth."""
 
     x: float
@@ -80,8 +80,7 @@ class CameraPoint:
     z: float
 
 
-@dataclass(frozen=True)
-class PanTiltAngles:
+class PanTiltAngles(NamedTuple):
     """Pan/tilt joint angles in radians."""
 
     alpha: float = 0.0

@@ -22,8 +22,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from random import Random
-from typing import NamedTuple, Optional
+from random import NV_MAGICCONST, Random
+from typing import Callable, NamedTuple, Optional
 
 from .controller import BoxMeasurement
 from .geometry import CameraIntrinsics, require_positive
@@ -141,17 +141,25 @@ def score_conflict(noise: NoiseModel, policy: RecoveryPolicy) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class RecoveryState:
-    """Failure-recovery run state: the failure flag and the current
-    search-region multiplier (>= 1)."""
-
+class _Recovery(NamedTuple):
     failure_state: bool = False
     region_scale: float = 1.0
 
-    def __post_init__(self) -> None:
-        if self.region_scale < 1.0:
+
+class RecoveryState(_Recovery):
+    """Failure-recovery run state: the failure flag and the current
+    search-region multiplier (>= 1)."""
+
+    __slots__ = ()  # no instance dict: fields and attributes stay read-only
+
+    def __new__(cls, failure_state: bool = False, region_scale: float = 1.0) -> "RecoveryState":
+        if not region_scale >= 1.0:  # NaN too
             raise ValueError("region_scale: must be >= 1")
+        return tuple.__new__(cls, (failure_state, region_scale))
+
+    @classmethod
+    def _make(cls, iterable) -> "RecoveryState":  # so that _replace checks too
+        return cls(*iterable)
 
 
 def recovery_step(
@@ -177,7 +185,7 @@ def recovery_step(
     else:
         scale = 1.0
     if failed == state.failure_state and scale == state.region_scale:
-        return state  # frozen, so the unchanged state can be shared
+        return state  # immutable, so the unchanged state can be shared
     return RecoveryState(failed, scale)
 
 
@@ -192,6 +200,18 @@ def region_contains(
     return (
         abs(center[0] - last_box.u) <= half and abs(center[1] - last_box.v) <= half
     )
+
+
+def normal(random: Callable[[], float], sigma: float) -> float:
+    """``Random.normalvariate(0.0, sigma)`` of the generator whose ``random``
+    method is given: the same Kinderman-Monahan loop, drawing the same
+    uniforms, so value and stream position match it bit for bit."""
+    while True:
+        u1 = random()
+        u2 = 1.0 - random()
+        z = NV_MAGICCONST * (u1 - 0.5) / u2
+        if z * z / 4.0 <= -math.log(u2):
+            return 0.0 + z * sigma  # mu + z * sigma: adding mu = 0.0 turns -0.0 into 0.0
 
 
 def simulated_track(
@@ -216,8 +236,8 @@ def simulated_track(
     if noise.dropout_prob > 0.0 and rng.random() < noise.dropout_prob:
         return None
     if noise.sigma_px > 0.0:
-        normal, sigma = rng.normalvariate, noise.sigma_px
-        du, dv, dv2 = normal(0.0, sigma), normal(0.0, sigma), normal(0.0, sigma)
+        random, sigma = rng.random, noise.sigma_px
+        du, dv, dv2 = normal(random, sigma), normal(random, sigma), normal(random, sigma)
         v = truth.v + dv
         v2 = min(truth.v2 + dv2, v - 1.0)  # keep at least 1 px of half height
         return BoxMeasurement(truth.u + du, v, v2)

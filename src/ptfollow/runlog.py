@@ -55,10 +55,12 @@ class TimeSeriesLog:
         self._values = array("d")
 
     def append(self, values: Iterable[float]) -> None:
-        row = array("d", values)
+        row = list(values)
         if len(row) != len(COLUMNS):
             raise ValueError(f"expected {len(COLUMNS)} values per row, got {len(row)}")
-        self._values.extend(row)
+        # fromlist resizes once and undoes the row if a value is not a float;
+        # extend from a tuple or iterator would append value by value
+        self._values.fromlist(row)
 
     def __len__(self) -> int:
         return len(self._values) // len(COLUMNS)

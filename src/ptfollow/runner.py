@@ -33,17 +33,20 @@ def run_scenario(config: ScenarioConfig) -> TimeSeriesLog:
         intrinsics=config.intrinsics,
     )
     rng = Random(config.seed)
-    state = SimState(robot=config.robot_start, angles=config.initial_angles)
     log = TimeSeriesLog()
     nan = math.nan
     k, target_half_height = config.intrinsics, config.gains.target_half_height
+    dt, body, joints, trajectory = config.dt, config.body, config.joints, config.trajectory
+    # bound once per run; the benchmark wraps these methods before the run
+    perceive, control, append = pipeline.step, controller.step, log.append
+    robot, angles = config.robot_start, config.initial_angles
 
     for tick in range(config.n_ticks):
-        t = tick * config.dt
-        state = SimState(t, state.robot, state.angles, target_position(t, config.trajectory))
-        truth = render_measurement(state, config.body, k)
-        seen = pipeline.step(truth, t, rng)
-        box = seen.box
+        t = tick * dt
+        target = target_position(t, trajectory)
+        state = SimState(t, robot, angles, target)
+        truth = render_measurement(state, body, k)
+        box, hold, score, region_scale, failed, _ = perceive(truth, t, rng)
         if box is not None:
             # once per tick, for the log and the controller (the benchmark
             # traces this call as its "controller.errors" SPANS entry)
@@ -53,31 +56,16 @@ def run_scenario(config: ScenarioConfig) -> TimeSeriesLog:
         else:
             err = None
             e_u = e_v = e_v2 = h = nan
-        cmd = controller.step(box, state.angles, seen.hold, err)
-        log.append(
+        cmd = control(box, angles, hold, err)
+        v_r, omega_r, omega_alpha, omega_beta, _, _ = cmd
+        append(
             (
-                t,
-                e_u,
-                e_v,
-                e_v2,
-                h,
-                cmd.v_r,
-                cmd.omega_r,
-                cmd.omega_alpha,
-                cmd.omega_beta,
-                state.angles.alpha,
-                state.angles.beta,
-                state.robot[0],
-                state.robot[1],
-                state.robot[2],
-                state.target[0],
-                state.target[1],
-                seen.score,
-                seen.region_scale,
-                1.0 if seen.failure_state else 0.0,
+                t, e_u, e_v, e_v2, h, v_r, omega_r, omega_alpha, omega_beta,
+                angles[0], angles[1], robot[0], robot[1], robot[2], target[0], target[1],
+                score, region_scale, 1.0 if failed else 0.0,
             )
         )
-        state = integrate(state, cmd, config.dt, config.joints)
+        _, robot, angles, _ = integrate(state, cmd, dt, joints)
 
     return log
 

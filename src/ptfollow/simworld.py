@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .controller import BoxMeasurement, ControlCommand
 from .geometry import (
@@ -37,8 +37,7 @@ def wrap_angle(theta: float) -> float:
     return wrapped - math.pi
 
 
-@dataclass(frozen=True)
-class SimState:
+class SimState(NamedTuple):
     """World snapshot: time, robot planar pose, joint angles, target plan
     position."""
 

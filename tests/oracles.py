@@ -8,8 +8,9 @@ the true depth of the body center.  The per-tick functions that were
 reworked for speed keep their plain form here too (the rate solve reading
 each coefficient as an attribute, the waypoint walk measuring every
 segment per call, a recovery step that always builds a new state, a
-perception step that always computes the search-region cap), so the tests
-can check that the fast forms give the same bits.
+perception step that always computes the search-region cap, the clamp of
+one commanded rate as a function), so the tests can check that the fast
+forms give the same bits.
 """
 
 from __future__ import annotations
@@ -362,3 +363,14 @@ def pipeline_step_with_cap(
         )
     failed = pipe.recovery.failure_state
     return PerceptionOutput(pipe._box, failed, score, pipe.recovery.region_scale, failed, True)
+
+
+def clamp(value: float, limit: float) -> tuple[float, bool]:
+    """One rate of :meth:`ptfollow.controller.FollowController.step`'s
+    saturation, as a function: ``value`` clipped to ``+/-limit``, and whether
+    it was.  A NaN passes through unsaturated."""
+    if value > limit:
+        return limit, True
+    if value < -limit:
+        return -limit, True
+    return value, False

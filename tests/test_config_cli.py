@@ -39,7 +39,8 @@ from ptfollow.simworld import (
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-# Scenario-file section -> the dataclass whose fields are its keys.
+# Scenario-file section -> the class whose fields are its keys (a dataclass,
+# or the NamedTuple PanTiltAngles).
 SECTIONS = {
     "intrinsics": CameraIntrinsics,
     "body": BodyModel,
@@ -227,10 +228,11 @@ mode: as-printed
     @pytest.mark.parametrize("section", SECTIONS)
     def test_every_section_field_is_a_key(self, section):
         sample = SECTIONS[section]()
-        for f in dataclasses.fields(sample):
-            value = getattr(sample, f.name)
-            cfg = parse_config({section: {f.name: _as_yaml(value)}})
-            assert getattr(getattr(cfg, section), f.name) == value, f.name
+        names = getattr(sample, "_fields", None) or [f.name for f in dataclasses.fields(sample)]
+        for name in names:
+            value = getattr(sample, name)
+            cfg = parse_config({section: {name: _as_yaml(value)}})
+            assert getattr(getattr(cfg, section), name) == value, name
 
     @pytest.mark.parametrize("kind", TRAJECTORY_SAMPLES)
     def test_every_trajectory_field_is_a_key(self, kind):

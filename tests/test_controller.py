@@ -19,12 +19,15 @@ from conftest import (
     sample_tracking_state,
 )
 from oracles import (
+    clamp,
     control_law_by_attribute,
     predicted_error_rates_by_attribute,
     solve_denominator_by_attribute,
 )
+from ptfollow import controller as controller_module
 from ptfollow.controller import (
     JACOBIAN_MODES,
+    UNSATURATED,
     BoxMeasurement,
     ControllerGains,
     FollowController,
@@ -411,3 +414,42 @@ class TestUnpackedSolve:
             err, terms, gains, 0.0, singularity_eps(intrinsics, gains)
         )
         assert got.startswith("solve denominator")
+
+
+# distinct limits, so that a clamp against another channel's limit shows
+_LIMITS = SaturationLimits(v_max=1.2, omega_alpha_max=1.5, omega_beta_max=0.7, omega_r_max=1.0)
+
+
+def _rates(limit):
+    edges = [limit, -limit, math.nextafter(limit, math.inf), -0.0, math.inf, -math.inf, math.nan]
+    return st.sampled_from(edges) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+class TestInlineSaturation:
+    """``FollowController.step`` clamps the four solved rates inline; each must
+    give the bits and flag of :func:`oracles.clamp`."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        v_r=_rates(_LIMITS.v_max),
+        omega_r=_rates(_LIMITS.omega_r_max),
+        omega_alpha=_rates(_LIMITS.omega_alpha_max),
+        omega_beta=_rates(_LIMITS.omega_beta_max),
+    )
+    @example(math.nan, math.nan, math.nan, math.nan).via("NaN passes unsaturated")
+    def test_step_clamps_as_the_plain_clamp(self, v_r, omega_r, omega_alpha, omega_beta):
+        ctrl = FollowController(ControllerGains(), CameraIntrinsics(), _LIMITS)
+        box = BoxMeasurement(u=350.0, v=250.0, v2=150.0)
+        with pytest.MonkeyPatch.context() as mp:  # the solve returns the drawn rates
+            mp.setattr(controller_module, "robot_angular_strategy", lambda alpha: omega_r)
+            mp.setattr(controller_module, "control_law", lambda *_: (v_r, omega_alpha, omega_beta))
+            cmd = ctrl.step(box, PanTiltAngles())
+        want = [
+            clamp(v_r, _LIMITS.v_max),
+            clamp(omega_r, _LIMITS.omega_r_max),
+            clamp(omega_alpha, _LIMITS.omega_alpha_max),
+            clamp(omega_beta, _LIMITS.omega_beta_max),
+        ]
+        assert [float.hex(rate) for rate in cmd[:4]] == [float.hex(rate) for rate, _ in want]
+        assert cmd.saturated == tuple(flag for _, flag in want)
+        assert cmd.saturated.any or cmd.saturated is UNSATURATED

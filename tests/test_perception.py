@@ -17,6 +17,7 @@ from ptfollow.perception import (
     RecoveryPolicy,
     RecoveryState,
     gate_update,
+    normal,
     recovery_step,
     region_contains,
     simulated_track,
@@ -240,6 +241,31 @@ class TestRecoveryStep:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             RecoveryPolicy(th_low=0.8, th_high=0.4)
+
+    @pytest.mark.parametrize("scale", [math.nan, 0.5])
+    def test_region_scale_below_one_or_nan_rejected(self, scale):
+        with pytest.raises(ValueError, match="^region_scale: must be >= 1$"):
+            RecoveryState(failure_state=True, region_scale=scale)
+        with pytest.raises(ValueError, match="^region_scale: must be >= 1$"):
+            RecoveryState(failure_state=True, region_scale=2.0)._replace(region_scale=scale)
+
+
+class TestNormalDraw:
+    """``normal`` writes out ``Random.normalvariate(0.0, sigma)``'s loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64),
+        sigma=st.sampled_from([5e-324, 1e-300, 1.0, 3.0, 1e308])
+        | st.floats(0.0, exclude_min=True, allow_infinity=False),
+        n=st.integers(1, 8),
+    )
+    def test_value_and_stream_position_equal_normalvariate(self, seed, sigma, n):
+        fast, plain = random.Random(seed), random.Random(seed)
+        got = [normal(fast.random, sigma) for _ in range(n)]
+        want = [plain.normalvariate(0.0, sigma) for _ in range(n)]
+        assert [float.hex(x) for x in got] == [float.hex(x) for x in want]
+        assert fast.getstate() == plain.getstate()
 
 
 class TestPerceptionPipeline:

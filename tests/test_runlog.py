@@ -119,6 +119,15 @@ class TestTimeSeriesLog:
         assert len(log) == 1
         assert [log.column(name).tolist() for name in COLUMNS] == [[v] for v in _row(0.0, e=3.5)]
 
+    def test_append_takes_any_iterable_and_keeps_no_part_of_a_bad_row(self):
+        log = TimeSeriesLog()
+        log.append(iter(_row(0.0)))
+        log.append(tuple(_row(0.02)))
+        with pytest.raises(TypeError):
+            log.append(_row(0.04)[:-1] + ["x"])
+        assert len(log) == 2 and log.series("t").tolist() == [0.0, 0.02]
+        assert len(log._values) == 2 * len(COLUMNS)
+
     def test_log_holds_at_most_200_bytes_per_tick(self):
         ticks = 2000
         tracemalloc.start()

@@ -259,8 +259,6 @@ class TestDepthAgreement:
     def test_depth_formula_matches_true_depth_along_a_run(self, intrinsics, body):
         # with exact inverse offsets the depth recovered from the row error
         # equals the true body-center depth at every tick
-        from dataclasses import replace
-
         from ptfollow.config import preset_circle_sim
         from ptfollow.controller import FollowController
 
@@ -273,7 +271,7 @@ class TestDepthAgreement:
         checked = 0
         for tick in range(800):
             t = tick * cfg.dt
-            state = replace(state, t=t, target=target_position(t, cfg.trajectory))
+            state = state._replace(t=t, target=target_position(t, cfg.trajectory))
             box = render_measurement(state, cfg.body, cfg.intrinsics)
             cmd = controller.step(box, state.angles)
             if box is not None:

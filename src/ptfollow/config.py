@@ -95,6 +95,11 @@ class ScenarioConfig:
                 f"duration: {self.duration!r} s at dt {self.dt!r} s is {self.n_ticks} ticks,"
                 f" above the cap of {MAX_TICKS} ticks (duration / dt)"
             )
+        angles = self.initial_angles
+        if not isinstance(angles, PanTiltAngles):  # a plain pair, as robot_start takes a triple
+            if not (isinstance(angles, (tuple, list)) and len(angles) == 2):
+                raise ConfigError(f"initial_angles: expected a pair (alpha, beta), got {angles!r}")
+            object.__setattr__(self, "initial_angles", PanTiltAngles(*angles))
         try:
             self.joints.check(self.initial_angles)
         except JointLimitError as exc:

@@ -174,7 +174,8 @@ def compute_errors(
 ) -> ImageErrors:
     """Pixel errors of a box measurement against the image center and the
     half-height reference."""
-    return ImageErrors(box.u - k.u0, box.v - k.v0, box.v - box.v2 - target_half_height)
+    u, v, v2 = box
+    return tuple.__new__(ImageErrors, (u - k.u0, v - k.v0, v - v2 - target_half_height))
 
 
 def jacobian_terms(
@@ -201,7 +202,7 @@ def jacobian_terms(
 
     if mode == "as-printed":
         u2 = e_u  # top-border midpoint shares the center column
-        return JacobianTerms(
+        return tuple.__new__(JacobianTerms, (
             (ax * sa - e_v * ca * cb) * (e_v * cb + ay * sb) / ay,  # omega1
             (e_v * ca * cb + ay * ca * sb) * (-e_v * cb - ay * sb) / ay,  # omega2
             (vt2 * ca * cb + ay * ca * sb) * (-vt2 * cb - ay * sb) / ay,  # omega3
@@ -211,7 +212,7 @@ def jacobian_terms(
             -(ay * ay + e_v * e_v) / ay,  # d
             (ay * sb * u2 - u2 * vt2 * cb) / ax,  # e
             -(ay * ay + e_v2 * e_v2) / ay,  # f
-        )
+        ))
 
     g1 = e_v * cb - ay * sb
     g2 = vt2 * cb - ay * sb
@@ -222,7 +223,7 @@ def jacobian_terms(
         u2 = e_u * (gains.lambda2 * g2) / (gains.lambda1 * g1)
     else:
         u2 = e_u
-    return JacobianTerms(
+    return tuple.__new__(JacobianTerms, (
         (e_u * ca * cb - ax * sa) * g1 / ay,  # omega1
         ca * g1 * g1 / ay,  # omega2
         ca * g2 * g2 / ay,  # omega3
@@ -232,7 +233,7 @@ def jacobian_terms(
         (ay * ay + e_v * e_v) / ay,  # d
         (u2 / ax) * g2,  # e
         (ay * ay + vt2 * vt2) / ay,  # f
-    )
+    ))
 
 
 def predicted_error_rates(
@@ -321,6 +322,32 @@ def robot_angular_strategy(alpha: float) -> float:
     return YAW_GAIN * alpha
 
 
+def saturate(
+    v_r: float, omega_r: float, omega_alpha: float, omega_beta: float, limits: SaturationLimits
+) -> ControlCommand:
+    """The command of the solved rates, each clamped to +/-its limit and
+    flagged if it was; a NaN rate passes through unsaturated.  An
+    unsaturated command shares :data:`UNSATURATED`."""
+    vm, wrm = limits.v_max, limits.omega_r_max
+    wam, wbm = limits.omega_alpha_max, limits.omega_beta_max
+    sat_v = v_r > vm or v_r < -vm
+    sat_wr = omega_r > wrm or omega_r < -wrm
+    sat_wa = omega_alpha > wam or omega_alpha < -wam
+    sat_wb = omega_beta > wbm or omega_beta < -wbm
+    flags = UNSATURATED
+    if sat_v or sat_wr or sat_wa or sat_wb:
+        flags = tuple.__new__(SaturationFlags, (sat_v, sat_wr, sat_wa, sat_wb))
+        if sat_v:
+            v_r = vm if v_r > 0.0 else -vm
+        if sat_wr:
+            omega_r = wrm if omega_r > 0.0 else -wrm
+        if sat_wa:
+            omega_alpha = wam if omega_alpha > 0.0 else -wam
+        if sat_wb:
+            omega_beta = wbm if omega_beta > 0.0 else -wbm
+    return tuple.__new__(ControlCommand, (v_r, omega_r, omega_alpha, omega_beta, flags, False))
+
+
 class FollowController:
     """Stateful one-tick controller: errors -> coefficient block -> yaw
     strategy -> rate solve -> saturation.
@@ -354,12 +381,11 @@ class FollowController:
         self._last = ZERO_COMMAND
 
     def _hold_and_decay(self, freeze_rotation: bool) -> ControlCommand:
-        cmd = ControlCommand(
-            v_r=0.5 * self._last.v_r,
-            omega_r=0.0 if freeze_rotation else self._last.omega_r,
-            omega_alpha=0.0 if freeze_rotation else self._last.omega_alpha,
-            omega_beta=0.0 if freeze_rotation else self._last.omega_beta,
-            hold=True,
+        v_r, omega_r, omega_alpha, omega_beta, _, _ = self._last
+        if freeze_rotation:
+            omega_r = omega_alpha = omega_beta = 0.0
+        cmd = tuple.__new__(
+            ControlCommand, (0.5 * v_r, omega_r, omega_alpha, omega_beta, UNSATURATED, True)
         )
         self._last = cmd
         return cmd
@@ -377,6 +403,12 @@ class FollowController:
         ``hold=True`` or a singular solve gives the hold-and-decay command.
         ``err`` is ``compute_errors`` of ``box`` when the caller has it
         already; otherwise it is computed here.
+
+        The rates are :func:`control_law` of :func:`jacobian_terms` with the
+        yaw of :func:`robot_angular_strategy`, passed to :func:`saturate`.
+        Those three run inline here (``as-printed`` keeps its call to
+        ``jacobian_terms``), each expression in its order, so every rate
+        has the bits of the plain composition.
         """
         if box is None:
             self._last = ZERO_COMMAND
@@ -384,36 +416,55 @@ class FollowController:
         if hold:
             return self._hold_and_decay(freeze_rotation=True)
 
+        k, gains = self.intrinsics, self.gains
         if err is None:
-            err = compute_errors(box, self.intrinsics, self.gains.target_half_height)
-        terms = jacobian_terms(err, box, angles, self.intrinsics, self.gains, self.mode)
-        omega_r = robot_angular_strategy(angles.alpha)
-        try:
-            v_r, omega_alpha, omega_beta = control_law(
-                err, terms, self.gains, omega_r, self._eps_den
-            )
-        except SingularConfigurationError:
-            return self._hold_and_decay(freeze_rotation=False)
+            err = compute_errors(box, k, gains.target_half_height)
+        e_u, e_v, e_v2 = err
+        l1, l2 = gains.lambda1, gains.lambda2
+        alpha, beta = angles
+        if self.mode == "re-derived":  # jacobian_terms
+            sa, ca = math.sin(alpha), math.cos(alpha)
+            sb, cb = math.sin(beta), math.cos(beta)
+            ax, ay = k.alpha_x, k.alpha_y
+            vt2 = box[2] - k.v0
+            g1 = e_v * cb - ay * sb
+            g2 = vt2 * cb - ay * sb
+            u2 = e_u * (l2 * g2) / (l1 * g1) if g1 != 0.0 else e_u
+            o1 = (e_u * ca * cb - ax * sa) * g1 / ay
+            o2 = ca * g1 * g1 / ay
+            o3 = ca * g2 * g2 / ay
+            a = ax * cb + (ax / ay) * sb * e_v + e_u * e_u * cb / ax
+            b = e_u * e_v / ay
+            c = (e_u / ax) * g1
+            d = (ay * ay + e_v * e_v) / ay
+            e = (u2 / ax) * g2
+            f = (ay * ay + vt2 * vt2) / ay
+        else:
+            o1, o2, o3, a, b, c, d, e, f = jacobian_terms(err, box, angles, k, gains, self.mode)
+        # robot_angular_strategy
+        omega_r = 0.0 if -DEADBAND_HALF_WIDTH < alpha < DEADBAND_HALF_WIDTH else YAW_GAIN * alpha
 
-        # clamp each rate to +/-limit; a NaN rate passes through unsaturated
-        lim = self.saturation
-        vm, wrm, wam, wbm = lim.v_max, lim.omega_r_max, lim.omega_alpha_max, lim.omega_beta_max
-        sat_v = v_r > vm or v_r < -vm
-        sat_wr = omega_r > wrm or omega_r < -wrm
-        sat_wa = omega_alpha > wam or omega_alpha < -wam
-        sat_wb = omega_beta > wbm or omega_beta < -wbm
-        flags = UNSATURATED
-        if sat_v or sat_wr or sat_wa or sat_wb:
-            flags = SaturationFlags(sat_v, sat_wr, sat_wa, sat_wb)
-            if sat_v:
-                v_r = vm if v_r > 0.0 else -vm
-            if sat_wr:
-                omega_r = wrm if omega_r > 0.0 else -wrm
-            if sat_wa:
-                omega_alpha = wam if omega_alpha > 0.0 else -wam
-            if sat_wb:
-                omega_beta = wbm if omega_beta > 0.0 else -wbm
-        cmd = ControlCommand(v_r, omega_r, omega_alpha, omega_beta, flags)
+        # control_law, with its guard
+        k1e, k2e, k3e = gains.k1 * e_u, gains.k2 * e_v, gains.k3 * e_v2
+        den = (b * c - a * d) * o3 * l2 + (a * f - b * e) * o2 * l1 - (c * f - d * e) * o1 * l1
+        if abs(den) <= self._eps_den:
+            return self._hold_and_decay(freeze_rotation=False)
+        num_v = -(
+            (b * c - a * d) * (k2e - k3e)
+            + (a * f - b * e) * k2e
+            - (c * f - d * e) * k1e
+        )
+        num_wa = (
+            (d * k1e - b * k2e - b * c * omega_r + a * d * omega_r) * o3 * l2
+            + (b * e * omega_r - a * f * omega_r - b * k3e + b * k2e - f * k1e) * o2 * l1
+            + (c * f * omega_r - d * e * omega_r + d * k3e - d * k2e + f * k2e) * o1 * l1
+        )
+        num_wb = (
+            (a * k2e - c * k1e) * o3 * l2
+            + (e * k1e - a * k2e + a * k3e) * o2 * l1
+            + (c * k2e - e * k2e - c * k3e) * o1 * l1
+        )
+        cmd = saturate(num_v / den, omega_r, num_wa / den, num_wb / den, self.saturation)
         self._last = cmd
         return cmd
 

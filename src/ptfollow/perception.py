@@ -83,14 +83,14 @@ class NoiseModel:
     score_occluded: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.sigma_px < 0:
+        if not self.sigma_px >= 0:  # NaN too
             raise ValueError("sigma_px: must be >= 0")
         if not 0.0 <= self.dropout_prob <= 1.0:
             raise ValueError("dropout_prob: must lie in [0, 1]")
         if not self.score_occluded < self.score_visible:
             raise ValueError("score_occluded: must be < score_visible")
         for i, (t0, t1) in enumerate(self.occlusion_windows):
-            if t1 <= t0:
+            if not t0 < t1:  # NaN too
                 raise ValueError(f"occlusion_windows[{i}]: [{t0}, {t1}) is empty")
         windows = sorted(self.occlusion_windows)
         for a, b in zip(windows, windows[1:]):
@@ -284,36 +284,65 @@ class PerceptionPipeline:
         self.gate = DetectionGate()
         self._box: Optional[BoxMeasurement] = None  # last box seen; None until initialized
 
-    def _scale_cap(self, box: BoxMeasurement) -> float:
-        """Multiplier at which the search region covers the whole image."""
-        nominal = self.policy.search_dilation * box.half_height
-        return max(1.0, max(self.intrinsics.width, self.intrinsics.height) / nominal)
-
     def step(self, truth: Optional[BoxMeasurement], t: float, rng: Random) -> PerceptionOutput:
-        """Advance the pipeline by one frame."""
-        if self._box is None:
-            detection = None if (truth is None or self.noise.occluded_at(t)) else truth
-            self._box = gate_update(self.gate, detection)
-            if self._box is None:
+        """Advance the pipeline by one frame.
+
+        A tracked tick is :func:`simulated_track` (with
+        :meth:`NoiseModel.occluded_at` and :func:`region_contains`) and
+        :func:`recovery_step`, run inline with each expression in its order,
+        so every output and every draw from ``rng`` is theirs.
+        """
+        noise = self.noise
+        seen = truth
+        if truth is not None:
+            i = bisect_right(noise._starts, t)  # occluded_at
+            if i > 0 and t < noise._ends[i - 1]:
+                seen = None  # occlusion suppresses the detection too
+        box = self._box
+        recovery = self.recovery
+        if box is None:
+            box = self._box = gate_update(self.gate, seen)
+            if box is None:
                 return _GATING
-            score = self.noise.score_visible
+            score = noise.score_visible
         else:
-            seen = simulated_track(
-                truth, self._box, self.recovery.region_scale,
-                self.noise, t, rng, self.policy.search_dilation,
-            )
+            policy = self.policy
+            if seen is not None:
+                half = recovery.region_scale * policy.search_dilation * (box[1] - box[2])
+                if not (abs(seen[0] - box[0]) <= half and abs(seen[1] - box[1]) <= half):
+                    seen = None  # outside the search region
+                elif noise.dropout_prob > 0.0 and rng.random() < noise.dropout_prob:
+                    seen = None
+                elif noise.sigma_px > 0.0:
+                    rand, sigma = rng.random, noise.sigma_px
+                    du, dv, dv2 = normal(rand, sigma), normal(rand, sigma), normal(rand, sigma)
+                    v = seen[1] + dv
+                    v2 = min(seen[2] + dv2, v - 1.0)  # keep at least 1 px of half height
+                    seen = BoxMeasurement(seen[0] + du, v, v2)
             if seen is None:
-                score = self.noise.score_occluded
+                score = noise.score_occluded
+                # the multiplier at which the region covers the whole image; only
+                # a lost tick can grow the region (score_conflict guarantees
+                # score_visible >= th_high, and a seen tick resets the scale)
+                nominal = policy.search_dilation * (box[1] - box[2])
+                k = self.intrinsics
+                cap = max(1.0, max(k.width, k.height) / nominal)
             else:
-                score = self.noise.score_visible
-                self._box = seen
-            # Only a lost tick can grow the region, so only it needs the cap:
-            # score_conflict guarantees score_visible >= th_high, and a seen
-            # tick resets the scale to 1.0 without reading the cap.
-            cap = self._scale_cap(self._box) if seen is None else math.inf
-            self.recovery = recovery_step(self.recovery, score, cap, self.policy)
-        failed = self.recovery.failure_state
+                score = noise.score_visible
+                box = self._box = seen
+                cap = math.inf
+            failed = recovery.failure_state
+            if score <= policy.th_low:
+                failed = True
+            elif score >= policy.th_high:
+                failed = False
+            if failed:
+                scale = min(recovery.region_scale + policy.step_s, max(cap, 1.0))
+            else:
+                scale = 1.0
+            # the unchanged state is shared, as recovery_step returns it
+            if not (failed == recovery.failure_state and scale == recovery.region_scale):
+                recovery = self.recovery = RecoveryState(failed, scale)
+        failed, scale = recovery
         # box, hold, score, region_scale, failure_state, initialized
-        return PerceptionOutput(
-            self._box, failed, score, self.recovery.region_scale, failed, True
-        )
+        return tuple.__new__(PerceptionOutput, (box, failed, score, scale, failed, True))

@@ -133,17 +133,25 @@ def integrate(
     joint_limits: JointLimits = DEFAULT_JOINT_LIMITS,
 ) -> SimState:
     """Semi-implicit Euler step: pose advances with the pre-update heading,
-    joint angles integrate and clamp to their limits, heading wraps."""
+    joint angles integrate and clamp to their limits, heading wraps.
+
+    :func:`wrap_angle` and :meth:`JointLimits.clamp` run inline, each
+    expression in its order, so the state has their bits."""
     if dt <= 0:
         raise ValueError("integrate: dt must be > 0")
-    x, y, theta = state.robot
-    x += cmd.v_r * math.cos(theta) * dt
-    y += cmd.v_r * math.sin(theta) * dt
-    theta = wrap_angle(theta + cmd.omega_r * dt)
-    angles = joint_limits.clamp(
-        state.angles.alpha + cmd.omega_alpha * dt, state.angles.beta + cmd.omega_beta * dt
-    )
-    return SimState(state.t + dt, (x, y, theta), angles, state.target)
+    t, (x, y, theta), (alpha, beta), target = state
+    v_r, omega_r, omega_alpha, omega_beta, _, _ = cmd
+    x += v_r * math.cos(theta) * dt
+    y += v_r * math.sin(theta) * dt
+    theta = math.fmod(theta + omega_r * dt + math.pi, 2.0 * math.pi)  # wrap to (-pi, pi]
+    if theta <= 0.0:
+        theta += 2.0 * math.pi
+    theta -= math.pi
+    alpha_max, beta_max = joint_limits.alpha_max, joint_limits.beta_max
+    alpha = min(max(alpha + omega_alpha * dt, -alpha_max), alpha_max)
+    beta = min(max(beta + omega_beta * dt, -beta_max), beta_max)
+    angles = tuple.__new__(PanTiltAngles, (alpha, beta))
+    return tuple.__new__(SimState, (t + dt, (x, y, theta), angles, target))
 
 
 def render_measurement(

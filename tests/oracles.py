@@ -9,8 +9,10 @@ reworked for speed keep their plain form here too (the rate solve reading
 each coefficient as an attribute, the waypoint walk measuring every
 segment per call, a recovery step that always builds a new state, a
 perception step that always computes the search-region cap, the clamp of
-one commanded rate as a function), so the tests can check that the fast
-forms give the same bits.
+one commanded rate as a function).  The three stages the loop runs in one
+frame each keep theirs as the composition of the package's plain functions:
+the controller step, the perception step and the Euler step.  The tests
+check that the fast forms give the same bits.
 """
 
 from __future__ import annotations
@@ -25,7 +27,14 @@ from ptfollow.controller import (
     ControllerGains,
     ImageErrors,
     JacobianTerms,
+    SaturationFlags,
+    SaturationLimits,
     SingularConfigurationError,
+    compute_errors,
+    control_law,
+    jacobian_terms,
+    robot_angular_strategy,
+    singularity_eps,
 )
 from ptfollow.geometry import (
     DEFAULT_JOINT_LIMITS,
@@ -339,9 +348,10 @@ def recovery_rule(
 def pipeline_step_with_cap(
     pipe: PerceptionPipeline, truth: BoxMeasurement | None, t: float, rng
 ) -> PerceptionOutput:
-    """:meth:`ptfollow.perception.PerceptionPipeline.step`, computing the
-    search-region cap on every tracked tick and stepping the recovery
-    machine with :func:`recovery_rule`."""
+    """:meth:`ptfollow.perception.PerceptionPipeline.step` as calls: the
+    tracker update by :func:`simulated_track`, the search-region cap computed
+    on every tracked tick, and the recovery machine stepped with
+    :func:`recovery_rule`."""
     if pipe._box is None:
         detection = None if (truth is None or pipe.noise.occluded_at(t)) else truth
         pipe._box = gate_update(pipe.gate, detection)
@@ -358,9 +368,11 @@ def pipeline_step_with_cap(
         else:
             score = pipe.noise.score_visible
             pipe._box = seen
-        pipe.recovery = recovery_rule(
-            pipe.recovery, score, pipe._scale_cap(pipe._box), pipe.policy
-        )
+        # the multiplier at which the search region covers the whole image
+        nominal = pipe.policy.search_dilation * pipe._box.half_height
+        k = pipe.intrinsics
+        cap = max(1.0, max(k.width, k.height) / nominal)
+        pipe.recovery = recovery_rule(pipe.recovery, score, cap, pipe.policy)
     failed = pipe.recovery.failure_state
     return PerceptionOutput(pipe._box, failed, score, pipe.recovery.region_scale, failed, True)
 
@@ -374,3 +386,74 @@ def clamp(value: float, limit: float) -> tuple[float, bool]:
     if value < -limit:
         return -limit, True
     return value, False
+
+
+def hold_and_decay(last: ControlCommand, freeze_rotation: bool) -> ControlCommand:
+    """The degraded command after ``last``: half its speed, its rotation
+    rates held or, with ``freeze_rotation``, zero."""
+    return ControlCommand(
+        v_r=0.5 * last.v_r,
+        omega_r=0.0 if freeze_rotation else last.omega_r,
+        omega_alpha=0.0 if freeze_rotation else last.omega_alpha,
+        omega_beta=0.0 if freeze_rotation else last.omega_beta,
+        hold=True,
+    )
+
+
+def follow_step(
+    last: ControlCommand,
+    box: BoxMeasurement | None,
+    angles: PanTiltAngles,
+    hold: bool,
+    err: ImageErrors | None,
+    gains: ControllerGains,
+    k: CameraIntrinsics,
+    limits: SaturationLimits,
+    mode: str,
+) -> ControlCommand:
+    """:meth:`ptfollow.controller.FollowController.step` after the command
+    ``last``, composed of the plain functions: :func:`compute_errors`,
+    :func:`jacobian_terms`, :func:`robot_angular_strategy`,
+    :func:`control_law` with its guard, and :func:`clamp` per rate."""
+    if box is None:
+        return ControlCommand(0.0, 0.0, 0.0, 0.0)
+    if hold:
+        return hold_and_decay(last, freeze_rotation=True)
+    if err is None:
+        err = compute_errors(box, k, gains.target_half_height)
+    terms = jacobian_terms(err, box, angles, k, gains, mode)
+    omega_r = robot_angular_strategy(angles.alpha)
+    try:
+        v_r, omega_alpha, omega_beta = control_law(
+            err, terms, gains, omega_r, singularity_eps(k, gains)
+        )
+    except SingularConfigurationError:
+        return hold_and_decay(last, freeze_rotation=False)
+    clamped = (
+        clamp(v_r, limits.v_max),
+        clamp(omega_r, limits.omega_r_max),
+        clamp(omega_alpha, limits.omega_alpha_max),
+        clamp(omega_beta, limits.omega_beta_max),
+    )
+    flags = SaturationFlags(*(flag for _, flag in clamped))
+    return ControlCommand(*(rate for rate, _ in clamped), saturated=flags)
+
+
+def integrate_by_parts(
+    state: SimState,
+    cmd: ControlCommand,
+    dt: float,
+    joint_limits: JointLimits = DEFAULT_JOINT_LIMITS,
+) -> SimState:
+    """:func:`ptfollow.simworld.integrate`, wrapping the heading with
+    :func:`wrap_angle` and clamping the joints with :meth:`JointLimits.clamp`."""
+    if dt <= 0:
+        raise ValueError("integrate: dt must be > 0")
+    x, y, theta = state.robot
+    x += cmd.v_r * math.cos(theta) * dt
+    y += cmd.v_r * math.sin(theta) * dt
+    theta = wrap_angle(theta + cmd.omega_r * dt)
+    angles = joint_limits.clamp(
+        state.angles.alpha + cmd.omega_alpha * dt, state.angles.beta + cmd.omega_beta * dt
+    )
+    return SimState(state.t + dt, (x, y, theta), angles, state.target)

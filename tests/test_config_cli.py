@@ -118,6 +118,19 @@ class TestParseConfig:
         gains = ControllerGains(lambda1=5.0, lambda2=0.91, target_half_height=500.0)
         assert dataclasses.replace(preset_indoor(), gains=gains) == preset_indoor()
 
+    def test_code_built_angles_take_a_plain_pair(self):
+        # as robot_start takes a plain triple
+        cfg = ScenarioConfig(initial_angles=(0.1, -0.2))
+        assert type(cfg.initial_angles) is PanTiltAngles and cfg.initial_angles == (0.1, -0.2)
+        assert cfg == parse_config({"initial_angles": {"alpha": 0.1, "beta": -0.2}})
+        with pytest.raises(ConfigError, match=r"^initial_angles\.alpha: 2\.0 outside"):
+            ScenarioConfig(initial_angles=[2.0, 0.0])
+
+    @pytest.mark.parametrize("angles", [(0.1,), (0.1, 0.2, 0.3), 0.5, "ab", None])
+    def test_code_built_angles_not_a_pair_rejected(self, angles):
+        with pytest.raises(ConfigError, match=r"^initial_angles: expected a pair \(alpha, beta\)"):
+            ScenarioConfig(initial_angles=angles)
+
     def test_tick_count_capped(self):
         assert ScenarioConfig(dt=1.0, duration=float(MAX_TICKS)).n_ticks == MAX_TICKS
         with pytest.raises(ConfigError, match=f"^duration: .* above the cap of {MAX_TICKS}"):

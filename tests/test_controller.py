@@ -21,14 +21,19 @@ from conftest import (
 from oracles import (
     clamp,
     control_law_by_attribute,
+    follow_step,
     predicted_error_rates_by_attribute,
     solve_denominator_by_attribute,
 )
 from ptfollow import controller as controller_module
 from ptfollow.controller import (
+    DEADBAND_HALF_WIDTH,
     JACOBIAN_MODES,
     UNSATURATED,
+    YAW_GAIN,
+    ZERO_COMMAND,
     BoxMeasurement,
+    ControlCommand,
     ControllerGains,
     FollowController,
     ImageErrors,
@@ -42,6 +47,7 @@ from ptfollow.controller import (
     jacobian_terms,
     predicted_error_rates,
     robot_angular_strategy,
+    saturate,
     singularity_eps,
     solve_denominator,
 )
@@ -426,8 +432,8 @@ def _rates(limit):
 
 
 class TestInlineSaturation:
-    """``FollowController.step`` clamps the four solved rates inline; each must
-    give the bits and flag of :func:`oracles.clamp`."""
+    """``FollowController.step`` clamps its four solved rates in
+    :func:`saturate`; each must give the bits and flag of :func:`oracles.clamp`."""
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -438,12 +444,7 @@ class TestInlineSaturation:
     )
     @example(math.nan, math.nan, math.nan, math.nan).via("NaN passes unsaturated")
     def test_step_clamps_as_the_plain_clamp(self, v_r, omega_r, omega_alpha, omega_beta):
-        ctrl = FollowController(ControllerGains(), CameraIntrinsics(), _LIMITS)
-        box = BoxMeasurement(u=350.0, v=250.0, v2=150.0)
-        with pytest.MonkeyPatch.context() as mp:  # the solve returns the drawn rates
-            mp.setattr(controller_module, "robot_angular_strategy", lambda alpha: omega_r)
-            mp.setattr(controller_module, "control_law", lambda *_: (v_r, omega_alpha, omega_beta))
-            cmd = ctrl.step(box, PanTiltAngles())
+        cmd = saturate(v_r, omega_r, omega_alpha, omega_beta, _LIMITS)
         want = [
             clamp(v_r, _LIMITS.v_max),
             clamp(omega_r, _LIMITS.omega_r_max),
@@ -453,3 +454,102 @@ class TestInlineSaturation:
         assert [float.hex(rate) for rate in cmd[:4]] == [float.hex(rate) for rate, _ in want]
         assert cmd.saturated == tuple(flag for _, flag in want)
         assert cmd.saturated.any or cmd.saturated is UNSATURATED
+        assert type(cmd) is ControlCommand and cmd.hold is False and len(cmd) == 6
+
+    def test_step_saturates_through_the_seam(self, intrinsics, gains):
+        ctrl = FollowController(gains, intrinsics, _LIMITS)
+        box = BoxMeasurement(u=350.0, v=250.0, v2=150.0)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return saturate(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(controller_module, "saturate", spy)
+            cmd = ctrl.step(box, PanTiltAngles(0.7, 0.1))
+            ctrl.step(box, PanTiltAngles(), hold=True)
+        assert len(calls) == 1 and calls[0][1] == pytest.approx(0.07)
+        assert calls[0][4] is _LIMITS
+        assert repr(cmd) == repr(saturate(*calls[0]))
+
+
+# a box on the principal row with a 1e-12 px half height: singular at zero
+# angles in both modes and for any gains
+_SINGULAR_BOX = BoxMeasurement(u=350.0, v=240.0, v2=240.0 - 1e-12)
+_ALPHA = st.sampled_from([
+    DEADBAND_HALF_WIDTH, -DEADBAND_HALF_WIDTH,
+    math.nextafter(DEADBAND_HALF_WIDTH, math.inf), math.nextafter(-DEADBAND_HALF_WIDTH, -math.inf),
+]) | st.floats(-1.5, 1.5)
+_TICK = st.sampled_from(["none", "singular"]) | st.tuples(
+    st.floats(0.0, 639.0),  # u
+    st.floats(0.0, 479.0),  # v
+    st.floats(1e-12, 400.0),  # half height
+    _ALPHA,
+    st.floats(-1.0, 1.0),  # beta
+    st.booleans(),  # hold
+    st.booleans(),  # errors handed to step
+)
+_LIMIT_SETS = st.sampled_from([_LIMITS, SaturationLimits(), SaturationLimits(*[1e9] * 4)])
+
+
+class TestFusedStep:
+    """``FollowController.step`` runs the coefficient block, the yaw rule and
+    the solve inline; over any tick sequence its commands must be those of
+    :func:`oracles.follow_step`, the plain composition, to the bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mode=st.sampled_from(JACOBIAN_MODES),
+        gains=_GAINS,
+        limits=_LIMIT_SETS,
+        ticks=st.lists(_TICK, min_size=1, max_size=30),
+    )
+    @example(  # yaw outside the deadband, then the guard's hold of its rates
+        "re-derived", _DEFAULT_GAINS, _LIMITS,
+        [(400.0, 300.0, 80.0, 0.7, 0.1, False, False), "singular", "singular"],
+    ).via("singular hold after a yawing tick")
+    @example(
+        "as-printed", _DEFAULT_GAINS, _LIMITS,
+        [(400.0, 300.0, 80.0, -0.7, 0.1, False, True), "singular", "none"],
+    ).via("singular hold after a yawing tick, as printed")
+    def test_step_equals_the_plain_composition(self, mode, gains, limits, ticks):
+        k = CameraIntrinsics()
+        ctrl = FollowController(gains, k, limits, mode)
+        last = ZERO_COMMAND
+        for i, tick in enumerate(ticks):
+            if tick == "none":
+                box, angles, hold, given_err = None, PanTiltAngles(), False, False
+            elif tick == "singular":
+                box, angles, hold, given_err = _SINGULAR_BOX, PanTiltAngles(), False, False
+            else:
+                u, v, half_height, alpha, beta, hold, given_err = tick
+                box, angles = BoxMeasurement(u, v, v - half_height), PanTiltAngles(alpha, beta)
+            err = compute_errors(box, k, gains.target_half_height) if given_err else None
+            got = ctrl.step(box, angles, hold, err)
+            want = follow_step(last, box, angles, hold, err, gains, k, limits, mode)
+            assert list(map(float.hex, got[:4])) == list(map(float.hex, want[:4])), i
+            assert type(got) is ControlCommand and repr(got) == repr(want), i
+            last = want
+
+    @pytest.mark.parametrize("mode", JACOBIAN_MODES)
+    def test_guard_holds_at_its_bound(self, mode, intrinsics, gains):
+        # control_law raises at |den| == eps; the step must hold there too
+        box, angles = BoxMeasurement(400.0, 300.0, 220.0), PanTiltAngles(0.2, 0.1)
+        err = compute_errors(box, intrinsics, gains.target_half_height)
+        terms = jacobian_terms(err, box, angles, intrinsics, gains, mode)
+        den = abs(solve_denominator(terms, gains))
+        with pytest.raises(SingularConfigurationError):
+            control_law(err, terms, gains, 0.0, den)
+        for eps, holds in ((den, True), (math.nextafter(den, 0.0), False)):
+            ctrl = FollowController(gains, intrinsics, mode=mode)
+            ctrl._eps_den = eps
+            assert ctrl.step(box, angles, False, err).hold is holds
+
+    def test_examples_reach_the_guard_and_the_yaw(self, intrinsics):
+        # the explicit examples above do hold on the guard after a yawing tick
+        ctrl = FollowController(_DEFAULT_GAINS, intrinsics, _LIMITS)
+        yawing = ctrl.step(BoxMeasurement(400.0, 300.0, 220.0), PanTiltAngles(0.7, 0.1))
+        held = ctrl.step(_SINGULAR_BOX, PanTiltAngles())
+        assert yawing.omega_r == YAW_GAIN * 0.7 and not yawing.hold
+        assert held.hold and held[1:4] == yawing[1:4] and held.v_r == 0.5 * yawing.v_r

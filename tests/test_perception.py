@@ -13,6 +13,7 @@ from ptfollow.geometry import CameraIntrinsics
 from ptfollow.perception import (
     DetectionGate,
     NoiseModel,
+    PerceptionOutput,
     PerceptionPipeline,
     RecoveryPolicy,
     RecoveryState,
@@ -145,6 +146,14 @@ class TestSimulatedTrack:
             NoiseModel(occlusion_windows=((0.0, 2.0), (1.0, 3.0)))
         with pytest.raises(ValueError):
             NoiseModel(sigma_px=-1.0)
+
+    def test_nan_sigma_or_window_rejected(self):
+        # a NaN compares False, so only a check that must hold rejects it
+        with pytest.raises(ValueError, match=r"^sigma_px: must be >= 0$"):
+            NoiseModel(sigma_px=math.nan)
+        for window in ((math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(ValueError, match=r"^occlusion_windows\[0\]: .* is empty$"):
+                NoiseModel(occlusion_windows=(window,))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -419,18 +428,27 @@ def test_pipeline_reports_one_verdict_per_tick(run):
         prev = out
 
 
+# landscape and portrait, so that the cap's max(width, height) shows
+_CAMERAS = st.sampled_from(
+    [CameraIntrinsics(), CameraIntrinsics(width=240, height=720, u0=120.0, v0=360.0)]
+)
+
+
 @settings(max_examples=150, deadline=None)
-@given(_runs())
-def test_cap_only_on_lost_ticks_changes_no_output(run):
-    # the pipeline skips the search-region cap on seen ticks, which reset
-    # the scale; one that computes it on every tick gives the same outputs
+@given(_runs(), _CAMERAS)
+def test_cap_only_on_lost_ticks_changes_no_output(run, intrinsics):
+    # the pipeline runs the tracker update and the recovery step inline and
+    # skips the search-region cap on seen ticks, which reset the scale; the
+    # plain composition, computing the cap on every tick, gives the same
+    # outputs and leaves the generator at the same point
     noise, policy, truths, seed = run
     fast, full = (
-        PerceptionPipeline(noise=noise, policy=policy, intrinsics=CameraIntrinsics())
-        for _ in range(2)
+        PerceptionPipeline(noise=noise, policy=policy, intrinsics=intrinsics) for _ in range(2)
     )
     fast_rng, full_rng = random.Random(seed), random.Random(seed)
     for i, truth in enumerate(truths):
         got = fast.step(truth, DT * i, fast_rng)
         want = pipeline_step_with_cap(full, truth, DT * i, full_rng)
-        assert repr(got) == repr(want), i
+        assert type(got) is PerceptionOutput and repr(got) == repr(want), i
+        assert fast_rng.getstate() == full_rng.getstate(), i
+        assert repr(fast.recovery) == repr(full.recovery), i

@@ -3,7 +3,12 @@ values a tick builds are NamedTuples.
 
 A NamedTuple is built in about half the time of a frozen dataclass; these
 tests pin what the loop's records keep from the dataclasses they replaced:
-read-only fields, the checks on construction, and the ``repr``.
+read-only fields, the checks on construction, and the ``repr``.  The loop
+builds the records that have no check with ``tuple.__new__(Cls, (...))``,
+every field given, which is the body of their generated ``__new__`` without
+its frame; ``BoxMeasurement`` and ``RecoveryState`` always run their checked
+constructors.  Over whole runs, every record the stages hand each other must
+have all its fields and the ``repr`` its constructor gives.
 """
 
 import dataclasses
@@ -12,19 +17,28 @@ import re
 
 import pytest
 
-from ptfollow.config import ScenarioConfig
+from ptfollow import controller, runner
+from ptfollow.config import PRESETS, ScenarioConfig, parse_config
 from ptfollow.controller import (
     BoxMeasurement,
     ControlCommand,
     ControllerGains,
+    FollowController,
     ImageErrors,
     JacobianTerms,
     SaturationFlags,
     SaturationLimits,
 )
 from ptfollow.geometry import BodyModel, CameraIntrinsics, CameraPoint, JointLimits, PanTiltAngles
-from ptfollow.perception import NoiseModel, PerceptionOutput, RecoveryPolicy, RecoveryState
+from ptfollow.perception import (
+    NoiseModel,
+    PerceptionOutput,
+    PerceptionPipeline,
+    RecoveryPolicy,
+    RecoveryState,
+)
 from ptfollow.simworld import CircleTrajectory, LineTrajectory, SimState, WaypointTrajectory
+from test_goldens import NOISY_WALK
 
 # each record with its repr, as the frozen dataclasses printed it
 RECORDS = [
@@ -90,3 +104,54 @@ def test_box_rejects_a_top_row_not_above_the_center(v, v2):
         BoxMeasurement(320.0, v, v2)
     with pytest.raises(ValueError, match=message):
         BoxMeasurement(320.0, 240.0, 140.0)._replace(v=v, v2=v2)
+
+
+RUNS = {
+    **{name: PRESETS[name] for name in ("circle-sim", "indoor", "outdoor")},
+    "circle-sim-as-printed": lambda: dataclasses.replace(
+        PRESETS["circle-sim"](), mode="as-printed"
+    ),
+    "noisy-walk": lambda: parse_config(NOISY_WALK),
+}
+
+
+def _named_tuples(value):
+    if isinstance(value, tuple):
+        if hasattr(type(value), "_fields"):
+            yield value
+        for item in value:
+            yield from _named_tuples(item)
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_every_record_of_a_run_is_whole(name, monkeypatch):
+    # a record built with tuple.__new__ that leaves out a defaulted field
+    # (ControlCommand.hold, say) would be one item short
+    handed = []
+
+    def spy(owner, attr):
+        fn = getattr(owner, attr)
+
+        def wrapper(*args):
+            result = fn(*args)
+            handed.append((args, result))
+            return result
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    for attr in ("target_position", "render_measurement", "compute_errors", "integrate"):
+        spy(runner, attr)
+    spy(controller, "jacobian_terms")
+    spy(PerceptionPipeline, "step")
+    spy(FollowController, "step")
+    runner.run_scenario(RUNS[name]())
+
+    records = {id(rec): rec for rec in _named_tuples(tuple(handed))}
+    kinds = {type(rec).__name__ for rec in records.values()}
+    assert {"SimState", "PanTiltAngles", "ImageErrors", "ControlCommand"} <= kinds
+    assert {"PerceptionOutput", "BoxMeasurement", "SaturationFlags"} <= kinds
+    assert ("JacobianTerms" in kinds) == name.endswith("as-printed")
+    for rec in records.values():
+        cls = type(rec)
+        assert len(rec) == len(cls._fields), rec
+        assert repr(rec) == repr(cls(*rec))

@@ -11,6 +11,7 @@ from ptfollow.controller import ControlCommand, compute_errors
 from oracles import (
     DepthUnobservableError,
     depth_from_height,
+    integrate_by_parts,
     integrate_exact_arc,
     render_two_points,
     true_body_center_depth,
@@ -167,6 +168,57 @@ class TestIntegrate:
         assert wrap_angle(math.pi) == pytest.approx(math.pi)
         assert wrap_angle(-math.pi) == pytest.approx(math.pi)
         assert wrap_angle(3 * math.pi / 2) == pytest.approx(-math.pi / 2)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    @example(data=None).via("theta exactly at -pi, joints beyond both stops")
+    def test_equals_wrap_and_clamp(self, data):
+        # integrate wraps the heading and clamps the joints inline; the bits
+        # must be those of wrap_angle and JointLimits.clamp
+        if data is None:
+            limits = JointLimits(alpha_max=0.5, beta_max=0.25)
+            state = SimState(1.0, (0.0, 0.0, -math.pi), PanTiltAngles(0.6, -0.3), (2.0, 0.0))
+            cmd, dt = ControlCommand(0.5, 0.0, 1.0, -1.0), 0.02
+        else:
+            limits, state, cmd, dt = data.draw(_integrate_inputs())
+        got = integrate(state, cmd, dt, limits)
+        want = integrate_by_parts(state, cmd, dt, limits)
+        assert type(got) is SimState and type(got.angles) is PanTiltAngles
+        assert _float_bits(got) == _float_bits(want)
+        assert repr(got) == repr(want)
+
+
+def _float_bits(value):
+    """Every float in a nested tuple, as ``float.hex``."""
+    if isinstance(value, tuple):
+        return [bits for item in value for bits in _float_bits(item)]
+    return [float.hex(value)]
+
+
+_NEAR_PI = [
+    s * x for s in (1.0, -1.0)
+    for x in (math.pi, math.nextafter(math.pi, 0.0), math.nextafter(math.pi, 4.0), 3 * math.pi)
+]
+
+
+@st.composite
+def _integrate_inputs(draw):
+    """Joint limits, a state with the heading near +/-pi and the joints at,
+    inside or beyond their stops, a command and a step."""
+    limits = JointLimits(alpha_max=draw(st.floats(0.02, 3.0)), beta_max=draw(st.floats(0.02, 1.5)))
+
+    def joint(limit):
+        edges = [limit, -limit, math.nextafter(limit, 0.0), 1.5 * limit, -1.5 * limit, 0.0, -0.0]
+        return draw(st.sampled_from(edges) | st.floats(-2.0 * limit, 2.0 * limit))
+
+    theta = draw(st.sampled_from(_NEAR_PI + [0.0, -0.0]) | st.floats(-7.0, 7.0))
+    robot = (draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0)), theta)
+    angles = PanTiltAngles(joint(limits.alpha_max), joint(limits.beta_max))
+    state = SimState(draw(st.floats(0.0, 100.0)), robot, angles, (3.0, -1.0))
+    rate = st.sampled_from([0.0, -0.0]) | st.floats(-5.0, 5.0)
+    cmd = ControlCommand(draw(rate), draw(rate), draw(rate), draw(rate))
+    dt = draw(st.sampled_from([0.02, 1e-3]) | st.floats(1e-6, 1.0))
+    return limits, state, cmd, dt
 
 
 class TestBodyModel:

@@ -3,12 +3,13 @@
 A scenario file is one YAML mapping whose keys are the field names of
 :class:`ScenarioConfig`; each section's keys are the field names of its
 dataclass (``recovery`` is :class:`RecoveryPolicy`, ``trajectory`` the class
-its ``kind`` picks from :data:`TRAJECTORIES`).  Values are checked against the
-field annotations, so numbers must be finite and ``null`` is rejected; an
-omitted key keeps the dataclass default, and an unknown or repeated key is an
-error.  Every error reads ``<key path>: <reason>``: each dataclass names its
-own field and this module prefixes the section.  Two exceptions:
-``robot_start`` and ``initial_angles`` are mappings of named numbers
+its ``kind`` picks from :data:`TRAJECTORIES`).  The tracker scores and the
+recovery thresholds are constants of :mod:`perception`, not keys.  Values are
+checked against the field annotations, so numbers must be finite and ``null``
+is rejected; an omitted key keeps the dataclass default, and an unknown or
+repeated key is an error.  Every error reads ``<key path>: <reason>``: each
+dataclass names its own field and this module prefixes the section.  Two
+exceptions: ``robot_start`` and ``initial_angles`` are mappings of named numbers
 (``{x, y, theta}`` and the fields of :class:`PanTiltAngles`), and the derived
 ``body.body_center_height`` (half of ``head_height``) and
 ``gains.lambda1``/``lambda2`` (see :func:`signed_lambdas`) follow the body
@@ -35,7 +36,7 @@ from typing import Any
 
 from .controller import ControllerGains, SaturationLimits, JACOBIAN_MODES
 from .geometry import BodyModel, CameraIntrinsics, JointLimitError, JointLimits, PanTiltAngles
-from .perception import NoiseModel, RecoveryPolicy, score_conflict
+from .perception import NoiseModel, RecoveryPolicy
 from .simworld import (
     CircleTrajectory,
     LineTrajectory,
@@ -95,6 +96,8 @@ class ScenarioConfig:
                 f"duration: {self.duration!r} s at dt {self.dt!r} s is {self.n_ticks} ticks,"
                 f" above the cap of {MAX_TICKS} ticks (duration / dt)"
             )
+        if not all(map(math.isfinite, self.robot_start)):
+            raise ConfigError(f"robot_start: must be finite, got {self.robot_start!r}")
         angles = self.initial_angles
         if not isinstance(angles, PanTiltAngles):  # a plain pair, as robot_start takes a triple
             if not (isinstance(angles, (tuple, list)) and len(angles) == 2):
@@ -104,10 +107,10 @@ class ScenarioConfig:
             self.joints.check(self.initial_angles)
         except JointLimitError as exc:
             raise ConfigError(f"initial_angles.{exc}") from None
-        if conflict := score_conflict(self.noise, self.recovery):
-            raise ConfigError(conflict)
-        if self.seed < 0:
-            raise ConfigError("seed: must be >= 0")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            # random.Random seeds a float or NaN from its hash, which for NaN
+            # differs in every process
+            raise ConfigError(f"seed: must be an integer >= 0, got {self.seed!r}")
         if self.mode not in JACOBIAN_MODES:
             raise ConfigError(f"mode: must be one of {JACOBIAN_MODES}")
 

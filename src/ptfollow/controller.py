@@ -120,8 +120,9 @@ class ControllerGains:
     def __post_init__(self) -> None:
         require_positive(self, "k1", "k2", "k3", "target_half_height")
         for name in ("lambda1", "lambda2"):
-            if getattr(self, name) == 0:
-                raise ValueError(f"{name}: must be nonzero")
+            value = getattr(self, name)
+            if not (value != 0 and math.isfinite(value)):
+                raise ValueError(f"{name}: must be a finite nonzero number, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -46,11 +46,26 @@ class BehindCameraError(ValueError):
 
 
 def require_positive(obj, *names: str) -> None:
-    """Reject the first named field of ``obj`` that is not > 0, naming only the field."""
+    """Reject the first named field of ``obj`` that is not a finite number
+    > 0, naming only the field."""
     for name in names:
         value = getattr(obj, name)
-        if not value > 0:
-            raise ValueError(f"{name}: must be > 0, got {value!r}")
+        if not 0 < value < math.inf:  # NaN too
+            raise ValueError(f"{name}: must be a finite number > 0, got {value!r}")
+
+
+def require_finite(obj, *names: str) -> None:
+    """Reject the first named field of ``obj`` that is, or holds at any depth
+    of its tuples, a NaN or an infinity, naming only the field."""
+    for name in names:
+        value = getattr(obj, name)
+        items = [value]
+        while items:
+            item = items.pop()
+            if isinstance(item, (tuple, list)):
+                items.extend(item)
+            elif not math.isfinite(item):
+                raise ValueError(f"{name}: must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -102,7 +117,7 @@ class JointLimits:
         """Raise :class:`JointLimitError` naming the first angle outside the range."""
         for name, limit in (("alpha", self.alpha_max), ("beta", self.beta_max)):
             value = getattr(angles, name)
-            if abs(value) > limit:
+            if not abs(value) <= limit:  # NaN too
                 raise JointLimitError(f"{name}: {value!r} outside +/-{limit!r}")
 
     def clamp(self, alpha: float, beta: float) -> PanTiltAngles:
@@ -176,12 +191,13 @@ class BodyModel:
     head_height: float = 1.8
 
     def __post_init__(self) -> None:
+        require_positive(self, "head_height")
         center = self.head_height / 2.0
         if self.body_center_height is None:
             object.__setattr__(self, "body_center_height", center)
-        if not 0.0 < self.camera_height < self.head_height:
+        if not 0.0 < self.camera_height < self.head_height:  # NaN too
             raise ValueError("camera_height: must lie in (0, head_height)")
-        if abs(self.body_center_height - center) > 1e-9:
+        if not abs(self.body_center_height - center) <= 1e-9:  # NaN too
             raise ValueError("body_center_height: must equal head_height / 2")
 
     @property

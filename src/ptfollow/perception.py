@@ -3,15 +3,16 @@
 Three stages stand in for a real perception stack:
 
 1. A detection stability gate that only hands the first box to the tracker
-   once three consecutive detections agree to within a pixel tolerance.
+   once three consecutive detections agree to within ``PIXEL_TOLERANCE``.
 2. A tracker channel that reports each tick the ground-truth box, perturbed
    by Gaussian pixel noise, or that the target is lost (scripted occlusion
    windows, outside the search region, random dropouts).  Dropouts and noise
    are drawn from the run's seeded ``random.Random``.
-3. A hysteretic failure-recovery state machine fed the score the pipeline
-   gives that verdict: a low score enters the failure state, a high score
-   leaves it, and while failed the search region grows by a constant step
-   per tick up to full-image coverage.
+3. A failure-recovery state machine: a lost tick enters the failure state
+   and a seen tick leaves it, and while failed the search region grows by a
+   constant step per tick up to full-image coverage.  The pipeline scores
+   the verdict with the constants ``SEEN_SCORE`` and ``LOST_SCORE``, which
+   lie outside the hysteresis band of :func:`recovery_step`.
 
 While failed, the pipeline reports the last box seen with a hold flag so the
 controller can stop chasing stale measurements.
@@ -26,7 +27,15 @@ from random import NV_MAGICCONST, Random
 from typing import Callable, NamedTuple, Optional
 
 from .controller import BoxMeasurement
-from .geometry import CameraIntrinsics, require_positive
+from .geometry import CameraIntrinsics, require_finite, require_positive
+
+# Largest drift, in pixels, between successive detections the gate accepts.
+PIXEL_TOLERANCE = 10.0
+
+# The tracker score of a seen tick and of a lost one: at or above
+# RecoveryPolicy.th_high, and at or below RecoveryPolicy.th_low.
+SEEN_SCORE = 0.95
+LOST_SCORE = 0.1
 
 
 @dataclass
@@ -34,11 +43,10 @@ class DetectionGate:
     """Stability gate over incoming detections.
 
     Initializes exactly when three consecutive detections drift less than
-    ``pixel_tolerance`` between successive frames; any larger jump or a
+    ``PIXEL_TOLERANCE`` between successive frames; any larger jump or a
     missed frame restarts the window.
     """
 
-    pixel_tolerance: float = 10.0
     window: list[tuple[float, float]] = field(default_factory=list)
 
     def reset(self) -> None:
@@ -59,7 +67,7 @@ def gate_update(
     center = (detection.u, detection.v)
     if gate.window:
         last = gate.window[-1]
-        if math.hypot(center[0] - last[0], center[1] - last[1]) >= gate.pixel_tolerance:
+        if math.hypot(center[0] - last[0], center[1] - last[1]) >= PIXEL_TOLERANCE:
             gate.window.clear()
     gate.window.append(center)
     if len(gate.window) >= 3:
@@ -79,16 +87,13 @@ class NoiseModel:
     sigma_px: float = 0.0
     occlusion_windows: tuple[tuple[float, float], ...] = ()
     dropout_prob: float = 0.0
-    score_visible: float = 0.95
-    score_occluded: float = 0.1
 
     def __post_init__(self) -> None:
         if not self.sigma_px >= 0:  # NaN too
             raise ValueError("sigma_px: must be >= 0")
+        require_finite(self, "sigma_px")
         if not 0.0 <= self.dropout_prob <= 1.0:
             raise ValueError("dropout_prob: must lie in [0, 1]")
-        if not self.score_occluded < self.score_visible:
-            raise ValueError("score_occluded: must be < score_visible")
         for i, (t0, t1) in enumerate(self.occlusion_windows):
             if not t0 < t1:  # NaN too
                 raise ValueError(f"occlusion_windows[{i}]: [{t0}, {t1}) is empty")
@@ -110,35 +115,19 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class RecoveryPolicy:
-    """Failure-recovery settings: hysteresis thresholds on the tracker score,
-    the per-tick growth step of the search region multiplier, and the region's
-    nominal half side in units of the box half height."""
+    """Failure-recovery settings: the per-tick growth step of the search
+    region multiplier, and the region's nominal half side in units of the box
+    half height.  The hysteresis thresholds on the tracker score are class
+    constants, not fields: the pipeline's two scores lie outside the band."""
 
-    th_low: float = 0.4
-    th_high: float = 0.8
+    th_low = 0.4
+    th_high = 0.8
+
     step_s: float = 0.5
     search_dilation: float = 2.0
 
     def __post_init__(self) -> None:
-        if not self.th_low < self.th_high:
-            raise ValueError("th_low: must be < th_high")
         require_positive(self, "step_s", "search_dilation")
-
-
-def score_conflict(noise: NoiseModel, policy: RecoveryPolicy) -> Optional[str]:
-    """Why the tracker scores defeat the recovery thresholds, or ``None``: a
-    lost tick must enter the failure state and a seen tick must leave it."""
-    if not noise.score_occluded <= policy.th_low:
-        return (
-            f"noise.score_occluded: {noise.score_occluded!r} must be <= recovery.th_low"
-            f" {policy.th_low!r}, or a lost target never enters the failure state"
-        )
-    if not noise.score_visible >= policy.th_high:
-        return (
-            f"noise.score_visible: {noise.score_visible!r} must be >= recovery.th_high"
-            f" {policy.th_high!r}, or a seen target never leaves the failure state"
-        )
-    return None
 
 
 class _Recovery(NamedTuple):
@@ -267,16 +256,11 @@ class PerceptionPipeline:
     Owns all perception state for a scenario; independent pipelines may run
     concurrently.  Detections fed to the gate are noiseless truth centers
     (detector internals are out of scope); occlusion suppresses them too.
-
-    Raises ``ValueError`` if the tracker scores defeat the recovery
-    thresholds (see :func:`score_conflict`).
     """
 
     def __init__(
         self, noise: NoiseModel, policy: RecoveryPolicy, intrinsics: CameraIntrinsics
     ) -> None:
-        if conflict := score_conflict(noise, policy):
-            raise ValueError(conflict)
         self.noise = noise
         self.policy = policy
         self.recovery = RecoveryState()
@@ -289,8 +273,10 @@ class PerceptionPipeline:
 
         A tracked tick is :func:`simulated_track` (with
         :meth:`NoiseModel.occluded_at` and :func:`region_contains`) and
-        :func:`recovery_step`, run inline with each expression in its order,
-        so every output and every draw from ``rng`` is theirs.
+        :func:`recovery_step` fed ``LOST_SCORE`` or ``SEEN_SCORE``, run inline
+        with each expression in its order, so every output and every draw from
+        ``rng`` is theirs: a lost tick enters the failure state and a seen tick
+        leaves it.
         """
         noise = self.noise
         seen = truth
@@ -304,7 +290,7 @@ class PerceptionPipeline:
             box = self._box = gate_update(self.gate, seen)
             if box is None:
                 return _GATING
-            score = noise.score_visible
+            score = SEEN_SCORE
         else:
             policy = self.policy
             if seen is not None:
@@ -319,30 +305,22 @@ class PerceptionPipeline:
                     v = seen[1] + dv
                     v2 = min(seen[2] + dv2, v - 1.0)  # keep at least 1 px of half height
                     seen = BoxMeasurement(seen[0] + du, v, v2)
+            # the unchanged state is shared, as recovery_step returns it
             if seen is None:
-                score = noise.score_occluded
-                # the multiplier at which the region covers the whole image; only
-                # a lost tick can grow the region (score_conflict guarantees
-                # score_visible >= th_high, and a seen tick resets the scale)
+                score = LOST_SCORE
+                # failed: the region grows, capped at the multiplier at which
+                # it covers the whole image
                 nominal = policy.search_dilation * (box[1] - box[2])
                 k = self.intrinsics
                 cap = max(1.0, max(k.width, k.height) / nominal)
+                scale = min(recovery.region_scale + policy.step_s, cap)
+                if not (recovery.failure_state and scale == recovery.region_scale):
+                    recovery = self.recovery = RecoveryState(True, scale)
             else:
-                score = noise.score_visible
+                score = SEEN_SCORE
                 box = self._box = seen
-                cap = math.inf
-            failed = recovery.failure_state
-            if score <= policy.th_low:
-                failed = True
-            elif score >= policy.th_high:
-                failed = False
-            if failed:
-                scale = min(recovery.region_scale + policy.step_s, max(cap, 1.0))
-            else:
-                scale = 1.0
-            # the unchanged state is shared, as recovery_step returns it
-            if not (failed == recovery.failure_state and scale == recovery.region_scale):
-                recovery = self.recovery = RecoveryState(failed, scale)
+                if recovery.failure_state or recovery.region_scale != 1.0:
+                    recovery = self.recovery = RecoveryState(False, 1.0)
         failed, scale = recovery
         # box, hold, score, region_scale, failure_state, initialized
         return tuple.__new__(PerceptionOutput, (box, failed, score, scale, failed, True))

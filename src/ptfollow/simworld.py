@@ -20,6 +20,7 @@ from .geometry import (
     CameraIntrinsics,
     JointLimits,
     PanTiltAngles,
+    require_finite,
     require_positive,
 )
 
@@ -57,7 +58,9 @@ class CircleTrajectory:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self, "center")
         require_positive(self, "radius")
+        require_finite(self, "rate", "phase")
 
     def position(self, t: float) -> tuple[float, float]:
         ang = self.rate * t + self.phase
@@ -74,6 +77,9 @@ class LineTrajectory:
     start: tuple[float, float] = (0.0, 0.0)
     velocity: tuple[float, float] = (0.0, 0.0)
     delay: float = 0.0
+
+    def __post_init__(self) -> None:
+        require_finite(self, "start", "velocity", "delay")
 
     def position(self, t: float) -> tuple[float, float]:
         dt = max(0.0, t - self.delay)
@@ -95,7 +101,9 @@ class WaypointTrajectory:
     def __post_init__(self) -> None:
         if not self.points:
             raise ValueError("points: must be a non-empty list of [x, y] pairs")
+        require_finite(self, "points")
         require_positive(self, "speed")
+        require_finite(self, "delay")
         # (x0, y0, x1, y1, length) per segment, measured once; not a
         # dataclass field, which the config parser reads as a scenario key
         segments = tuple(

@@ -47,6 +47,8 @@ from ptfollow.geometry import (
     world_to_camera,
 )
 from ptfollow.perception import (
+    LOST_SCORE,
+    SEEN_SCORE,
     PerceptionOutput,
     PerceptionPipeline,
     RecoveryPolicy,
@@ -357,16 +359,16 @@ def pipeline_step_with_cap(
         pipe._box = gate_update(pipe.gate, detection)
         if pipe._box is None:
             return PerceptionOutput(None, False, 0.0, 1.0, False, False)
-        score = pipe.noise.score_visible
+        score = SEEN_SCORE
     else:
         seen = simulated_track(
             truth, pipe._box, pipe.recovery.region_scale,
             pipe.noise, t, rng, pipe.policy.search_dilation,
         )
         if seen is None:
-            score = pipe.noise.score_occluded
+            score = LOST_SCORE
         else:
-            score = pipe.noise.score_visible
+            score = SEEN_SCORE
             pipe._box = seen
         # the multiplier at which the search region covers the whole image
         nominal = pipe.policy.search_dilation * pipe._box.half_height

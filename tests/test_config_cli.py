@@ -155,8 +155,8 @@ class TestParseConfig:
             parse_config({"trajectory": {"kind": "spiral"}})
 
     def test_invalid_sub_invariant_reported(self):
-        with pytest.raises(ConfigError, match="th_low"):
-            parse_config({"recovery": {"th_low": 0.9, "th_high": 0.4}})
+        with pytest.raises(ConfigError, match="^recovery.step_s: must be a finite number > 0"):
+            parse_config({"recovery": {"step_s": 0.0}})
 
     def test_wrong_type_reported_with_path(self):
         with pytest.raises(ConfigError, match="intrinsics.alpha_x"):
@@ -179,9 +179,7 @@ noise:
   sigma_px: 1.0
   occlusion_windows: [[4.0, 6.0]]
   dropout_prob: 0.1
-  score_visible: 0.9
-  score_occluded: 0.2
-recovery: {th_low: 0.3, th_high: 0.7, step_s: 0.25, search_dilation: 1.5}
+recovery: {step_s: 0.25, search_dilation: 1.5}
 robot_start: {x: 0.5, y: -0.5, theta: 0.25}
 initial_angles: {alpha: 0.1, beta: -0.1}
 dt: 0.01
@@ -211,10 +209,9 @@ mode: as-printed
                 points=((3.0, 0.0), (3.0, 2.0)), speed=0.5, delay=4.0
             ),
             noise=NoiseModel(
-                sigma_px=1.0, occlusion_windows=((4.0, 6.0),), dropout_prob=0.1,
-                score_visible=0.9, score_occluded=0.2,
+                sigma_px=1.0, occlusion_windows=((4.0, 6.0),), dropout_prob=0.1
             ),
-            recovery=RecoveryPolicy(th_low=0.3, th_high=0.7, step_s=0.25, search_dilation=1.5),
+            recovery=RecoveryPolicy(step_s=0.25, search_dilation=1.5),
             robot_start=(0.5, -0.5, 0.25),
             initial_angles=PanTiltAngles(alpha=0.1, beta=-0.1),
             dt=0.01,
@@ -272,11 +269,20 @@ mode: as-printed
             ({"search_dilation": 2.0}, "search_dilation"),
             ({"joint_limits": {}}, "joint_limits"),
             ({"robot_start": {"z": 0.0}}, "robot_start.z"),
+            # the tracker scores and recovery thresholds are constants
+            ({"noise": {"score_occluded": 0.5}}, "noise.score_occluded"),
+            ({"noise": {"score_visible": 0.7}}, "noise.score_visible"),
+            ({"recovery": {"th_low": 0.9}}, "recovery.th_low"),
+            ({"recovery": {"th_high": 0.8}}, "recovery.th_high"),
         ],
     )
-    def test_non_schema_keys_rejected(self, data, path):
+    def test_non_schema_keys_rejected(self, tmp_path, capsys, data, path):
         with pytest.raises(ConfigError, match=re.escape(f"unknown key '{path}'")):
             parse_config(data)
+        scenario = tmp_path / "bad.yaml"
+        scenario.write_text(json.dumps(data))  # JSON is YAML
+        assert main(["--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        assert f"unknown key '{path}'" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -374,9 +380,6 @@ BAD_INPUTS = [
     ("initial_angles: {alpha: 10.0}", "initial_angles.alpha"),
     ("initial_angles: {beta: -1.1}", "initial_angles.beta"),
     ("{joints: {alpha_max: 0.5}, initial_angles: {alpha: 0.6}}", "initial_angles.alpha"),
-    # tracker scores inside the hysteresis band of the recovery thresholds
-    ("noise: {score_occluded: 0.5}", "noise.score_occluded"),
-    ("noise: {score_visible: 0.7}", "noise.score_visible"),
     # invariants a section's dataclass checks on its own fields
     ("gains: {k1: -1}", "gains.k1"),
     ("gains: {target_half_height: 0}", "gains.target_half_height"),
@@ -392,7 +395,6 @@ BAD_INPUTS = [
     ("noise: {dropout_prob: 1.5}", "noise.dropout_prob"),
     ("noise: {occlusion_windows: [[0.0, 1.0], [2.0, 2.0]]}", "noise.occlusion_windows[1]"),
     ("noise: {occlusion_windows: [[2.0, 4.0], [1.0, 3.0]]}", "noise.occlusion_windows"),
-    ("recovery: {th_low: 0.9}", "recovery.th_low"),
     ("trajectory: {kind: circle, radius: 0}", "trajectory.radius"),
     ("trajectory: {kind: waypoints, points: [[1, 0]], speed: -1}", "trajectory.speed"),
 ]
@@ -406,6 +408,48 @@ def test_bad_input_is_config_error_naming_its_path(tmp_path, capsys, text, path)
     scenario.write_text(text)
     assert main(["--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
     assert path in capsys.readouterr().err
+
+
+nan, inf = math.nan, math.inf
+
+# Non-finite values in configs built in code, which a scenario file cannot
+# give; each must fail its dataclass's check naming the field, not run on.
+NON_FINITE_IN_CODE = [
+    (lambda: ControllerGains(lambda1=nan), "lambda1"),
+    (lambda: ControllerGains(lambda2=-inf), "lambda2"),
+    (lambda: ControllerGains(target_half_height=inf), "target_half_height"),
+    (lambda: ControllerGains(k2=nan), "k2"),
+    (lambda: CircleTrajectory(rate=nan), "rate"),
+    (lambda: CircleTrajectory(center=(0.5, inf)), "center"),
+    (lambda: CircleTrajectory(phase=-inf), "phase"),
+    (lambda: LineTrajectory(velocity=(inf, 0.0)), "velocity"),
+    (lambda: LineTrajectory(delay=nan), "delay"),
+    (lambda: WaypointTrajectory(points=((0.0, 0.0), (nan, 1.0))), "points"),
+    (lambda: WaypointTrajectory(points=[[0.0, 0.0], [1.0, inf]]), "points"),
+    (lambda: WaypointTrajectory(points=((0.0, 0.0),), speed=inf), "speed"),
+    (lambda: ScenarioConfig(robot_start=(nan, 0.0, 0.0)), "robot_start"),
+    (lambda: ScenarioConfig(robot_start=(0.0, 0.0, inf)), "robot_start"),
+    (lambda: ScenarioConfig(seed=nan), "seed"),
+    (lambda: ScenarioConfig(initial_angles=(nan, 0.0)), "initial_angles.alpha"),
+    (lambda: ScenarioConfig(initial_angles=PanTiltAngles(0.0, nan)), "initial_angles.beta"),
+    (lambda: SaturationLimits(v_max=inf), "v_max"),
+    (lambda: CameraIntrinsics(alpha_x=inf), "alpha_x"),
+    (lambda: CameraIntrinsics(height=nan), "height"),
+    (lambda: BodyModel(head_height=inf), "head_height"),
+    (lambda: BodyModel(head_height=nan), "head_height"),
+    (lambda: BodyModel(body_center_height=nan), "body_center_height"),
+    (lambda: JointLimits(alpha_max=inf), "alpha_max"),
+    (lambda: NoiseModel(sigma_px=inf), "sigma_px"),
+    (lambda: RecoveryPolicy(step_s=inf), "step_s"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, field", NON_FINITE_IN_CODE, ids=[path for _, path in NON_FINITE_IN_CODE]
+)
+def test_non_finite_value_in_code_rejected_naming_its_field(build, field):
+    with pytest.raises(ValueError, match=f"^{re.escape(field)}: "):
+        build()
 
 
 def test_undecodable_file_is_invalid_yaml(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import math
 import random
 import statistics
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,8 @@ from oracles import pipeline_step_with_cap, recovery_rule
 from ptfollow.controller import BoxMeasurement
 from ptfollow.geometry import CameraIntrinsics
 from ptfollow.perception import (
+    LOST_SCORE,
+    SEEN_SCORE,
     DetectionGate,
     NoiseModel,
     PerceptionOutput,
@@ -58,7 +61,7 @@ class TestDetectionGate:
         assert gate_update(gate, _box(103, 100)) is None  # window restarted
 
     def test_tolerance_is_strict(self):
-        gate = DetectionGate(pixel_tolerance=10.0)
+        gate = DetectionGate()  # PIXEL_TOLERANCE is 10 px
         gate_update(gate, _box(100, 100))
         assert gate_update(gate, _box(110, 100)) is None  # exactly 10 px: reset
         gate_update(gate, _box(111, 100))
@@ -141,8 +144,6 @@ class TestSimulatedTrack:
 
     def test_noise_model_validation(self):
         with pytest.raises(ValueError):
-            NoiseModel(score_visible=0.5, score_occluded=0.6)
-        with pytest.raises(ValueError):
             NoiseModel(occlusion_windows=((0.0, 2.0), (1.0, 3.0)))
         with pytest.raises(ValueError):
             NoiseModel(sigma_px=-1.0)
@@ -222,14 +223,12 @@ class TestRecoveryStep:
         scale=st.sampled_from([1.0, 1.5, 4.0]) | st.floats(1.0, 50.0),
         score=st.sampled_from([0.0, 0.1, 0.4, 0.6, 0.8, 0.95, 1.0]) | st.floats(0.0, 1.0),
         cap=st.sampled_from([0.5, 1.0, 1.5, 4.0, math.inf]) | st.floats(0.0, 60.0),
-        th_low=st.floats(0.05, 0.5),
-        gap=st.floats(0.05, 0.45),
         step_s=st.sampled_from([0.5]) | st.floats(1e-3, 5.0),
     )
     def test_step_equals_a_fresh_state_shared_when_unchanged(
-        self, failed, scale, score, cap, th_low, gap, step_s
+        self, failed, scale, score, cap, step_s
     ):
-        policy = RecoveryPolicy(th_low=th_low, th_high=th_low + gap, step_s=step_s)
+        policy = RecoveryPolicy(step_s=step_s)
         state = RecoveryState(failure_state=failed, region_scale=scale)
         out = recovery_step(state, score, cap, policy)
         want = recovery_rule(state, score, cap, policy)
@@ -247,9 +246,16 @@ class TestRecoveryStep:
         assert all(b >= a for a, b in zip(scales, scales[1:]))
         assert scales[-1] == 4.0
 
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            RecoveryPolicy(th_low=0.8, th_high=0.4)
+    def test_scores_and_thresholds_are_constants(self):
+        # the two scores lie outside the hysteresis band, so from any state a
+        # lost tick enters the failure state and a seen tick leaves it
+        assert LOST_SCORE <= RecoveryPolicy.th_low < RecoveryPolicy.th_high <= SEEN_SCORE
+        for state in (RecoveryState(), RecoveryState(True, 2.0)):
+            assert recovery_step(state, LOST_SCORE).failure_state
+            assert not recovery_step(state, SEEN_SCORE).failure_state
+        names = [f.name for f in fields(NoiseModel)]
+        assert names == ["sigma_px", "occlusion_windows", "dropout_prob"]
+        assert [f.name for f in fields(RecoveryPolicy)] == ["step_s", "search_dilation"]
 
     @pytest.mark.parametrize("scale", [math.nan, 0.5])
     def test_region_scale_below_one_or_nan_rejected(self, scale):
@@ -357,17 +363,6 @@ class TestPerceptionPipeline:
             outs.append(seq)
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize(
-        "noise, path",
-        [
-            (NoiseModel(score_occluded=0.5), "noise.score_occluded"),
-            (NoiseModel(score_visible=0.7), "noise.score_visible"),
-        ],
-    )
-    def test_scores_inside_threshold_band_rejected(self, noise, path):
-        with pytest.raises(ValueError, match=f"^{path}:"):
-            self._pipeline(noise)
-
 
 DT = 0.02
 
@@ -376,8 +371,6 @@ DT = 0.02
 def _runs(draw):
     """A pipeline setting and a truth stream: a random walk of the box that
     is sometimes absent and sometimes jumps out of the search region."""
-    th_low = draw(st.floats(0.05, 0.5))
-    th_high = draw(st.floats(th_low + 0.05, 0.95))
     windows, start = [], 0
     gaps_and_lengths = st.tuples(st.integers(0, 40), st.integers(1, 15))
     for gap, length in draw(st.lists(gaps_and_lengths, max_size=3)):
@@ -388,11 +381,14 @@ def _runs(draw):
         sigma_px=draw(st.sampled_from([0.0, 0.5, 3.0, 30.0])),
         occlusion_windows=tuple(windows),
         dropout_prob=draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])),
-        score_visible=draw(st.floats(th_high, 1.0)),
-        score_occluded=draw(st.floats(0.0, th_low)),
     )
-    policy = RecoveryPolicy(th_low=th_low, th_high=th_high)
-    u, v, h = 320.0, 240.0, draw(st.floats(5.0, 150.0))
+    policy = RecoveryPolicy(
+        step_s=draw(st.sampled_from([0.5]) | st.floats(1e-3, 5.0)),
+        search_dilation=draw(st.sampled_from([2.0]) | st.floats(0.5, 4.0)),
+    )
+    # 400 px: a box whose nominal search region already covers the image,
+    # so a failed state keeps the scale 1
+    u, v, h = 320.0, 240.0, draw(st.sampled_from([400.0]) | st.floats(5.0, 150.0))
     truths = []
     for _ in range(draw(st.integers(1, 120))):
         step = draw(st.sampled_from([2.0, 8.0, 400.0]))
@@ -416,8 +412,8 @@ def test_pipeline_reports_one_verdict_per_tick(run):
         if not out.initialized:
             assert (out.score, out.region_scale, out.failure_state) == (0.0, 1.0, False)
             continue
-        seen = out.score == noise.score_visible
-        assert seen or out.score == noise.score_occluded
+        seen = out.score == SEEN_SCORE
+        assert seen or out.score == LOST_SCORE
         assert out.failure_state == (not seen)
         if prev is None or out.box != prev.box:
             assert seen  # the box changes only on a seen tick

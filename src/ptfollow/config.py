@@ -96,8 +96,12 @@ class ScenarioConfig:
                 f"duration: {self.duration!r} s at dt {self.dt!r} s is {self.n_ticks} ticks,"
                 f" above the cap of {MAX_TICKS} ticks (duration / dt)"
             )
-        if not all(map(math.isfinite, self.robot_start)):
-            raise ConfigError(f"robot_start: must be finite, got {self.robot_start!r}")
+        start = self.robot_start
+        if not (isinstance(start, (tuple, list)) and len(start) == 3):
+            raise ConfigError(f"robot_start: expected a triple (x, y, theta), got {start!r}")
+        if not all(map(math.isfinite, start)):
+            raise ConfigError(f"robot_start: must be finite, got {start!r}")
+        object.__setattr__(self, "robot_start", tuple(start))
         angles = self.initial_angles
         if not isinstance(angles, PanTiltAngles):  # a plain pair, as robot_start takes a triple
             if not (isinstance(angles, (tuple, list)) and len(angles) == 2):

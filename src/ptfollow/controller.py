@@ -447,14 +447,12 @@ class FollowController:
 
         # control_law, with its guard
         k1e, k2e, k3e = gains.k1 * e_u, gains.k2 * e_v, gains.k3 * e_v2
-        den = (b * c - a * d) * o3 * l2 + (a * f - b * e) * o2 * l1 - (c * f - d * e) * o1 * l1
+        # the three 2x2 minors den and num_v share, each evaluated once
+        m_bc, m_af, m_cf = b * c - a * d, a * f - b * e, c * f - d * e
+        den = m_bc * o3 * l2 + m_af * o2 * l1 - m_cf * o1 * l1
         if abs(den) <= self._eps_den:
             return self._hold_and_decay(freeze_rotation=False)
-        num_v = -(
-            (b * c - a * d) * (k2e - k3e)
-            + (a * f - b * e) * k2e
-            - (c * f - d * e) * k1e
-        )
+        num_v = -(m_bc * (k2e - k3e) + m_af * k2e - m_cf * k1e)
         num_wa = (
             (d * k1e - b * k2e - b * c * omega_r + a * d * omega_r) * o3 * l2
             + (b * e * omega_r - a * f * omega_r - b * k3e + b * k2e - f * k1e) * o2 * l1

@@ -276,7 +276,11 @@ class PerceptionPipeline:
         :func:`recovery_step` fed ``LOST_SCORE`` or ``SEEN_SCORE``, run inline
         with each expression in its order, so every output and every draw from
         ``rng`` is theirs: a lost tick enters the failure state and a seen tick
-        leaves it.
+        leaves it.  Their builtin ``min``/``max`` are comparisons keeping the
+        builtins' first-argument-wins rule.  A noisy box runs
+        :class:`BoxMeasurement`'s check inline and is built without the
+        constructor's frame; one that fails goes to the constructor, which
+        raises.
         """
         noise = self.noise
         seen = truth
@@ -303,8 +307,14 @@ class PerceptionPipeline:
                     rand, sigma = rng.random, noise.sigma_px
                     du, dv, dv2 = normal(rand, sigma), normal(rand, sigma), normal(rand, sigma)
                     v = seen[1] + dv
-                    v2 = min(seen[2] + dv2, v - 1.0)  # keep at least 1 px of half height
-                    seen = BoxMeasurement(seen[0] + du, v, v2)
+                    v2 = seen[2] + dv2
+                    top = v - 1.0  # keep at least 1 px of half height
+                    if top < v2:
+                        v2 = top
+                    if v2 < v:  # BoxMeasurement's check, without its frame
+                        seen = tuple.__new__(BoxMeasurement, (seen[0] + du, v, v2))
+                    else:  # the checked constructor raises its own error
+                        seen = BoxMeasurement(seen[0] + du, v, v2)
             # the unchanged state is shared, as recovery_step returns it
             if seen is None:
                 score = LOST_SCORE
@@ -312,8 +322,13 @@ class PerceptionPipeline:
                 # it covers the whole image
                 nominal = policy.search_dilation * (box[1] - box[2])
                 k = self.intrinsics
-                cap = max(1.0, max(k.width, k.height) / nominal)
-                scale = min(recovery.region_scale + policy.step_s, cap)
+                width, height = k.width, k.height
+                cap = (height if height > width else width) / nominal
+                if not cap > 1.0:
+                    cap = 1.0
+                scale = recovery.region_scale + policy.step_s
+                if cap < scale:
+                    scale = cap
                 if not (recovery.failure_state and scale == recovery.region_scale):
                     recovery = self.recovery = RecoveryState(True, scale)
             else:

@@ -55,7 +55,9 @@ class TimeSeriesLog:
         self._values = array("d")
 
     def append(self, values: Iterable[float]) -> None:
-        row = list(values)
+        # fromlist reads a list once and keeps no reference, so a list need
+        # not be copied
+        row = values if isinstance(values, list) else list(values)
         if len(row) != len(COLUMNS):
             raise ValueError(f"expected {len(COLUMNS)} values per row, got {len(row)}")
         # fromlist resizes once and undoes the row if a value is not a float;

@@ -59,12 +59,12 @@ def run_scenario(config: ScenarioConfig) -> TimeSeriesLog:
             e_u = e_v = e_v2 = h = nan
         cmd = control(box, angles, hold, err)
         v_r, omega_r, omega_alpha, omega_beta, _, _ = cmd
-        append(
-            (
+        append(  # a list, which the log takes without a copy
+            [
                 t, e_u, e_v, e_v2, h, v_r, omega_r, omega_alpha, omega_beta,
                 angles[0], angles[1], robot[0], robot[1], robot[2], target[0], target[1],
                 score, region_scale, 1.0 if failed else 0.0,
-            )
+            ]
         )
         _, robot, angles, _ = integrate(state, cmd, dt, joints)
 

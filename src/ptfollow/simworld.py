@@ -82,7 +82,8 @@ class LineTrajectory:
         require_finite(self, "start", "velocity", "delay")
 
     def position(self, t: float) -> tuple[float, float]:
-        dt = max(0.0, t - self.delay)
+        dt = t - self.delay
+        dt = dt if dt > 0.0 else 0.0  # max(0.0, dt): 0.0 for NaN and -0.0
         return (self.start[0] + self.velocity[0] * dt, self.start[1] + self.velocity[1] * dt)
 
 
@@ -113,9 +114,15 @@ class WaypointTrajectory:
         object.__setattr__(self, "_segments", segments)
 
     def position(self, t: float) -> tuple[float, float]:
-        # subtract each length in turn: cumulative sums would round
-        # differently and move the target's pinned path by an ulp
-        remaining = self.speed * max(0.0, t - self.delay)
+        """The point ``speed * max(0.0, t - delay)`` along the polyline.
+
+        That ``max`` is written as a comparison keeping the builtin's
+        first-argument-wins rule (a NaN or ``-0.0`` elapsed time walks
+        ``0.0``), and each segment length is subtracted in turn, since
+        cumulative sums would round differently and move the target's
+        pinned path by an ulp."""
+        elapsed = t - self.delay
+        remaining = self.speed * (elapsed if elapsed > 0.0 else 0.0)
         for x0, y0, x1, y1, seg in self._segments:
             if remaining <= seg:
                 if seg == 0.0:
@@ -144,7 +151,11 @@ def integrate(
     joint angles integrate and clamp to their limits, heading wraps.
 
     :func:`wrap_angle` and :meth:`JointLimits.clamp` run inline, each
-    expression in its order, so the state has their bits."""
+    expression in its order, so the state has their bits.  The clamp's
+    ``min(max(angle, -limit), limit)`` is written as two comparisons that
+    keep the builtins' first-argument-wins rule: ``max(a, b)`` is
+    ``b if b > a else a`` and ``min(a, b)`` is ``b if b < a else a``, so a
+    NaN angle passes through as it does there."""
     if dt <= 0:
         raise ValueError("integrate: dt must be > 0")
     t, (x, y, theta), (alpha, beta), target = state
@@ -156,8 +167,16 @@ def integrate(
         theta += 2.0 * math.pi
     theta -= math.pi
     alpha_max, beta_max = joint_limits.alpha_max, joint_limits.beta_max
-    alpha = min(max(alpha + omega_alpha * dt, -alpha_max), alpha_max)
-    beta = min(max(beta + omega_beta * dt, -beta_max), beta_max)
+    alpha += omega_alpha * dt
+    if -alpha_max > alpha:
+        alpha = -alpha_max
+    if alpha_max < alpha:
+        alpha = alpha_max
+    beta += omega_beta * dt
+    if -beta_max > beta:
+        beta = -beta_max
+    if beta_max < beta:
+        beta = beta_max
     angles = tuple.__new__(PanTiltAngles, (alpha, beta))
     return tuple.__new__(SimState, (t + dt, (x, y, theta), angles, target))
 
@@ -205,4 +224,5 @@ def render_measurement(
         return None
     if not v2 < v:  # only possible for degenerate geometry behind the mast
         return None
-    return BoxMeasurement(u, v, v2)
+    # BoxMeasurement's own check (v2 < v) has just passed
+    return tuple.__new__(BoxMeasurement, (u, v, v2))

@@ -7,12 +7,13 @@ exact unicycle arc flow, depth recovery from a known vertical offset, and
 the true depth of the body center.  The per-tick functions that were
 reworked for speed keep their plain form here too (the rate solve reading
 each coefficient as an attribute, the waypoint walk measuring every
-segment per call, a recovery step that always builds a new state, a
-perception step that always computes the search-region cap, the clamp of
-one commanded rate as a function).  The three stages the loop runs in one
-frame each keep theirs as the composition of the package's plain functions:
-the controller step, the perception step and the Euler step.  The tests
-check that the fast forms give the same bits.
+segment per call, the line walk with the builtin ``max``, a recovery step
+that always builds a new state, a perception step that always computes the
+search-region cap, the clamp of one commanded rate as a function).  The
+three stages the loop runs in one frame each keep theirs as the
+composition of the package's plain functions: the controller step, the
+perception step and the Euler step.  The tests check that the fast forms
+give the same bits.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from ptfollow.perception import (
     gate_update,
     simulated_track,
 )
-from ptfollow.simworld import SimState, WaypointTrajectory, wrap_angle
+from ptfollow.simworld import LineTrajectory, SimState, WaypointTrajectory, wrap_angle
 
 
 class DepthUnobservableError(ValueError):
@@ -328,6 +329,13 @@ def waypoint_position_scan(traj: WaypointTrajectory, t: float) -> tuple[float, f
             return (x0 + f * (x1 - x0), y0 + f * (y1 - y0))
         remaining -= seg
     return traj.points[-1]
+
+
+def line_position_plain(traj: LineTrajectory, t: float) -> tuple[float, float]:
+    """:meth:`ptfollow.simworld.LineTrajectory.position` with the builtin
+    ``max``."""
+    dt = max(0.0, t - traj.delay)
+    return (traj.start[0] + traj.velocity[0] * dt, traj.start[1] + traj.velocity[1] * dt)
 
 
 def recovery_rule(

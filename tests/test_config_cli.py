@@ -131,6 +131,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"^initial_angles: expected a pair \(alpha, beta\)"):
             ScenarioConfig(initial_angles=angles)
 
+    @pytest.mark.parametrize("start", [(0.0, 0.0), (0.0, 0.0, 0.0, 0.0), 0.5, "xyz", None])
+    def test_code_built_start_not_a_triple_rejected(self, start):
+        # a pair used to construct and then fail in run_scenario's unpacking
+        with pytest.raises(ConfigError, match=r"^robot_start: expected a triple \(x, y, theta\)"):
+            ScenarioConfig(robot_start=start, duration=0.2)
+
+    def test_code_built_start_takes_a_list(self):
+        cfg = ScenarioConfig(robot_start=[1.0, -2.0, 0.5])
+        assert type(cfg.robot_start) is tuple and cfg.robot_start == (1.0, -2.0, 0.5)
+        assert cfg == parse_config({"robot_start": {"x": 1.0, "y": -2.0, "theta": 0.5}})
+
     def test_tick_count_capped(self):
         assert ScenarioConfig(dt=1.0, duration=float(MAX_TICKS)).n_ticks == MAX_TICKS
         with pytest.raises(ConfigError, match=f"^duration: .* above the cap of {MAX_TICKS}"):

@@ -349,6 +349,29 @@ class TestPerceptionPipeline:
         assert out.region_scale == 1.0
         assert not out.hold
 
+    # (du, dv, dv2): v so large that v - 1.0 == v, so the 1 px cap leaves
+    # v2 == v; a NaN row; a NaN top row, which min(v2, v - 1.0) keeps
+    @pytest.mark.parametrize(
+        "draws", [(0.0, 2.0**60, 2.0**61), (0.0, math.nan, 0.0), (0.0, 0.0, math.nan)]
+    )
+    def test_noisy_box_keeps_the_box_check(self, monkeypatch, draws):
+        # the step builds a noisy box without BoxMeasurement's frame, so it
+        # must run the check itself and raise the constructor's own error
+        pipe = self._pipeline(NoiseModel(sigma_px=1.0))
+        rng = random.Random(0)
+        for i in range(3):
+            pipe.step(_box(320.0, 240.0), 0.02 * i, rng)
+        du, dv, dv2 = draws
+        v = 240.0 + dv
+        v2 = min(140.0 + dv2, v - 1.0)
+        with pytest.raises(ValueError) as want:
+            BoxMeasurement(320.0 + du, v, v2)
+        draw = iter(draws)
+        monkeypatch.setattr("ptfollow.perception.normal", lambda random, sigma: next(draw))
+        with pytest.raises(ValueError) as got:
+            pipe.step(_box(320.0, 240.0), 0.06, rng)
+        assert str(got.value) == str(want.value)
+
     def test_deterministic_for_equal_seeds(self):
         noise = NoiseModel(sigma_px=2.0, dropout_prob=0.1)
         outs = []

@@ -113,7 +113,7 @@ class TestTimeSeriesLog:
     def test_row_length_checked(self):
         log = TimeSeriesLog()
         log.append(_row(0.0, e=3.5))
-        for wrong in ([0.0, 1.0], _row(0.02) + [0.0], iter(_row(0.02)[1:])):
+        for wrong in ([0.0, 1.0], _row(0.02)[1:], _row(0.02) + [0.0], iter(_row(0.02)[1:])):
             with pytest.raises(ValueError):
                 log.append(wrong)
         assert len(log) == 1
@@ -123,10 +123,20 @@ class TestTimeSeriesLog:
         log = TimeSeriesLog()
         log.append(iter(_row(0.0)))
         log.append(tuple(_row(0.02)))
-        with pytest.raises(TypeError):
-            log.append(_row(0.04)[:-1] + ["x"])
+        before = log._values.tobytes()
+        # a list is taken without a copy; fromlist must still undo a bad one
+        for bad in (_row(0.04)[:-1] + ["x"], [None] + _row(0.04)[1:]):
+            with pytest.raises(TypeError):
+                log.append(bad)
+        assert log._values.tobytes() == before
         assert len(log) == 2 and log.series("t").tolist() == [0.0, 0.02]
-        assert len(log._values) == 2 * len(COLUMNS)
+
+    def test_appended_list_is_not_kept(self):
+        log = TimeSeriesLog()
+        row = _row(0.0, e=3.5)
+        log.append(row)
+        row[0] = 9.0
+        assert log.series("t").tolist() == [0.0]
 
     def test_log_holds_at_most_200_bytes_per_tick(self):
         ticks = 2000

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from oracles import (
     depth_from_height,
     integrate_by_parts,
     integrate_exact_arc,
+    line_position_plain,
     render_two_points,
     true_body_center_depth,
     waypoint_position_scan,
@@ -77,17 +79,35 @@ class TestTrajectories:
         times=st.lists(st.floats(-10.0, 60.0), max_size=10),
     )
     @example(((1.0, 1.0), (1.0, 1.0), (2.0, 1.0), (2.0, 1.0)), 1.0, 0.5, [0.0, 0.5, 1.0, 1.5, 9.0])
+    # -0.0 - 0.0 is a -0.0 elapsed time, which max(0.0, .) walks as 0.0: a
+    # -0.0 walk would keep the -0.0 of the first point
+    @example(((-0.0, -0.0), (1.0, -0.0)), 1.0, 0.0, [])
     def test_waypoints_equal_a_per_call_scan(self, points, speed, delay, times):
         traj = WaypointTrajectory(points=tuple(points), speed=speed, delay=delay)
         total = sum(math.dist(p, q) for p, q in zip(points, points[1:]))
-        # before the delay, at it, at each vertex's time and past the end
-        probes = times + [delay - 1.0, delay, delay + total / speed + 1.0]
+        # before the delay, at it, an ulp either side of it, a -0.0 or NaN
+        # elapsed time, at each vertex's time and past the end
+        probes = times + _delay_probes(delay) + [delay - 1.0, delay + total / speed + 1.0]
         walked = 0.0
         for p, q in zip(points, points[1:]):
             walked += math.dist(p, q)
             probes.append(delay + walked / speed)
         for t in probes:
             want = waypoint_position_scan(traj, t)
+            assert tuple(map(float.hex, traj.position(t))) == tuple(map(float.hex, want)), t
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        start=st.tuples(_COORD | st.sampled_from([0.0, -0.0]), _COORD | st.sampled_from([-0.0])),
+        velocity=st.tuples(_COORD, _COORD | st.sampled_from([-0.0])),
+        delay=st.sampled_from([0.0, -0.0]) | st.floats(-5.0, 20.0),
+        times=st.lists(st.floats(-10.0, 60.0), max_size=10),
+    )
+    @example((-0.0, -0.0), (1.0, -2.0), 0.0, [])
+    def test_line_equals_builtin_max(self, start, velocity, delay, times):
+        traj = LineTrajectory(start=start, velocity=velocity, delay=delay)
+        for t in times + _delay_probes(delay):
+            want = line_position_plain(traj, t)
             assert tuple(map(float.hex, traj.position(t))) == tuple(map(float.hex, want)), t
 
     def test_waypoint_fields_unchanged(self):
@@ -181,11 +201,43 @@ class TestIntegrate:
             cmd, dt = ControlCommand(0.5, 0.0, 1.0, -1.0), 0.02
         else:
             limits, state, cmd, dt = data.draw(_integrate_inputs())
-        got = integrate(state, cmd, dt, limits)
+        _assert_integrate_equals_by_parts(state, cmd, dt, limits)
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    @pytest.mark.parametrize("rate", [0.0, -0.0, math.nan, math.inf, -math.inf])
+    def test_clamp_edges_equal_min_max(self, side, rate):
+        # joints exactly at a stop, just inside it and at +/-0.0, moved by a
+        # signed zero or a non-finite rate: the comparisons integrate writes
+        # for min(max(...)) must keep the builtins' bits, NaN included
+        limits = JointLimits(alpha_max=0.5, beta_max=0.25)
+        for alpha in (0.5, math.nextafter(0.5, 0.0), 0.0, -0.0):
+            for beta in (0.25, math.nextafter(0.25, 0.0), 0.0, -0.0):
+                angles = PanTiltAngles(side * alpha, side * beta)
+                state = SimState(1.0, (0.0, 0.0, 0.3), angles, (2.0, 0.0))
+                cmd = ControlCommand(0.5, 0.0, rate, -rate)
+                _assert_integrate_equals_by_parts(state, cmd, 0.02, limits)
+
+
+def _assert_integrate_equals_by_parts(state, cmd, dt, limits):
+    try:
         want = integrate_by_parts(state, cmd, dt, limits)
-        assert type(got) is SimState and type(got.angles) is PanTiltAngles
-        assert _float_bits(got) == _float_bits(want)
-        assert repr(got) == repr(want)
+    except ValueError as exc:  # math.fmod of an infinite heading
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            integrate(state, cmd, dt, limits)
+        return
+    got = integrate(state, cmd, dt, limits)
+    assert type(got) is SimState and type(got.angles) is PanTiltAngles
+    assert _float_bits(got) == _float_bits(want)
+    assert repr(got) == repr(want)
+
+
+def _delay_probes(delay):
+    """Times at which ``t - delay`` is +0.0, an ulp either side of it, -0.0
+    (``-0.0 - 0.0``) where the delay allows it, and NaN."""
+    probes = [delay, math.nextafter(delay, math.inf), math.nextafter(delay, -math.inf), math.nan]
+    if delay == 0.0:
+        probes.append(-0.0)
+    return probes
 
 
 def _float_bits(value):
@@ -204,7 +256,8 @@ _NEAR_PI = [
 @st.composite
 def _integrate_inputs(draw):
     """Joint limits, a state with the heading near +/-pi and the joints at,
-    inside or beyond their stops, a command and a step."""
+    inside or beyond their stops, a command whose rates may be signed zeros,
+    NaN or infinite, and a step."""
     limits = JointLimits(alpha_max=draw(st.floats(0.02, 3.0)), beta_max=draw(st.floats(0.02, 1.5)))
 
     def joint(limit):
@@ -215,7 +268,7 @@ def _integrate_inputs(draw):
     robot = (draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0)), theta)
     angles = PanTiltAngles(joint(limits.alpha_max), joint(limits.beta_max))
     state = SimState(draw(st.floats(0.0, 100.0)), robot, angles, (3.0, -1.0))
-    rate = st.sampled_from([0.0, -0.0]) | st.floats(-5.0, 5.0)
+    rate = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]) | st.floats(-5.0, 5.0)
     cmd = ControlCommand(draw(rate), draw(rate), draw(rate), draw(rate))
     dt = draw(st.sampled_from([0.02, 1e-3]) | st.floats(1e-6, 1.0))
     return limits, state, cmd, dt

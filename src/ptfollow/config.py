@@ -4,14 +4,19 @@ A scenario file is one YAML mapping whose keys are the field names of
 :class:`ScenarioConfig`; each section's keys are the field names of its
 dataclass (``recovery`` is :class:`RecoveryPolicy`, ``trajectory`` the class
 its ``kind`` picks from :data:`TRAJECTORIES`).  The tracker scores and the
-recovery thresholds are constants of :mod:`perception`, not keys.  Values are
-checked against the field annotations, so numbers must be finite and ``null``
-is rejected; an omitted key keeps the dataclass default, and an unknown or
-repeated key is an error.  Every error reads ``<key path>: <reason>``: each
-dataclass names its own field and this module prefixes the section.  Two
-exceptions: ``robot_start`` and ``initial_angles`` are mappings of named numbers
-(``{x, y, theta}`` and the fields of :class:`PanTiltAngles`), and the derived
-``body.body_center_height`` (half of ``head_height``) and
+recovery thresholds are constants of :mod:`perception`, not keys.  This module
+only walks the mappings: it rejects unknown and repeated keys, dispatches on
+``trajectory.kind`` and prefixes the section to an error.  Each value is
+checked by the dataclass that holds it, so a config built in code and one read
+from a file meet the same rules: ``geometry.check_fields`` checks every field
+by its annotation (one validator per annotation, ``geometry.FIELD_CHECKS``;
+numbers must be finite), then the dataclass checks its ranges.  ``null`` is a
+value exactly where code takes ``None``, which is only
+``body.body_center_height``.  An omitted key keeps the dataclass default.
+Every error reads ``<key path>: <reason>``.  Two exceptions: ``robot_start``
+and ``initial_angles`` are mappings of named numbers (``{x, y, theta}`` and
+the fields of :class:`PanTiltAngles`), and the derived
+``body.body_center_height`` (half of ``head_height``; ``None`` derives it) and
 ``gains.lambda1``/``lambda2`` (see :func:`signed_lambdas`) follow the body
 model.
 
@@ -35,7 +40,8 @@ from pathlib import Path
 from typing import Any
 
 from .controller import ControllerGains, SaturationLimits, JACOBIAN_MODES
-from .geometry import BodyModel, CameraIntrinsics, JointLimitError, JointLimits, PanTiltAngles
+from .geometry import FIELD_CHECKS, BodyModel, CameraIntrinsics, ConfigError, JointLimitError
+from .geometry import JointLimits, PanTiltAngles, check_fields
 from .perception import NoiseModel, RecoveryPolicy
 from .simworld import (
     CircleTrajectory,
@@ -43,10 +49,6 @@ from .simworld import (
     TargetTrajectory,
     WaypointTrajectory,
 )
-
-
-class ConfigError(ValueError):
-    """Invalid scenario configuration; the message names the offending field."""
 
 
 # Longest run accepted, in ticks: 5.5 hours of simulated time at the default
@@ -74,17 +76,18 @@ class ScenarioConfig:
     initial_angles: PanTiltAngles = PanTiltAngles()
     dt: float = 0.02
     duration: float = 60.0
-    seed: int = 0
+    seed: int = 0  # not a float: random.Random seeds NaN from a per-process hash
     mode: str = "re-derived"
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.gains is None:
             l1, l2 = signed_lambdas(self.body, None, None)
             object.__setattr__(self, "gains", ControllerGains(lambda1=l1, lambda2=l2))
         else:  # lambdas given in code are magnitudes too, as in a scenario file
             l1, l2 = signed_lambdas(self.body, self.gains.lambda1, self.gains.lambda2)
             object.__setattr__(self, "gains", replace(self.gains, lambda1=l1, lambda2=l2))
-        if not (math.isfinite(self.dt) and self.dt > 0):
+        if self.dt <= 0:
             raise ConfigError(f"dt: must be a finite number > 0, got {self.dt!r}")
         if not (self.duration >= 0 and math.isfinite(self.duration / self.dt)):
             raise ConfigError(
@@ -96,24 +99,11 @@ class ScenarioConfig:
                 f"duration: {self.duration!r} s at dt {self.dt!r} s is {self.n_ticks} ticks,"
                 f" above the cap of {MAX_TICKS} ticks (duration / dt)"
             )
-        start = self.robot_start
-        if not (isinstance(start, (tuple, list)) and len(start) == 3):
-            raise ConfigError(f"robot_start: expected a triple (x, y, theta), got {start!r}")
-        if not all(map(math.isfinite, start)):
-            raise ConfigError(f"robot_start: must be finite, got {start!r}")
-        object.__setattr__(self, "robot_start", tuple(start))
-        angles = self.initial_angles
-        if not isinstance(angles, PanTiltAngles):  # a plain pair, as robot_start takes a triple
-            if not (isinstance(angles, (tuple, list)) and len(angles) == 2):
-                raise ConfigError(f"initial_angles: expected a pair (alpha, beta), got {angles!r}")
-            object.__setattr__(self, "initial_angles", PanTiltAngles(*angles))
         try:
             self.joints.check(self.initial_angles)
         except JointLimitError as exc:
             raise ConfigError(f"initial_angles.{exc}") from None
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            # random.Random seeds a float or NaN from its hash, which for NaN
-            # differs in every process
+        if self.seed < 0:
             raise ConfigError(f"seed: must be an integer >= 0, got {self.seed!r}")
         if self.mode not in JACOBIAN_MODES:
             raise ConfigError(f"mode: must be one of {JACOBIAN_MODES}")
@@ -146,60 +136,29 @@ def _mapping(value: Any, path: str) -> dict:
     return dict(value)
 
 
-def _reject_unknown(given: dict, path: str) -> None:
-    if given:
-        raise ConfigError(f"unknown key '{_join(path, next(iter(given)))}'")
-
-
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _number(value: Any, path: str) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the float range
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+def _keys(value: Any, path: str, names) -> dict:
+    """The items of the mapping ``value`` whose keys are in ``names``; any
+    other key is an error."""
+    given = _mapping(value, path)
+    items = {name: given.pop(name) for name in names if name in given}
+    if given:
+        raise ConfigError(f"unknown key '{_join(path, next(iter(given)))}'")
+    return items
 
 
-def _integer(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return value
+def _build(cls: type, value: Any, path: str, **defaults) -> Any:
+    """``cls`` built from the mapping ``value``, whose keys are the names of its
+    fields; the field a dataclass check names gets the section path."""
+    kwargs = defaults | _keys(value, path, [f.name for f in fields(cls)])
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
 
-
-def _string(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}: expected a string, got {value!r}")
-    return value
-
-
-def _pair(value: Any, path: str) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{path}: expected a pair [x, y], got {value!r}")
-    return (_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
-
-
-def _pairs(value: Any, path: str) -> tuple[tuple[float, float], ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{path}: expected a list of pairs, got {value!r}")
-    return tuple(_pair(item, f"{path}[{i}]") for i, item in enumerate(value))
-
-
-# One validator per field annotation; the annotations are strings because the
-# modules postpone their evaluation.
-_VALIDATORS = {
-    "float": _number,
-    "float | None": _number,
-    "int": _integer,
-    "str": _string,
-    "tuple[float, float]": _pair,
-    "tuple[tuple[float, float], ...]": _pairs,
-}
 
 TRAJECTORIES = {
     "circle": CircleTrajectory,
@@ -208,53 +167,20 @@ TRAJECTORIES = {
 }
 
 
-def _fields(cls: type, value: Any, path: str) -> dict:
-    """Validated keyword arguments for ``cls`` from the keys of the mapping
-    ``value`` that name its fields; any other key is an error."""
-    given = _mapping(value, path)
-    kwargs = {
-        f.name: _VALIDATORS[f.type](given.pop(f.name), _join(path, f.name))
-        for f in fields(cls)
-        if f.name in given
-    }
-    _reject_unknown(given, path)
-    return kwargs
-
-
-def _build(cls: type, kwargs: dict, path: str) -> Any:
-    """``cls(**kwargs)``; the field a dataclass check names gets the section path."""
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.{exc}") from exc
-
-
 def _trajectory(value: Any) -> TargetTrajectory:
     given = _mapping(value, "trajectory")
     kind = given.pop("kind", None)
     cls = TRAJECTORIES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(f"trajectory.kind: expected one of {list(TRAJECTORIES)}, got {kind!r}")
-    return _build(cls, _fields(cls, given, "trajectory"), "trajectory")
-
-
-def _named_floats(value: Any, path: str, names: tuple[str, ...], default: tuple) -> tuple:
-    """The numbers the mapping ``value`` gives under ``names``, in that order,
-    each defaulting to the matching item of ``default``; any other key is an
-    error."""
-    given = _mapping(value, path)
-    floats = tuple(
-        _number(given.pop(key), f"{path}.{key}") if key in given else default_value
-        for key, default_value in zip(names, default)
-    )
-    _reject_unknown(given, path)
-    return floats
+    return _build(cls, given, "trajectory")
 
 
 def parse_config(data: dict, name: str | None = None) -> ScenarioConfig:
     """Build a validated :class:`ScenarioConfig` from a nested mapping.
 
-    ``name`` is used unless the mapping sets its own.
+    ``name`` is used unless the mapping sets its own.  Only the mapping walk
+    is done here; each value is checked by the dataclass that holds it.
     """
     root = _mapping(data, "")
     values: dict[str, Any] = {} if name is None else {"name": name}
@@ -262,24 +188,20 @@ def parse_config(data: dict, name: str | None = None) -> ScenarioConfig:
         if f.name not in root:
             continue
         value = root.pop(f.name)
+        names = getattr(FIELD_CHECKS.get(f.type), "names", None)
         if f.name == "trajectory":
             values[f.name] = _trajectory(value)
-        elif f.name == "robot_start":
-            values[f.name] = _named_floats(value, f.name, ("x", "y", "theta"), f.default)
-        elif f.name == "initial_angles":
-            angles = _named_floats(value, f.name, PanTiltAngles._fields, f.default)
-            values[f.name] = PanTiltAngles(*angles)
-        elif f.name == "gains":  # signed by the body, which precedes it
-            kwargs = _fields(ControllerGains, value, f.name)
-            body = values.get("body", BodyModel())
-            l1, l2 = signed_lambdas(body, kwargs.get("lambda1"), kwargs.get("lambda2"))
-            values[f.name] = _build(ControllerGains, {**kwargs, "lambda1": l1, "lambda2": l2}, f.name)
+        elif f.name == "gains":  # omitted lambdas follow the body, which precedes it
+            l1, l2 = signed_lambdas(values.get("body", BodyModel()), None, None)
+            values[f.name] = _build(ControllerGains, value, f.name, lambda1=l1, lambda2=l2)
         elif f.default_factory is not MISSING:
-            cls = f.default_factory
-            values[f.name] = _build(cls, _fields(cls, value, f.name), f.name)
+            values[f.name] = _build(f.default_factory, value, f.name)
+        elif names is not None:  # a mapping of named numbers, such as {x, y, theta}
+            given = _keys(value, f.name, names)
+            values[f.name] = tuple(given.get(n, d) for n, d in zip(names, f.default))
         else:
-            values[f.name] = _VALIDATORS[f.type](value, f.name)
-    _reject_unknown(root, "")
+            values[f.name] = value
+    _keys(root, "", ())  # any key left is unknown
     return ScenarioConfig(**values)
 
 

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-from .geometry import BodyModel, CameraIntrinsics, PanTiltAngles, require_positive
+from .geometry import BodyModel, CameraIntrinsics, PanTiltAngles, check_fields, require_positive
 
 JACOBIAN_MODES = ("re-derived", "as-printed")
 
@@ -118,10 +118,11 @@ class ControllerGains:
     target_half_height: float = 100.0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         require_positive(self, "k1", "k2", "k3", "target_half_height")
         for name in ("lambda1", "lambda2"):
             value = getattr(self, name)
-            if not (value != 0 and math.isfinite(value)):
+            if value == 0:
                 raise ValueError(f"{name}: must be a finite nonzero number, got {value!r}")
 
 
@@ -135,6 +136,7 @@ class SaturationLimits:
     omega_r_max: float = 1.0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         require_positive(self, *(f.name for f in fields(self)))
 
 

@@ -1,4 +1,5 @@
-"""Frame math for a pan-tilt camera mounted on a differential-drive robot.
+"""Frame math for a pan-tilt camera mounted on a differential-drive robot,
+and :func:`check_fields`, the one field validator of every config dataclass.
 
 Coordinate conventions used throughout the package:
 
@@ -33,8 +34,12 @@ Vertical offsets
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, fields
+from typing import Any, Callable, NamedTuple
+
+
+class ConfigError(ValueError):
+    """Invalid scenario configuration; the message names the offending field."""
 
 
 class JointLimitError(ValueError):
@@ -43,6 +48,13 @@ class JointLimitError(ValueError):
 
 class BehindCameraError(ValueError):
     """Projection requested for a point at or behind the optical center."""
+
+
+class PanTiltAngles(NamedTuple):
+    """Pan/tilt joint angles in radians."""
+
+    alpha: float = 0.0
+    beta: float = 0.0
 
 
 def require_positive(obj, *names: str) -> None:
@@ -54,18 +66,76 @@ def require_positive(obj, *names: str) -> None:
             raise ValueError(f"{name}: must be a finite number > 0, got {value!r}")
 
 
-def require_finite(obj, *names: str) -> None:
-    """Reject the first named field of ``obj`` that is, or holds at any depth
-    of its tuples, a NaN or an infinity, naming only the field."""
-    for name in names:
-        value = getattr(obj, name)
-        items = [value]
-        while items:
-            item = items.pop()
-            if isinstance(item, (tuple, list)):
-                items.extend(item)
-            elif not math.isfinite(item):
-                raise ValueError(f"{name}: must be finite, got {value!r}")
+def _number(value: Any, path: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+
+
+def _instance(kind: type, noun: str) -> Callable:
+    def check(value: Any, path: str) -> Any:
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"{path}: expected {noun}, got {value!r}")
+        return value
+
+    return check
+
+
+def _floats(names: tuple, shape: str, make: Callable = tuple) -> Callable:
+    """Validator of a list or tuple holding one finite number per name, made
+    into ``make(numbers)``; the item named ``n`` is ``<path>.n``, as a
+    scenario file gives it, and the item at index ``i`` is ``<path>[i]``."""
+    items = [f"[{n}]" if isinstance(n, int) else f".{n}" for n in names]
+
+    def check(value: Any, path: str) -> tuple:
+        if not isinstance(value, (tuple, list)) or len(value) != len(names):
+            raise ConfigError(f"{path}: expected {shape}, got {value!r}")
+        return make(_number(v, path + item) for v, item in zip(value, items))
+
+    check.names = names
+    return check
+
+
+_pair = _floats((0, 1), "a pair [x, y]")
+
+
+def _pairs(value: Any, path: str) -> tuple[tuple[float, float], ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{path}: expected a list of pairs, got {value!r}")
+    return tuple(_pair(item, f"{path}[{i}]") for i, item in enumerate(value))
+
+
+# One validator per config field annotation (a string, as the modules postpone
+# their evaluation).  Each returns the value normalised, a float for an int
+# and tuples for lists, or raises ConfigError naming the item at fault.
+FIELD_CHECKS: dict[str, Callable[[Any, str], Any]] = {
+    "float": _number,
+    "int": _instance(int, "an integer"),
+    "str": _instance(str, "a string"),
+    "tuple[float, float]": _pair,
+    "tuple[tuple[float, float], ...]": _pairs,
+    "tuple[float, float, float]": _floats(("x", "y", "theta"), "a triple (x, y, theta)"),
+    "PanTiltAngles": _floats(PanTiltAngles._fields, "a pair (alpha, beta)", PanTiltAngles._make),
+}
+
+
+def check_fields(obj) -> None:
+    """Check each field of the config dataclass ``obj`` by its annotation and
+    store the normalised value; ``None`` passes where the annotation allows
+    it.  A field with no validator is a section, which checked its own."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        kind = f.type.removesuffix(" | None")
+        if value is None and kind != f.type:
+            continue
+        check = FIELD_CHECKS.get(kind)
+        if check is not None:
+            object.__setattr__(obj, f.name, check(value, f.name))
 
 
 @dataclass(frozen=True)
@@ -80,6 +150,7 @@ class CameraIntrinsics:
     height: int = 480
 
     def __post_init__(self) -> None:
+        check_fields(self)
         require_positive(self, "alpha_x", "alpha_y", "width", "height")
         if not (0 <= self.u0 < self.width):
             raise ValueError("u0: must lie in [0, width)")
@@ -95,13 +166,6 @@ class CameraPoint(NamedTuple):
     z: float
 
 
-class PanTiltAngles(NamedTuple):
-    """Pan/tilt joint angles in radians."""
-
-    alpha: float = 0.0
-    beta: float = 0.0
-
-
 @dataclass(frozen=True)
 class JointLimits:
     """Symmetric joint range; defaults give the full useful envelope of a
@@ -111,6 +175,7 @@ class JointLimits:
     beta_max: float = math.pi / 3
 
     def __post_init__(self) -> None:
+        check_fields(self)
         require_positive(self, "alpha_max", "beta_max")
 
     def check(self, angles: PanTiltAngles) -> None:
@@ -191,6 +256,7 @@ class BodyModel:
     head_height: float = 1.8
 
     def __post_init__(self) -> None:
+        check_fields(self)
         require_positive(self, "head_height")
         center = self.head_height / 2.0
         if self.body_center_height is None:

@@ -27,7 +27,7 @@ from random import NV_MAGICCONST, Random
 from typing import Callable, NamedTuple, Optional
 
 from .controller import BoxMeasurement
-from .geometry import CameraIntrinsics, require_finite, require_positive
+from .geometry import CameraIntrinsics, check_fields, require_positive
 
 # Largest drift, in pixels, between successive detections the gate accepts.
 PIXEL_TOLERANCE = 10.0
@@ -89,9 +89,9 @@ class NoiseModel:
     dropout_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.sigma_px >= 0:  # NaN too
+        check_fields(self)
+        if self.sigma_px < 0:
             raise ValueError("sigma_px: must be >= 0")
-        require_finite(self, "sigma_px")
         if not 0.0 <= self.dropout_prob <= 1.0:
             raise ValueError("dropout_prob: must lie in [0, 1]")
         for i, (t0, t1) in enumerate(self.occlusion_windows):
@@ -127,6 +127,7 @@ class RecoveryPolicy:
     search_dilation: float = 2.0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         require_positive(self, "step_s", "search_dilation")
 
 

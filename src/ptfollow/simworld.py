@@ -20,7 +20,7 @@ from .geometry import (
     CameraIntrinsics,
     JointLimits,
     PanTiltAngles,
-    require_finite,
+    check_fields,
     require_positive,
 )
 
@@ -58,9 +58,8 @@ class CircleTrajectory:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        require_finite(self, "center")
+        check_fields(self)
         require_positive(self, "radius")
-        require_finite(self, "rate", "phase")
 
     def position(self, t: float) -> tuple[float, float]:
         ang = self.rate * t + self.phase
@@ -79,7 +78,7 @@ class LineTrajectory:
     delay: float = 0.0
 
     def __post_init__(self) -> None:
-        require_finite(self, "start", "velocity", "delay")
+        check_fields(self)
 
     def position(self, t: float) -> tuple[float, float]:
         dt = t - self.delay
@@ -100,11 +99,10 @@ class WaypointTrajectory:
     delay: float = 0.0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not self.points:
             raise ValueError("points: must be a non-empty list of [x, y] pairs")
-        require_finite(self, "points")
         require_positive(self, "speed")
-        require_finite(self, "delay")
         # (x0, y0, x1, y1, length) per segment, measured once; not a
         # dataclass field, which the config parser reads as a scenario key
         segments = tuple(

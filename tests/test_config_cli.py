@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from ptfollow import cli
 from ptfollow.cli import main
@@ -27,7 +28,7 @@ from ptfollow.config import (
     signed_lambdas,
 )
 from ptfollow.controller import ControllerGains, SaturationLimits
-from ptfollow.geometry import CameraIntrinsics, JointLimits, PanTiltAngles
+from ptfollow.geometry import FIELD_CHECKS, CameraIntrinsics, JointLimits, PanTiltAngles
 from ptfollow.perception import NoiseModel, RecoveryPolicy
 from ptfollow.runner import run_scenario, summarize_run
 from ptfollow.simworld import (
@@ -235,7 +236,8 @@ mode: as-printed
     @pytest.mark.parametrize(
         "data",
         [{section: {}} for section in [*SECTIONS, "robot_start"]]
-        + [{"trajectory": {"kind": "circle"}}],  # the kind is required
+        + [{"trajectory": {"kind": "circle"}}]  # the kind is required
+        + [{"body": {"body_center_height": None}}],  # null derives it, as None does in code
         ids=str,
     )
     def test_empty_section_keeps_defaults(self, data):
@@ -424,22 +426,23 @@ def test_bad_input_is_config_error_naming_its_path(tmp_path, capsys, text, path)
 nan, inf = math.nan, math.inf
 
 # Non-finite values in configs built in code, which a scenario file cannot
-# give; each must fail its dataclass's check naming the field, not run on.
+# give; each must fail its dataclass's check naming the field or item as a
+# scenario file would, not run on.  Rows are (build, path[, test id]).
 NON_FINITE_IN_CODE = [
     (lambda: ControllerGains(lambda1=nan), "lambda1"),
     (lambda: ControllerGains(lambda2=-inf), "lambda2"),
     (lambda: ControllerGains(target_half_height=inf), "target_half_height"),
     (lambda: ControllerGains(k2=nan), "k2"),
     (lambda: CircleTrajectory(rate=nan), "rate"),
-    (lambda: CircleTrajectory(center=(0.5, inf)), "center"),
+    (lambda: CircleTrajectory(center=(0.5, inf)), "center[1]", "center"),
     (lambda: CircleTrajectory(phase=-inf), "phase"),
-    (lambda: LineTrajectory(velocity=(inf, 0.0)), "velocity"),
+    (lambda: LineTrajectory(velocity=(inf, 0.0)), "velocity[0]", "velocity"),
     (lambda: LineTrajectory(delay=nan), "delay"),
-    (lambda: WaypointTrajectory(points=((0.0, 0.0), (nan, 1.0))), "points"),
-    (lambda: WaypointTrajectory(points=[[0.0, 0.0], [1.0, inf]]), "points"),
+    (lambda: WaypointTrajectory(points=((0.0, 0.0), (nan, 1.0))), "points[1][0]", "points"),
+    (lambda: WaypointTrajectory(points=[[0.0, 0.0], [1.0, inf]]), "points[1][1]", "points"),
     (lambda: WaypointTrajectory(points=((0.0, 0.0),), speed=inf), "speed"),
-    (lambda: ScenarioConfig(robot_start=(nan, 0.0, 0.0)), "robot_start"),
-    (lambda: ScenarioConfig(robot_start=(0.0, 0.0, inf)), "robot_start"),
+    (lambda: ScenarioConfig(robot_start=(nan, 0.0, 0.0)), "robot_start.x", "robot_start"),
+    (lambda: ScenarioConfig(robot_start=(0.0, 0.0, inf)), "robot_start.theta", "robot_start"),
     (lambda: ScenarioConfig(seed=nan), "seed"),
     (lambda: ScenarioConfig(initial_angles=(nan, 0.0)), "initial_angles.alpha"),
     (lambda: ScenarioConfig(initial_angles=PanTiltAngles(0.0, nan)), "initial_angles.beta"),
@@ -455,12 +458,128 @@ NON_FINITE_IN_CODE = [
 ]
 
 
+# Values of the wrong type in configs built in code, which a scenario file
+# rejects by the field's annotation; the code path must reject them too, with
+# the same path.
+WRONG_TYPE_IN_CODE = [
+    (lambda: CameraIntrinsics(width=640.5), "width", "width-float"),
+    (lambda: CameraIntrinsics(alpha_x="5"), "alpha_x", "alpha_x-string"),
+    (lambda: SaturationLimits(v_max=True), "v_max", "v_max-bool"),
+    (lambda: NoiseModel(dropout_prob=True), "dropout_prob", "dropout_prob-bool"),
+    (lambda: NoiseModel(occlusion_windows=[(1.0,)]), "occlusion_windows[0]", "window-not-a-pair"),
+    (lambda: ScenarioConfig(name=5), "name", "name-int"),
+    (lambda: ScenarioConfig(robot_start=(0, 0, True)), "robot_start.theta", "robot_start-bool"),
+    (lambda: ScenarioConfig(robot_start=(0, 0, "x")), "robot_start.theta", "robot_start-string"),
+    (lambda: ScenarioConfig(initial_angles=("a", 0)), "initial_angles.alpha", "initial_angles-string"),
+]
+
+
 @pytest.mark.parametrize(
-    "build, field", NON_FINITE_IN_CODE, ids=[path for _, path in NON_FINITE_IN_CODE]
+    "build, field",
+    [
+        pytest.param(build, field, id=test_id[0] if test_id else field)
+        for build, field, *test_id in NON_FINITE_IN_CODE + WRONG_TYPE_IN_CODE
+    ],
 )
 def test_non_finite_value_in_code_rejected_naming_its_field(build, field):
     with pytest.raises(ValueError, match=f"^{re.escape(field)}: "):
         build()
+
+
+# Every config dataclass: the section classes, the trajectories and the root.
+CONFIG_CLASSES = [
+    *(cls for cls in SECTIONS.values() if dataclasses.is_dataclass(cls)),
+    *TRAJECTORIES.values(),
+    ScenarioConfig,
+]
+
+
+def test_every_config_field_has_a_validator_or_is_a_section():
+    # check_fields passes over a field it has no validator for, taking it for
+    # a section, so a new annotation must be added to FIELD_CHECKS
+    defaults = ScenarioConfig()
+    for cls in CONFIG_CLASSES:
+        for f in dataclasses.fields(cls):
+            if cls is ScenarioConfig and dataclasses.is_dataclass(getattr(defaults, f.name)):
+                assert type(getattr(defaults, f.name)) in CONFIG_CLASSES, f.name
+            else:
+                assert f.type.removesuffix(" | None") in FIELD_CHECKS, (cls.__name__, f.name)
+
+
+# The top-level fields a scenario file gives as mappings of named numbers.
+NAMED_KEYS = {"robot_start": ("x", "y", "theta"), "initial_angles": PanTiltAngles._fields}
+# (section, key): every key of every section, of each trajectory kind and of
+# NAMED_KEYS, and every other top-level field (section None).
+LEAF_KEYS = [
+    *((section, f.name) for section, cls in SECTIONS.items() if section not in NAMED_KEYS
+      for f in dataclasses.fields(cls)),
+    *((kind, f.name) for kind, cls in TRAJECTORIES.items() for f in dataclasses.fields(cls)),
+    *((section, key) for section, keys in NAMED_KEYS.items() for key in keys),
+    *((None, key) for key in ("name", "dt", "duration", "seed", "mode")),
+]
+SCALARS = st.one_of(
+    st.integers(-3, 3),
+    st.floats(),  # NaN and the infinities too
+    st.sampled_from([0.25, 1.5, 2**64, 10**400, "as-printed", "1.0"]),
+    st.booleans(),
+    st.text(max_size=2),
+    st.none(),
+)
+LEAF_VALUES = st.one_of(
+    SCALARS, st.lists(SCALARS, max_size=3), st.lists(st.lists(SCALARS, max_size=3), max_size=3)
+)
+WAYPOINTS = [[0.0, 0.0], [1.0, 0.0]]
+
+
+def _outcome(build):
+    """(config, None) or (None, error message)."""
+    try:
+        return build(), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def _required(section):
+    """The keys a section cannot go without: a waypoint walk's points."""
+    return {"points": WAYPOINTS} if section == "waypoints" else {}
+
+
+def _in_file(section, key, value):
+    if section is None:
+        data = {key: value}
+    elif section in TRAJECTORIES:
+        data = {"trajectory": {"kind": section, **_required(section), key: value}}
+    else:
+        data = {section: {key: value}}
+    return _outcome(lambda: parse_config(data))
+
+
+def _in_code(section, key, value):
+    """The same value built in code; a section's own error gets its section
+    prefix, as the parser adds it."""
+    if section is None:
+        return _outcome(lambda: ScenarioConfig(**{key: value}))
+    if section in NAMED_KEYS:  # the default with one item replaced
+        items = list(getattr(ScenarioConfig(), section))
+        items[NAMED_KEYS[section].index(key)] = value
+        return _outcome(lambda: ScenarioConfig(**{section: items}))
+    field = "trajectory" if section in TRAJECTORIES else section
+    cls = TRAJECTORIES.get(section) or SECTIONS[section]
+    built, error = _outcome(lambda: cls(**{**_required(section), key: value}))
+    if error is not None:
+        return None, f"{field}.{error}"
+    return _outcome(lambda: ScenarioConfig(**{field: built}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(leaf=st.sampled_from(LEAF_KEYS), value=LEAF_VALUES)
+def test_file_and_code_agree_on_every_leaf_value(leaf, value):
+    # one validator serves both paths: a scenario file fails exactly where the
+    # same value built in code fails, with the same message, and else both
+    # give the same config
+    in_file, in_code = _in_file(*leaf, value), _in_code(*leaf, value)
+    assert in_file[1] == in_code[1]
+    assert in_file[0] == in_code[0]
 
 
 def test_undecodable_file_is_invalid_yaml(tmp_path, capsys):
@@ -588,7 +707,8 @@ class TestCli:
     def test_non_finite_override_is_config_error(self, tmp_path, capsys, flag, value):
         code = main(["--scenario", "circle-sim", "--out", str(tmp_path), flag, value])
         assert code == 2
-        assert f"{flag[2:]}: must be a finite number" in capsys.readouterr().err
+        reason = "must be a finite number" if value == "1e308" else "expected a finite number"
+        assert f"{flag[2:]}: {reason}" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
     @pytest.mark.parametrize("flag, value", [("--dt", "1e-9"), ("--duration", "1e7")])

@@ -7,7 +7,7 @@ never settles.  The byte pins at the end hold the whole CSV and summary.json.
 The per-tick path is plain float arithmetic, so these values do not depend on
 the BLAS kernel numpy picks for the host CPU.
 
-``indoor`` stays in on purpose: its near-singular rate solve (ROADMAP item 4)
+``indoor`` stays in on purpose: its near-singular rate solve (ROADMAP item 1)
 makes ``rms_e_v`` jump between about 60.56 and 78.78 px on a last-bit change
 anywhere in the loop, so this pin is what shows such a change.
 """

@@ -10,15 +10,17 @@ only walks the mappings: it rejects unknown and repeated keys, dispatches on
 checked by the dataclass that holds it, so a config built in code and one read
 from a file meet the same rules: ``geometry.check_fields`` checks every field
 by its annotation (one validator per annotation, ``geometry.FIELD_CHECKS``;
-numbers must be finite), then the dataclass checks its ranges.  ``null`` is a
-value exactly where code takes ``None``, which is only
-``body.body_center_height``.  An omitted key keeps the dataclass default.
-Every error reads ``<key path>: <reason>``.  Two exceptions: ``robot_start``
-and ``initial_angles`` are mappings of named numbers (``{x, y, theta}`` and
-the fields of :class:`PanTiltAngles`), and the derived
-``body.body_center_height`` (half of ``head_height``; ``None`` derives it) and
-``gains.lambda1``/``lambda2`` (see :func:`signed_lambdas`) follow the body
-model.
+numbers must be finite), then the dataclass checks its ranges.  An omitted
+key keeps the dataclass default, and ``null`` is a value exactly where code
+takes ``None``: ``body.body_center_height``, ``gains.lambda1`` and
+``gains.lambda2``, each then derived from the body model as when the key is
+omitted.  Every error reads ``<key path>: <reason>``.  Two exceptions:
+``robot_start`` and ``initial_angles`` are mappings of named numbers
+(``{x, y, theta}`` and the fields of :class:`PanTiltAngles`), and the derived
+values follow the body model: ``body.body_center_height`` is half of
+``head_height``, and :class:`ScenarioConfig` alone resolves the lambdas
+against its ``body`` (see :func:`signed_lambdas`), for a config built in code
+as for one read from a file.
 
 Three presets ship built in:
 
@@ -66,7 +68,7 @@ class ScenarioConfig:
     name: str = "custom"
     intrinsics: CameraIntrinsics = field(default_factory=CameraIntrinsics)
     body: BodyModel = field(default_factory=BodyModel)
-    gains: ControllerGains | None = None  # None: default gains, lambdas from ``body``
+    gains: ControllerGains = field(default_factory=ControllerGains)
     saturation: SaturationLimits = field(default_factory=SaturationLimits)
     joints: JointLimits = field(default_factory=JointLimits)
     trajectory: TargetTrajectory = field(default_factory=CircleTrajectory)
@@ -81,12 +83,10 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.gains is None:
-            l1, l2 = signed_lambdas(self.body, None, None)
-            object.__setattr__(self, "gains", ControllerGains(lambda1=l1, lambda2=l2))
-        else:  # lambdas given in code are magnitudes too, as in a scenario file
-            l1, l2 = signed_lambdas(self.body, self.gains.lambda1, self.gains.lambda2)
-            object.__setattr__(self, "gains", replace(self.gains, lambda1=l1, lambda2=l2))
+        # the one place the lambdas are resolved: None derives them from the
+        # body, a value is a magnitude that takes the body's sign
+        l1, l2 = signed_lambdas(self.body, self.gains.lambda1, self.gains.lambda2)
+        object.__setattr__(self, "gains", replace(self.gains, lambda1=l1, lambda2=l2))
         if self.dt <= 0:
             raise ConfigError(f"dt: must be a finite number > 0, got {self.dt!r}")
         if not (self.duration >= 0 and math.isfinite(self.duration / self.dt)):
@@ -150,10 +150,10 @@ def _keys(value: Any, path: str, names) -> dict:
     return items
 
 
-def _build(cls: type, value: Any, path: str, **defaults) -> Any:
+def _build(cls: type, value: Any, path: str) -> Any:
     """``cls`` built from the mapping ``value``, whose keys are the names of its
     fields; the field a dataclass check names gets the section path."""
-    kwargs = defaults | _keys(value, path, [f.name for f in fields(cls)])
+    kwargs = _keys(value, path, [f.name for f in fields(cls)])
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -191,9 +191,6 @@ def parse_config(data: dict, name: str | None = None) -> ScenarioConfig:
         names = getattr(FIELD_CHECKS.get(f.type), "names", None)
         if f.name == "trajectory":
             values[f.name] = _trajectory(value)
-        elif f.name == "gains":  # omitted lambdas follow the body, which precedes it
-            l1, l2 = signed_lambdas(values.get("body", BodyModel()), None, None)
-            values[f.name] = _build(ControllerGains, value, f.name, lambda1=l1, lambda2=l2)
         elif f.default_factory is not MISSING:
             values[f.name] = _build(f.default_factory, value, f.name)
         elif names is not None:  # a mapping of named numbers, such as {x, y, theta}

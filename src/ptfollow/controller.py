@@ -106,15 +106,17 @@ class ControllerGains:
 
     ``lambda1``/``lambda2`` are the reciprocals of the body-center and
     head-top vertical offsets from the camera, in the down-positive sense
-    (negative for a person taller than the camera mount); the defaults are
-    those of the default :class:`BodyModel`.
+    (negative for a person taller than the camera mount).  ``None`` means
+    "derive from the body": :class:`~ptfollow.config.ScenarioConfig` resolves
+    both against its ``body``, deriving a ``None`` and giving a value the
+    body's sign.  :class:`FollowController` takes resolved lambdas only.
     """
 
     k1: float = 0.5
     k2: float = 0.5
     k3: float = 0.5
-    lambda1: float = BodyModel().lambda1
-    lambda2: float = BodyModel().lambda2
+    lambda1: float | None = None
+    lambda2: float | None = None
     target_half_height: float = 100.0
 
     def __post_init__(self) -> None:
@@ -262,16 +264,6 @@ def singularity_eps(k: CameraIntrinsics, gains: ControllerGains) -> float:
     return 1e-6 * k.alpha_x * k.alpha_y * max(abs(gains.lambda1), abs(gains.lambda2))
 
 
-def solve_denominator(terms: JacobianTerms, gains: ControllerGains) -> float:
-    """Determinant of the error-rate assignment system."""
-    o1, o2, o3, a, b, c, d, e, f = terms
-    return (
-        (b * c - a * d) * o3 * gains.lambda2
-        + (a * f - b * e) * o2 * gains.lambda1
-        - (c * f - d * e) * o1 * gains.lambda1
-    )
-
-
 def control_law(
     err: ImageErrors,
     terms: JacobianTerms,
@@ -294,16 +286,14 @@ def control_law(
     e_u, e_v, e_v2 = err
     k1e, k2e, k3e = gains.k1 * e_u, gains.k2 * e_v, gains.k3 * e_v2
     l1, l2 = gains.lambda1, gains.lambda2
-    den = solve_denominator(terms, gains)
+    # the determinant, from the three 2x2 minors it shares with num_v
+    m_bc, m_af, m_cf = b * c - a * d, a * f - b * e, c * f - d * e
+    den = m_bc * o3 * l2 + m_af * o2 * l1 - m_cf * o1 * l1
     if abs(den) <= eps_den:
         raise SingularConfigurationError(
             f"solve denominator {den:.3e} within guard {eps_den:.3e}"
         )
-    num_v = -(
-        (b * c - a * d) * (k2e - k3e)
-        + (a * f - b * e) * k2e
-        - (c * f - d * e) * k1e
-    )
+    num_v = -(m_bc * (k2e - k3e) + m_af * k2e - m_cf * k1e)
     num_wa = (
         (d * k1e - b * k2e - b * c * omega_r + a * d * omega_r) * o3 * l2
         + (b * e * omega_r - a * f * omega_r - b * k3e + b * k2e - f * k1e) * o2 * l1
@@ -376,6 +366,9 @@ class FollowController:
     ) -> None:
         if mode not in JACOBIAN_MODES:
             raise ValueError(f"unknown jacobian mode {mode!r}; expected one of {JACOBIAN_MODES}")
+        for name in ("lambda1", "lambda2"):
+            if getattr(gains, name) is None:
+                raise ValueError(f"{name}: not resolved; a ScenarioConfig derives it from its body")
         self.gains = gains
         self.intrinsics = intrinsics
         self.saturation = saturation or SaturationLimits()
@@ -485,7 +478,9 @@ def jacobian_discrepancy_report(
     import numpy as np  # only this report samples random states
 
     k = k or CameraIntrinsics()
-    gains = gains or ControllerGains()
+    if gains is None:
+        body = BodyModel()
+        gains = ControllerGains(lambda1=body.lambda1, lambda2=body.lambda2)
     rng = np.random.default_rng(seed)
     term_names = ("omega1", "omega2", "omega3", "a", "b", "c", "d", "e", "f")
     max_abs_diff = {name: 0.0 for name in term_names}

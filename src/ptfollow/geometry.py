@@ -34,6 +34,7 @@ Vertical offsets
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Any, Callable, NamedTuple
 
@@ -127,7 +128,9 @@ FIELD_CHECKS: dict[str, Callable[[Any, str], Any]] = {
 def check_fields(obj) -> None:
     """Check each field of the config dataclass ``obj`` by its annotation and
     store the normalised value; ``None`` passes where the annotation allows
-    it.  A field with no validator is a section, which checked its own."""
+    it.  A field with no validator is a section: it must hold an instance of
+    the class its annotation names in the module of ``obj``, and that
+    instance checked its own fields."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         kind = f.type.removesuffix(" | None")
@@ -136,6 +139,8 @@ def check_fields(obj) -> None:
         check = FIELD_CHECKS.get(kind)
         if check is not None:
             object.__setattr__(obj, f.name, check(value, f.name))
+        elif not isinstance(value, vars(sys.modules[type(obj).__module__])[kind]):
+            raise ConfigError(f"{f.name}: expected a {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)

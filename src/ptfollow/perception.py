@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import NV_MAGICCONST, Random
 from typing import Callable, NamedTuple, Optional
 
@@ -38,40 +38,28 @@ SEEN_SCORE = 0.95
 LOST_SCORE = 0.1
 
 
-@dataclass
-class DetectionGate:
-    """Stability gate over incoming detections.
-
-    Initializes exactly when three consecutive detections drift less than
-    ``PIXEL_TOLERANCE`` between successive frames; any larger jump or a
-    missed frame restarts the window.
-    """
-
-    window: list[tuple[float, float]] = field(default_factory=list)
-
-    def reset(self) -> None:
-        self.window.clear()
-
-
 def gate_update(
-    gate: DetectionGate, detection: Optional[BoxMeasurement]
+    window: list[tuple[float, float]], detection: Optional[BoxMeasurement]
 ) -> Optional[BoxMeasurement]:
-    """Feed one frame's detection into the gate.
+    """Feed one frame's detection into the stability gate, whose ``window``
+    holds the centers of the consecutive agreeing detections so far.
 
-    Returns the detection as the initial box once the stability criterion is
-    met, else ``None``.  ``detection=None`` (missed frame) resets the window.
+    Returns the detection as the initial box once three consecutive
+    detections drift less than ``PIXEL_TOLERANCE`` between successive frames,
+    else ``None``.  A larger jump restarts the window, and a missed frame
+    (``detection=None``) or an opened gate clears it, in place.
     """
     if detection is None:
-        gate.reset()
+        window.clear()
         return None
     center = (detection.u, detection.v)
-    if gate.window:
-        last = gate.window[-1]
+    if window:
+        last = window[-1]
         if math.hypot(center[0] - last[0], center[1] - last[1]) >= PIXEL_TOLERANCE:
-            gate.window.clear()
-    gate.window.append(center)
-    if len(gate.window) >= 3:
-        gate.reset()
+            window.clear()
+    window.append(center)
+    if len(window) >= 3:
+        window.clear()
         return detection
     return None
 
@@ -266,7 +254,7 @@ class PerceptionPipeline:
         self.policy = policy
         self.recovery = RecoveryState()
         self.intrinsics = intrinsics
-        self.gate = DetectionGate()
+        self.window: list[tuple[float, float]] = []  # the detection gate's, see gate_update
         self._box: Optional[BoxMeasurement] = None  # last box seen; None until initialized
 
     def step(self, truth: Optional[BoxMeasurement], t: float, rng: Random) -> PerceptionOutput:
@@ -292,7 +280,7 @@ class PerceptionPipeline:
         box = self._box
         recovery = self.recovery
         if box is None:
-            box = self._box = gate_update(self.gate, seen)
+            box = self._box = gate_update(self.window, seen)
             if box is None:
                 return _GATING
             score = SEEN_SCORE

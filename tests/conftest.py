@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import integrate_exact_arc
+from oracles import integrate_exact_arc, solve_denominator_by_attribute
 from ptfollow.controller import (
     BoxMeasurement,
     ControlCommand,
@@ -15,7 +15,6 @@ from ptfollow.controller import (
     compute_errors,
     jacobian_terms,
     predicted_error_rates,
-    solve_denominator,
     singularity_eps,
 )
 from ptfollow.geometry import CameraIntrinsics, PanTiltAngles
@@ -78,7 +77,7 @@ def sample_tracking_state(
             continue
         err = compute_errors(box, k, gains.target_half_height)
         terms = jacobian_terms(err, box, state.angles, k, gains)
-        if abs(solve_denominator(terms, gains)) <= 100.0 * singularity_eps(k, gains):
+        if abs(solve_denominator_by_attribute(terms, gains)) <= 100.0 * singularity_eps(k, gains):
             continue
         return state, box
 

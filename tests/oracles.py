@@ -246,7 +246,8 @@ def integrate_exact_arc(
 
 
 def solve_denominator_by_attribute(terms: JacobianTerms, gains: ControllerGains) -> float:
-    """:func:`ptfollow.controller.solve_denominator`, reading each
+    """The determinant of the error-rate assignment system, as
+    :func:`ptfollow.controller.control_law` computes it, reading each
     coefficient as an attribute."""
     t = terms
     return (
@@ -364,7 +365,7 @@ def pipeline_step_with_cap(
     :func:`recovery_rule`."""
     if pipe._box is None:
         detection = None if (truth is None or pipe.noise.occluded_at(t)) else truth
-        pipe._box = gate_update(pipe.gate, detection)
+        pipe._box = gate_update(pipe.window, detection)
         if pipe._box is None:
             return PerceptionOutput(None, False, 0.0, 1.0, False, False)
         score = SEEN_SCORE

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,10 @@ class TestParseConfig:
         tall = ScenarioConfig(body=BodyModel(head_height=2.0))
         assert tall == parse_config({"body": {"head_height": 2.0}})
         assert tall.gains.lambda1 == BodyModel(head_height=2.0).lambda1 == pytest.approx(-1 / 0.3)
+        # and so do gains given without them, in code as in a file
+        tall = ScenarioConfig(body=BodyModel(head_height=2.0), gains=ControllerGains(k1=0.4))
+        assert tall == parse_config({"body": {"head_height": 2.0}, "gains": {"k1": 0.4}})
+        assert tall.gains.lambda1 == BodyModel(head_height=2.0).lambda1
 
     def test_code_built_lambdas_get_the_body_sign(self):
         # the published magnitudes, as the indoor preset quotes them
@@ -237,7 +242,8 @@ mode: as-printed
         "data",
         [{section: {}} for section in [*SECTIONS, "robot_start"]]
         + [{"trajectory": {"kind": "circle"}}]  # the kind is required
-        + [{"body": {"body_center_height": None}}],  # null derives it, as None does in code
+        + [{"body": {"body_center_height": None}}]  # null derives it, as None does in code
+        + [{"gains": {"lambda1": None, "lambda2": None}}],  # and these from the body
         ids=str,
     )
     def test_empty_section_keeps_defaults(self, data):
@@ -252,10 +258,12 @@ mode: as-printed
     def test_every_section_field_is_a_key(self, section):
         sample = SECTIONS[section]()
         names = getattr(sample, "_fields", None) or [f.name for f in dataclasses.fields(sample)]
+        # what the sample gives in a code-built config: the lambdas, None in
+        # the sample, are derived from the body there
+        expected = getattr(ScenarioConfig(**{section: sample}), section)
         for name in names:
-            value = getattr(sample, name)
-            cfg = parse_config({section: {name: _as_yaml(value)}})
-            assert getattr(getattr(cfg, section), name) == value, name
+            cfg = parse_config({section: {name: _as_yaml(getattr(sample, name))}})
+            assert getattr(getattr(cfg, section), name) == getattr(expected, name), name
 
     @pytest.mark.parametrize("kind", TRAJECTORY_SAMPLES)
     def test_every_trajectory_field_is_a_key(self, kind):
@@ -471,6 +479,9 @@ WRONG_TYPE_IN_CODE = [
     (lambda: ScenarioConfig(robot_start=(0, 0, True)), "robot_start.theta", "robot_start-bool"),
     (lambda: ScenarioConfig(robot_start=(0, 0, "x")), "robot_start.theta", "robot_start-string"),
     (lambda: ScenarioConfig(initial_angles=("a", 0)), "initial_angles.alpha", "initial_angles-string"),
+    # a section holds an instance of its class
+    (lambda: ScenarioConfig(body="tall"), "body", "body-string"),
+    (lambda: ScenarioConfig(trajectory=None, duration=1.0), "trajectory", "trajectory-none"),
 ]
 
 
@@ -486,6 +497,13 @@ def test_non_finite_value_in_code_rejected_naming_its_field(build, field):
         build()
 
 
+def test_section_of_another_class_in_code_is_a_config_error():
+    with pytest.raises(ConfigError, match=r"^body: expected a BodyModel, got 'tall'$"):
+        ScenarioConfig(body="tall")
+    with pytest.raises(ConfigError, match=r"^trajectory: expected a TargetTrajectory, got None$"):
+        ScenarioConfig(trajectory=None, duration=1.0)
+
+
 # Every config dataclass: the section classes, the trajectories and the root.
 CONFIG_CLASSES = [
     *(cls for cls in SECTIONS.values() if dataclasses.is_dataclass(cls)),
@@ -495,15 +513,21 @@ CONFIG_CLASSES = [
 
 
 def test_every_config_field_has_a_validator_or_is_a_section():
-    # check_fields passes over a field it has no validator for, taking it for
-    # a section, so a new annotation must be added to FIELD_CHECKS
+    # check_fields takes a field it has no validator for as a section, which
+    # must hold an instance of the class its annotation names in the owner's
+    # module; so only ScenarioConfig has sections, each a config class, and a
+    # new annotation elsewhere must be added to FIELD_CHECKS
     defaults = ScenarioConfig()
     for cls in CONFIG_CLASSES:
+        namespace = vars(sys.modules[cls.__module__])
         for f in dataclasses.fields(cls):
-            if cls is ScenarioConfig and dataclasses.is_dataclass(getattr(defaults, f.name)):
-                assert type(getattr(defaults, f.name)) in CONFIG_CLASSES, f.name
-            else:
-                assert f.type.removesuffix(" | None") in FIELD_CHECKS, (cls.__name__, f.name)
+            kind = f.type.removesuffix(" | None")
+            if kind in FIELD_CHECKS:
+                continue
+            assert cls is ScenarioConfig, (cls.__name__, f.name)
+            section = getattr(defaults, f.name)
+            assert isinstance(section, namespace[kind]), f.name
+            assert type(section) in CONFIG_CLASSES, f.name
 
 
 # The top-level fields a scenario file gives as mappings of named numbers.
@@ -580,6 +604,41 @@ def test_file_and_code_agree_on_every_leaf_value(leaf, value):
     in_file, in_code = _in_file(*leaf, value), _in_code(*leaf, value)
     assert in_file[1] == in_code[1]
     assert in_file[0] == in_code[0]
+
+
+# A body and a gains mapping drawn together: the lambdas a gains mapping
+# omits or gives are resolved against the body given beside it, which the
+# one-leaf property above cannot reach.
+HEIGHTS = st.one_of(st.sampled_from([0.7, 0.9, 1.0, 1.8, 2.0]), st.floats(0.1, 3.0))
+BODY_KEYS = st.fixed_dictionaries(
+    {}, optional={"camera_height": HEIGHTS, "head_height": HEIGHTS}
+)
+LAMBDAS = st.one_of(st.none(), st.sampled_from([0.0, 5.0, -0.91]), st.floats(-10.0, 10.0))
+GAINS_KEYS = st.fixed_dictionaries(
+    {},
+    optional={
+        "k1": st.floats(0.1, 2.0),
+        "lambda1": LAMBDAS,
+        "lambda2": LAMBDAS,
+        "target_half_height": st.floats(50.0, 300.0),
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=BODY_KEYS, gains=GAINS_KEYS)
+def test_file_and_code_agree_on_body_and_gains_together(body, gains):
+    def in_code():
+        built = {}
+        for section, cls, keys in (("body", BodyModel, body), ("gains", ControllerGains, gains)):
+            try:
+                built[section] = cls(**keys)
+            except ValueError as exc:  # the parser adds the section prefix
+                raise ConfigError(f"{section}.{exc}") from None
+        return ScenarioConfig(**built)
+
+    in_file = _outcome(lambda: parse_config({"body": body, "gains": gains}))
+    assert in_file == _outcome(in_code)
 
 
 def test_undecodable_file_is_invalid_yaml(tmp_path, capsys):

@@ -7,6 +7,7 @@ back-substitution identity.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,7 +50,6 @@ from ptfollow.controller import (
     robot_angular_strategy,
     saturate,
     singularity_eps,
-    solve_denominator,
 )
 from ptfollow.geometry import BodyModel, CameraIntrinsics, PanTiltAngles
 from ptfollow.simworld import SimState, integrate, render_measurement
@@ -144,8 +144,10 @@ class TestJacobianTerms:
             checked += 1
         assert worst > 0.1
 
-    def test_discrepancy_report(self):
+    def test_discrepancy_report(self, gains):
         report = jacobian_discrepancy_report(n_states=200, seed=5)
+        # the default gains are those of the default body
+        assert report == jacobian_discrepancy_report(gains=gains, n_states=200, seed=5)
         assert report["n_states"] == 200
         assert set(report["max_abs_diff"]) == {
             "omega1", "omega2", "omega3", "a", "b", "c", "d", "e", "f"
@@ -232,6 +234,12 @@ class TestFollowController:
         assert (cmd.v_r, cmd.omega_r, cmd.omega_alpha, cmd.omega_beta) == (0.0, 0.0, 0.0, 0.0)
         assert not cmd.saturated.any
         assert not cmd.hold
+
+    @pytest.mark.parametrize("name", ["lambda1", "lambda2"])
+    def test_unresolved_lambda_rejected(self, intrinsics, gains, name):
+        # None means "derive from the body", which only a ScenarioConfig does
+        with pytest.raises(ValueError, match=f"^{name}: not resolved"):
+            FollowController(replace(gains, **{name: None}), intrinsics)
 
     def test_no_box_gives_zero_command(self, intrinsics, gains):
         ctrl = FollowController(gains, intrinsics)
@@ -351,9 +359,6 @@ def _assert_solve_matches_attribute_form(err, terms, gains, omega_r, eps_den):
     got = _solve_bits(control_law, err, terms, gains, omega_r, eps_den)
     want = _solve_bits(control_law_by_attribute, err, terms, gains, omega_r, eps_den)
     assert got == want
-    assert float.hex(solve_denominator(terms, gains)) == float.hex(
-        solve_denominator_by_attribute(terms, gains)
-    )
     rates = (0.3, omega_r, -0.7, 0.4)  # v_r, omega_r, omega_alpha, omega_beta
     assert tuple(map(float.hex, predicted_error_rates(err, terms, gains, *rates))) == tuple(
         map(float.hex, predicted_error_rates_by_attribute(terms, gains, *rates))
@@ -538,7 +543,7 @@ class TestFusedStep:
         box, angles = BoxMeasurement(400.0, 300.0, 220.0), PanTiltAngles(0.2, 0.1)
         err = compute_errors(box, intrinsics, gains.target_half_height)
         terms = jacobian_terms(err, box, angles, intrinsics, gains, mode)
-        den = abs(solve_denominator(terms, gains))
+        den = abs(solve_denominator_by_attribute(terms, gains))
         with pytest.raises(SingularConfigurationError):
             control_law(err, terms, gains, 0.0, den)
         for eps, holds in ((den, True), (math.nextafter(den, 0.0), False)):

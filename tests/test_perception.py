@@ -14,7 +14,6 @@ from ptfollow.geometry import CameraIntrinsics
 from ptfollow.perception import (
     LOST_SCORE,
     SEEN_SCORE,
-    DetectionGate,
     NoiseModel,
     PerceptionOutput,
     PerceptionPipeline,
@@ -34,26 +33,26 @@ def _box(u, v, h=100.0):
 
 class TestDetectionGate:
     def test_three_consistent_frames_initialize(self):
-        gate = DetectionGate()
+        gate = []
         assert gate_update(gate, _box(100, 100)) is None
         assert gate_update(gate, _box(105, 102)) is None
         out = gate_update(gate, _box(108, 104))
         assert out is not None and out.u == 108
 
     def test_large_jump_resets_window(self):
-        gate = DetectionGate()
+        gate = []
         assert gate_update(gate, _box(100, 100)) is None
         assert gate_update(gate, _box(150, 100)) is None  # 50 px jump resets
         assert gate_update(gate, _box(152, 101)) is None  # only 2 consistent frames
         assert gate_update(gate, _box(153, 101)) is not None
 
     def test_two_frames_insufficient(self):
-        gate = DetectionGate()
+        gate = []
         assert gate_update(gate, _box(100, 100)) is None
         assert gate_update(gate, _box(101, 100)) is None
 
     def test_missed_frame_resets(self):
-        gate = DetectionGate()
+        gate = []
         gate_update(gate, _box(100, 100))
         gate_update(gate, _box(101, 100))
         assert gate_update(gate, None) is None
@@ -61,7 +60,7 @@ class TestDetectionGate:
         assert gate_update(gate, _box(103, 100)) is None  # window restarted
 
     def test_tolerance_is_strict(self):
-        gate = DetectionGate()  # PIXEL_TOLERANCE is 10 px
+        gate = []  # PIXEL_TOLERANCE is 10 px
         gate_update(gate, _box(100, 100))
         assert gate_update(gate, _box(110, 100)) is None  # exactly 10 px: reset
         gate_update(gate, _box(111, 100))

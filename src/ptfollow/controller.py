@@ -174,6 +174,14 @@ class ControlCommand(NamedTuple):
 ZERO_COMMAND = ControlCommand(0.0, 0.0, 0.0, 0.0)
 
 
+def _resolved_lambdas(gains: ControllerGains) -> tuple[float, float]:
+    """``gains``' two lambdas; a ``None`` one (unresolved) raises ValueError."""
+    for name in ("lambda1", "lambda2"):
+        if getattr(gains, name) is None:
+            raise ValueError(f"{name}: not resolved; a ScenarioConfig derives it from its body")
+    return gains.lambda1, gains.lambda2
+
+
 def compute_errors(
     box: BoxMeasurement, k: CameraIntrinsics, target_half_height: float
 ) -> ImageErrors:
@@ -219,13 +227,14 @@ def jacobian_terms(
             -(ay * ay + e_v2 * e_v2) / ay,  # f
         ))
 
+    l1, l2 = _resolved_lambdas(gains)
     g1 = e_v * cb - ay * sb
     g2 = vt2 * cb - ay * sb
     if g1 != 0.0:
         # The two body points share the camera-frame lateral coordinate, so
         # the top point's column offset is the center's scaled by the depth
         # ratio, which the lambda values recover from the two row errors.
-        u2 = e_u * (gains.lambda2 * g2) / (gains.lambda1 * g1)
+        u2 = e_u * (l2 * g2) / (l1 * g1)
     else:
         u2 = e_u
     return tuple.__new__(JacobianTerms, (
@@ -252,16 +261,18 @@ def predicted_error_rates(
 ) -> tuple[float, float, float]:
     """Error rates predicted by the linear model for the given rates."""
     o1, o2, o3, a, b, c, d, e, f = terms
+    l1, l2 = _resolved_lambdas(gains)
     w = omega_alpha + omega_r
-    de_u = gains.lambda1 * v_r * o1 + a * w + b * omega_beta
-    de_v = gains.lambda1 * v_r * o2 + c * w + d * omega_beta
-    de_v2 = de_v - gains.lambda2 * v_r * o3 - e * w - f * omega_beta
+    de_u = l1 * v_r * o1 + a * w + b * omega_beta
+    de_v = l1 * v_r * o2 + c * w + d * omega_beta
+    de_v2 = de_v - l2 * v_r * o3 - e * w - f * omega_beta
     return de_u, de_v, de_v2
 
 
 def singularity_eps(k: CameraIntrinsics, gains: ControllerGains) -> float:
     """Scale-aware threshold for the solve denominator."""
-    return 1e-6 * k.alpha_x * k.alpha_y * max(abs(gains.lambda1), abs(gains.lambda2))
+    l1, l2 = _resolved_lambdas(gains)
+    return 1e-6 * k.alpha_x * k.alpha_y * max(abs(l1), abs(l2))
 
 
 def control_law(
@@ -285,7 +296,7 @@ def control_law(
     o1, o2, o3, a, b, c, d, e, f = terms
     e_u, e_v, e_v2 = err
     k1e, k2e, k3e = gains.k1 * e_u, gains.k2 * e_v, gains.k3 * e_v2
-    l1, l2 = gains.lambda1, gains.lambda2
+    l1, l2 = _resolved_lambdas(gains)
     # the determinant, from the three 2x2 minors it shares with num_v
     m_bc, m_af, m_cf = b * c - a * d, a * f - b * e, c * f - d * e
     den = m_bc * o3 * l2 + m_af * o2 * l1 - m_cf * o1 * l1
@@ -366,14 +377,11 @@ class FollowController:
     ) -> None:
         if mode not in JACOBIAN_MODES:
             raise ValueError(f"unknown jacobian mode {mode!r}; expected one of {JACOBIAN_MODES}")
-        for name in ("lambda1", "lambda2"):
-            if getattr(gains, name) is None:
-                raise ValueError(f"{name}: not resolved; a ScenarioConfig derives it from its body")
+        self._eps_den = singularity_eps(intrinsics, gains)  # rejects unresolved lambdas
         self.gains = gains
         self.intrinsics = intrinsics
         self.saturation = saturation or SaturationLimits()
         self.mode = mode
-        self._eps_den = singularity_eps(intrinsics, gains)
         self._last = ZERO_COMMAND
 
     def _hold_and_decay(self, freeze_rotation: bool) -> ControlCommand:
@@ -475,6 +483,8 @@ def jacobian_discrepancy_report(
     states where the two modes disagree in sign.  Useful for documenting how
     far the hand-tabulated block drifts from the re-derived one.
     """
+    if isinstance(n_states, bool) or not isinstance(n_states, int) or n_states < 1:
+        raise ValueError("n_states: must be an integer >= 1")
     import numpy as np  # only this report samples random states
 
     k = k or CameraIntrinsics()

@@ -190,13 +190,6 @@ class JointLimits:
             if not abs(value) <= limit:  # NaN too
                 raise JointLimitError(f"{name}: {value!r} outside +/-{limit!r}")
 
-    def clamp(self, alpha: float, beta: float) -> PanTiltAngles:
-        """The angles ``alpha``, ``beta`` clamped to the range."""
-        return PanTiltAngles(
-            min(max(alpha, -self.alpha_max), self.alpha_max),
-            min(max(beta, -self.beta_max), self.beta_max),
-        )
-
 
 DEFAULT_JOINT_LIMITS = JointLimits()
 
@@ -224,7 +217,7 @@ def world_to_camera(
 
     ``robot_pose`` is ``(x, y, theta)``; the optical center sits at
     ``(x, y, camera_height)`` in world coordinates.  Valid at any joint
-    angles; the run keeps them inside its range (see :func:`JointLimits.clamp`).
+    angles; :func:`~ptfollow.simworld.integrate` keeps a run's in range.
     """
     x, y, theta = robot_pose
     px, py, pz = float(p_world[0]), float(p_world[1]), float(p_world[2])
@@ -253,7 +246,7 @@ def vertical_offset(camera_height: float, point_height: float) -> float:
 class BodyModel:
     """Vertical-segment person model plus the camera mount height, meters.
 
-    The body center sits at half the person's height; ``None`` derives it.
+    The body center is stored as exactly half the person's height.
     """
 
     camera_height: float = 0.7
@@ -264,12 +257,12 @@ class BodyModel:
         check_fields(self)
         require_positive(self, "head_height")
         center = self.head_height / 2.0
-        if self.body_center_height is None:
-            object.__setattr__(self, "body_center_height", center)
         if not 0.0 < self.camera_height < self.head_height:  # NaN too
             raise ValueError("camera_height: must lie in (0, head_height)")
-        if not abs(self.body_center_height - center) <= 1e-9:  # NaN too
+        given = self.body_center_height  # None derives it
+        if given is not None and not abs(given - center) <= 1e-9:  # NaN too
             raise ValueError("body_center_height: must equal head_height / 2")
+        object.__setattr__(self, "body_center_height", center)
 
     @property
     def offset_body(self) -> float:

@@ -89,16 +89,11 @@ class NoiseModel:
         for a, b in zip(windows, windows[1:]):
             if b[0] < a[1]:
                 raise ValueError(f"occlusion_windows: {list(a)} and {list(b)} overlap")
-        # in time order, for occluded_at; not dataclass fields, which the
-        # config parser reads as scenario keys
+        # in time order, for the pipeline's occlusion test, which reads the
+        # last window starting at or before t (they do not overlap); not
+        # dataclass fields, which the config parser reads as scenario keys
         object.__setattr__(self, "_starts", tuple(t0 for t0, _ in windows))
         object.__setattr__(self, "_ends", tuple(t1 for _, t1 in windows))
-
-    def occluded_at(self, t: float) -> bool:
-        # the windows do not overlap, so only the last one starting at or
-        # before t can hold it
-        i = bisect_right(self._starts, t)
-        return i > 0 and t < self._ends[i - 1]
 
 
 @dataclass(frozen=True)
@@ -146,7 +141,7 @@ def recovery_step(
     scale_cap: float = math.inf,
     policy: RecoveryPolicy = RecoveryPolicy(),
 ) -> RecoveryState:
-    """One transition of the failure-recovery machine.
+    """One transition of the failure-recovery machine, as a new state.
 
     Scores at or below ``th_low`` enter the failure state; scores at or above
     ``th_high`` leave it and reset the search region; scores in between keep
@@ -162,22 +157,7 @@ def recovery_step(
         scale = min(state.region_scale + policy.step_s, max(scale_cap, 1.0))
     else:
         scale = 1.0
-    if failed == state.failure_state and scale == state.region_scale:
-        return state  # immutable, so the unchanged state can be shared
     return RecoveryState(failed, scale)
-
-
-def region_contains(
-    last_box: BoxMeasurement,
-    region_scale: float,
-    center: tuple[float, float],
-    dilation: float,
-) -> bool:
-    """Whether ``center`` is inside the square search region around the last box."""
-    half = region_scale * dilation * last_box.half_height
-    return (
-        abs(center[0] - last_box.u) <= half and abs(center[1] - last_box.v) <= half
-    )
 
 
 def normal(random: Callable[[], float], sigma: float) -> float:
@@ -190,36 +170,6 @@ def normal(random: Callable[[], float], sigma: float) -> float:
         z = NV_MAGICCONST * (u1 - 0.5) / u2
         if z * z / 4.0 <= -math.log(u2):
             return 0.0 + z * sigma  # mu + z * sigma: adding mu = 0.0 turns -0.0 into 0.0
-
-
-def simulated_track(
-    truth: Optional[BoxMeasurement],
-    last_box: BoxMeasurement,
-    region_scale: float,
-    noise: NoiseModel,
-    t: float,
-    rng: Random,
-    dilation: float = RecoveryPolicy.search_dilation,
-) -> Optional[BoxMeasurement]:
-    """One tracker update against the synthetic measurement channel.
-
-    Returns ``None`` (target lost) whenever the target is occluded, absent,
-    outside the search region around ``last_box``, or lost to a random
-    dropout; otherwise returns the (possibly noise-perturbed) truth.
-    """
-    if truth is None or noise.occluded_at(t):
-        return None
-    if not region_contains(last_box, region_scale, (truth.u, truth.v), dilation):
-        return None
-    if noise.dropout_prob > 0.0 and rng.random() < noise.dropout_prob:
-        return None
-    if noise.sigma_px > 0.0:
-        random, sigma = rng.random, noise.sigma_px
-        du, dv, dv2 = normal(random, sigma), normal(random, sigma), normal(random, sigma)
-        v = truth.v + dv
-        v2 = min(truth.v2 + dv2, v - 1.0)  # keep at least 1 px of half height
-        return BoxMeasurement(truth.u + du, v, v2)
-    return truth
 
 
 class PerceptionOutput(NamedTuple):
@@ -260,8 +210,8 @@ class PerceptionPipeline:
     def step(self, truth: Optional[BoxMeasurement], t: float, rng: Random) -> PerceptionOutput:
         """Advance the pipeline by one frame.
 
-        A tracked tick is :func:`simulated_track` (with
-        :meth:`NoiseModel.occluded_at` and :func:`region_contains`) and
+        A tracked tick is the tracker update ``simulated_track`` (with its
+        ``occluded_at``; both plain forms live in ``tests/oracles.py``) and
         :func:`recovery_step` fed ``LOST_SCORE`` or ``SEEN_SCORE``, run inline
         with each expression in its order, so every output and every draw from
         ``rng`` is theirs: a lost tick enters the failure state and a seen tick
@@ -274,7 +224,7 @@ class PerceptionPipeline:
         noise = self.noise
         seen = truth
         if truth is not None:
-            i = bisect_right(noise._starts, t)  # occluded_at
+            i = bisect_right(noise._starts, t)  # the last window to start by t
             if i > 0 and t < noise._ends[i - 1]:
                 seen = None  # occlusion suppresses the detection too
         box = self._box
@@ -304,7 +254,7 @@ class PerceptionPipeline:
                         seen = tuple.__new__(BoxMeasurement, (seen[0] + du, v, v2))
                     else:  # the checked constructor raises its own error
                         seen = BoxMeasurement(seen[0] + du, v, v2)
-            # the unchanged state is shared, as recovery_step returns it
+            # an unchanged recovery state is kept, where recovery_step builds one
             if seen is None:
                 score = LOST_SCORE
                 # failed: the region grows, capped at the multiplier at which

@@ -30,14 +30,6 @@ from .geometry import (
 from .geometry import world_to_camera  # noqa: F401
 
 
-def wrap_angle(theta: float) -> float:
-    """Wrap to (-pi, pi]."""
-    wrapped = math.fmod(theta + math.pi, 2.0 * math.pi)
-    if wrapped <= 0.0:
-        wrapped += 2.0 * math.pi
-    return wrapped - math.pi
-
-
 class SimState(NamedTuple):
     """World snapshot: time, robot planar pose, joint angles, target plan
     position."""
@@ -148,8 +140,8 @@ def integrate(
     """Semi-implicit Euler step: pose advances with the pre-update heading,
     joint angles integrate and clamp to their limits, heading wraps.
 
-    :func:`wrap_angle` and :meth:`JointLimits.clamp` run inline, each
-    expression in its order, so the state has their bits.  The clamp's
+    ``wrap_angle`` and ``clamp_joints`` of ``tests/oracles.py`` run inline,
+    each expression in its order, so the state has their bits.  The clamp's
     ``min(max(angle, -limit), limit)`` is written as two comparisons that
     keep the builtins' first-argument-wins rule: ``max(a, b)`` is
     ``b if b > a else a`` and ``min(a, b)`` is ``b if b < a else a``, so a

@@ -40,11 +40,6 @@ def gains(body: BodyModel) -> ControllerGains:
     return ControllerGains(lambda1=body.lambda1, lambda2=body.lambda2)
 
 
-def default_gains() -> ControllerGains:
-    body = BodyModel()
-    return ControllerGains(lambda1=body.lambda1, lambda2=body.lambda2)
-
-
 def sample_tracking_state(
     rng: np.random.Generator,
     body: BodyModel,

@@ -7,18 +7,23 @@ exact unicycle arc flow, depth recovery from a known vertical offset, and
 the true depth of the body center.  The per-tick functions that were
 reworked for speed keep their plain form here too (the rate solve reading
 each coefficient as an attribute, the waypoint walk measuring every
-segment per call, the line walk with the builtin ``max``, a recovery step
-that always builds a new state, a perception step that always computes the
-search-region cap, the clamp of one commanded rate as a function).  The
-three stages the loop runs in one frame each keep theirs as the
-composition of the package's plain functions: the controller step, the
-perception step and the Euler step.  The tests check that the fast forms
-give the same bits.
+segment per call, the line walk with the builtin ``max``, a perception step
+that always computes the search-region cap, the clamp of one commanded rate
+as a function).  So do the parts the loop runs only inline: the tracker
+update (``simulated_track``, with its occlusion test ``occluded_at`` and its
+search-region comparison), the heading wrap (``wrap_angle``) and the joint
+clamp (``clamp_joints``).  The three stages the loop runs in one frame each
+keep theirs as a composition of plain functions: the controller step, the
+perception step (with :func:`ptfollow.perception.recovery_step`, the plain
+form of the recovery transition) and the Euler step.  The tests check that
+the fast forms give the same bits.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from random import Random
 
 import numpy as np
 
@@ -50,14 +55,15 @@ from ptfollow.geometry import (
 from ptfollow.perception import (
     LOST_SCORE,
     SEEN_SCORE,
+    NoiseModel,
     PerceptionOutput,
     PerceptionPipeline,
     RecoveryPolicy,
-    RecoveryState,
     gate_update,
-    simulated_track,
+    normal,
+    recovery_step,
 )
-from ptfollow.simworld import LineTrajectory, SimState, WaypointTrajectory, wrap_angle
+from ptfollow.simworld import LineTrajectory, SimState, WaypointTrajectory
 
 
 class DepthUnobservableError(ValueError):
@@ -218,6 +224,22 @@ def render_two_points(
     return BoxMeasurement(u=u, v=v, v2=v2)
 
 
+def wrap_angle(theta: float) -> float:
+    """Wrap to (-pi, pi]."""
+    wrapped = math.fmod(theta + math.pi, 2.0 * math.pi)
+    if wrapped <= 0.0:
+        wrapped += 2.0 * math.pi
+    return wrapped - math.pi
+
+
+def clamp_joints(limits: JointLimits, alpha: float, beta: float) -> PanTiltAngles:
+    """The angles ``alpha``, ``beta`` clamped to the range of ``limits``."""
+    return PanTiltAngles(
+        min(max(alpha, -limits.alpha_max), limits.alpha_max),
+        min(max(beta, -limits.beta_max), limits.beta_max),
+    )
+
+
 def integrate_exact_arc(
     state: SimState,
     cmd: ControlCommand,
@@ -239,8 +261,10 @@ def integrate_exact_arc(
         x += cmd.v_r * math.cos(theta) * dt
         y += cmd.v_r * math.sin(theta) * dt
     theta = wrap_angle(theta + cmd.omega_r * dt)
-    angles = joint_limits.clamp(
-        state.angles.alpha + cmd.omega_alpha * dt, state.angles.beta + cmd.omega_beta * dt
+    angles = clamp_joints(
+        joint_limits,
+        state.angles.alpha + cmd.omega_alpha * dt,
+        state.angles.beta + cmd.omega_beta * dt,
     )
     return SimState(state.t + dt, (x, y, theta), angles, state.target)
 
@@ -339,21 +363,43 @@ def line_position_plain(traj: LineTrajectory, t: float) -> tuple[float, float]:
     return (traj.start[0] + traj.velocity[0] * dt, traj.start[1] + traj.velocity[1] * dt)
 
 
-def recovery_rule(
-    state: RecoveryState, score: float, scale_cap: float, policy: RecoveryPolicy
-) -> RecoveryState:
-    """:func:`ptfollow.perception.recovery_step`, building a new state on
-    every call."""
-    failed = state.failure_state
-    if score <= policy.th_low:
-        failed = True
-    elif score >= policy.th_high:
-        failed = False
-    if failed:
-        scale = min(state.region_scale + policy.step_s, max(scale_cap, 1.0))
-    else:
-        scale = 1.0
-    return RecoveryState(failure_state=failed, region_scale=scale)
+def occluded_at(noise: NoiseModel, t: float) -> bool:
+    """Whether ``t`` lies in one of ``noise``'s occlusion windows; the
+    windows do not overlap, so only the last one starting at or before ``t``
+    can hold it."""
+    i = bisect_right(noise._starts, t)
+    return i > 0 and t < noise._ends[i - 1]
+
+
+def simulated_track(
+    truth: BoxMeasurement | None,
+    last_box: BoxMeasurement,
+    region_scale: float,
+    noise: NoiseModel,
+    t: float,
+    rng: Random,
+    dilation: float = RecoveryPolicy.search_dilation,
+) -> BoxMeasurement | None:
+    """One tracker update against the synthetic measurement channel.
+
+    Returns ``None`` (target lost) whenever the target is occluded, absent,
+    outside the square search region around ``last_box``, or lost to a
+    random dropout; otherwise returns the (possibly noise-perturbed) truth.
+    """
+    if truth is None or occluded_at(noise, t):
+        return None
+    half = region_scale * dilation * last_box.half_height
+    if not (abs(truth.u - last_box.u) <= half and abs(truth.v - last_box.v) <= half):
+        return None
+    if noise.dropout_prob > 0.0 and rng.random() < noise.dropout_prob:
+        return None
+    if noise.sigma_px > 0.0:
+        random, sigma = rng.random, noise.sigma_px
+        du, dv, dv2 = normal(random, sigma), normal(random, sigma), normal(random, sigma)
+        v = truth.v + dv
+        v2 = min(truth.v2 + dv2, v - 1.0)  # keep at least 1 px of half height
+        return BoxMeasurement(truth.u + du, v, v2)
+    return truth
 
 
 def pipeline_step_with_cap(
@@ -362,9 +408,9 @@ def pipeline_step_with_cap(
     """:meth:`ptfollow.perception.PerceptionPipeline.step` as calls: the
     tracker update by :func:`simulated_track`, the search-region cap computed
     on every tracked tick, and the recovery machine stepped with
-    :func:`recovery_rule`."""
+    :func:`ptfollow.perception.recovery_step`."""
     if pipe._box is None:
-        detection = None if (truth is None or pipe.noise.occluded_at(t)) else truth
+        detection = None if (truth is None or occluded_at(pipe.noise, t)) else truth
         pipe._box = gate_update(pipe.window, detection)
         if pipe._box is None:
             return PerceptionOutput(None, False, 0.0, 1.0, False, False)
@@ -383,7 +429,7 @@ def pipeline_step_with_cap(
         nominal = pipe.policy.search_dilation * pipe._box.half_height
         k = pipe.intrinsics
         cap = max(1.0, max(k.width, k.height) / nominal)
-        pipe.recovery = recovery_rule(pipe.recovery, score, cap, pipe.policy)
+        pipe.recovery = recovery_step(pipe.recovery, score, cap, pipe.policy)
     failed = pipe.recovery.failure_state
     return PerceptionOutput(pipe._box, failed, score, pipe.recovery.region_scale, failed, True)
 
@@ -457,14 +503,16 @@ def integrate_by_parts(
     joint_limits: JointLimits = DEFAULT_JOINT_LIMITS,
 ) -> SimState:
     """:func:`ptfollow.simworld.integrate`, wrapping the heading with
-    :func:`wrap_angle` and clamping the joints with :meth:`JointLimits.clamp`."""
+    :func:`wrap_angle` and clamping the joints with :func:`clamp_joints`."""
     if dt <= 0:
         raise ValueError("integrate: dt must be > 0")
     x, y, theta = state.robot
     x += cmd.v_r * math.cos(theta) * dt
     y += cmd.v_r * math.sin(theta) * dt
     theta = wrap_angle(theta + cmd.omega_r * dt)
-    angles = joint_limits.clamp(
-        state.angles.alpha + cmd.omega_alpha * dt, state.angles.beta + cmd.omega_beta * dt
+    angles = clamp_joints(
+        joint_limits,
+        state.angles.alpha + cmd.omega_alpha * dt,
+        state.angles.beta + cmd.omega_beta * dt,
     )
     return SimState(state.t + dt, (x, y, theta), angles, state.target)

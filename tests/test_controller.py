@@ -157,6 +157,11 @@ class TestJacobianTerms:
         text = format_discrepancy_report(report)
         assert "omega1" in text and "sign flips" in text
 
+    @pytest.mark.parametrize("n_states", [0, -3, 2.0, True, None])
+    def test_discrepancy_report_rejects_a_bad_state_count(self, n_states):
+        with pytest.raises(ValueError, match=r"^n_states: must be an integer >= 1$"):
+            jacobian_discrepancy_report(n_states=n_states)
+
 
 class TestControlLaw:
     def test_zero_errors_zero_yaw_give_exact_zero(self, intrinsics, gains):
@@ -240,6 +245,25 @@ class TestFollowController:
         # None means "derive from the body", which only a ScenarioConfig does
         with pytest.raises(ValueError, match=f"^{name}: not resolved"):
             FollowController(replace(gains, **{name: None}), intrinsics)
+
+    @pytest.mark.parametrize("name", ["lambda1", "lambda2"])
+    @pytest.mark.parametrize(
+        "fn", ["jacobian_terms", "control_law", "predicted_error_rates", "singularity_eps"]
+    )
+    def test_plain_function_rejects_an_unresolved_lambda(self, intrinsics, gains, name, fn):
+        # FollowController's error, not a TypeError from the None
+        box, angles = BoxMeasurement(u=350.0, v=260.0, v2=180.0), PanTiltAngles()
+        err = compute_errors(box, intrinsics, gains.target_half_height)
+        terms = jacobian_terms(err, box, angles, intrinsics, gains)
+        g = replace(gains, **{name: None})
+        calls = {
+            "jacobian_terms": lambda: jacobian_terms(err, box, angles, intrinsics, g),
+            "control_law": lambda: control_law(err, terms, g, 0.0),
+            "predicted_error_rates": lambda: predicted_error_rates(err, terms, g, 1, 0, 1, 1),
+            "singularity_eps": lambda: singularity_eps(intrinsics, g),
+        }
+        with pytest.raises(ValueError, match=f"^{name}: not resolved; a ScenarioConfig derives"):
+            calls[fn]()
 
     def test_no_box_gives_zero_command(self, intrinsics, gains):
         ctrl = FollowController(gains, intrinsics)

@@ -23,6 +23,7 @@ from ptfollow.geometry import (
 )
 from oracles import (
     DepthUnobservableError,
+    clamp_joints,
     depth_from_height,
     point_velocity,
     point_velocity_expanded,
@@ -73,7 +74,7 @@ class TestRotation:
             rotation_camera_from_robot(PanTiltAngles(alpha=0.2, beta=0.0), tight)
 
     def test_joint_limit_clamp(self):
-        clamped = JointLimits().clamp(3.0, -2.0)
+        clamped = clamp_joints(JointLimits(), 3.0, -2.0)
         assert clamped.alpha == math.pi / 2
         assert clamped.beta == -math.pi / 3
 

@@ -18,8 +18,8 @@ import textwrap
 
 import pytest
 
+from oracles import clamp_joints
 from ptfollow.controller import FollowController, compute_errors, saturate
-from ptfollow.geometry import JointLimits
 from ptfollow.perception import PerceptionPipeline
 from ptfollow.runlog import TimeSeriesLog
 from ptfollow.runner import run_scenario
@@ -64,4 +64,4 @@ def test_per_tick_function_calls_no_builtin_min_or_max(fn):
 
 def test_guard_sees_a_call():
     # the reference clamp keeps the builtins, so the walk must find them there
-    assert len(_builtin_min_max_calls(JointLimits.clamp)) == 4
+    assert len(_builtin_min_max_calls(clamp_joints)) == 4

@@ -8,7 +8,7 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import pipeline_step_with_cap, recovery_rule
+from oracles import occluded_at, pipeline_step_with_cap, simulated_track
 from ptfollow.controller import BoxMeasurement
 from ptfollow.geometry import CameraIntrinsics
 from ptfollow.perception import (
@@ -22,8 +22,6 @@ from ptfollow.perception import (
     gate_update,
     normal,
     recovery_step,
-    region_contains,
-    simulated_track,
 )
 
 
@@ -97,8 +95,6 @@ class TestSimulatedTrack:
         noise = NoiseModel()
         last = _box(320.0, 240.0, h=50.0)
         truth = _box(320.0 + 250.0, 240.0, h=50.0)
-        assert not region_contains(last, 1.0, (truth.u, truth.v), 2.0)
-        assert region_contains(last, 3.0, (truth.u, truth.v), 2.0)
         assert simulated_track(truth, last, 1.0, noise, 0.0, rng) is None
         assert simulated_track(truth, last, 3.0, noise, 0.0, rng) == truth
 
@@ -177,7 +173,7 @@ class TestSimulatedTrack:
         probes = times + edges + [math.nextafter(t, d) for t in edges for d in (-math.inf, math.inf)]
         for t in probes + [math.nan, -math.inf, math.inf]:
             scan = any(t0 <= t < t1 for t0, t1 in windows)
-            assert noise.occluded_at(t) == scan, (t, windows)
+            assert occluded_at(noise, t) == scan, (t, windows)
 
 
 class TestRecoveryStep:
@@ -217,34 +213,15 @@ class TestRecoveryStep:
             state = recovery_step(state, rng.uniform(0.41, 0.79))
             assert not state.failure_state
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        failed=st.booleans(),
-        scale=st.sampled_from([1.0, 1.5, 4.0]) | st.floats(1.0, 50.0),
-        score=st.sampled_from([0.0, 0.1, 0.4, 0.6, 0.8, 0.95, 1.0]) | st.floats(0.0, 1.0),
-        cap=st.sampled_from([0.5, 1.0, 1.5, 4.0, math.inf]) | st.floats(0.0, 60.0),
-        step_s=st.sampled_from([0.5]) | st.floats(1e-3, 5.0),
-    )
-    def test_step_equals_a_fresh_state_shared_when_unchanged(
-        self, failed, scale, score, cap, step_s
-    ):
-        policy = RecoveryPolicy(step_s=step_s)
-        state = RecoveryState(failure_state=failed, region_scale=scale)
-        out = recovery_step(state, score, cap, policy)
-        want = recovery_rule(state, score, cap, policy)
-        assert out == want
-        assert type(out.failure_state) is bool
-        assert float.hex(out.region_scale) == float.hex(want.region_scale)
-        assert (out is state) == (want == state)
-
     def test_growth_monotone_and_capped(self):
         state = RecoveryState()
         scales = []
         for _ in range(20):
             state = recovery_step(state, 0.1, scale_cap=4.0)
+            assert type(state.failure_state) is bool
             scales.append(state.region_scale)
         assert all(b >= a for a, b in zip(scales, scales[1:]))
-        assert scales[-1] == 4.0
+        assert float.hex(scales[-1]) == float.hex(4.0)
 
     def test_scores_and_thresholds_are_constants(self):
         # the two scores lie outside the hysteresis band, so from any state a

@@ -18,8 +18,9 @@ from oracles import (
     render_two_points,
     true_body_center_depth,
     waypoint_position_scan,
+    wrap_angle,
 )
-from ptfollow.config import ScenarioConfig
+from ptfollow.config import ScenarioConfig, parse_config
 from ptfollow.geometry import CameraIntrinsics, JointLimits, PanTiltAngles
 from ptfollow.runner import run_scenario
 from ptfollow.simworld import (
@@ -31,7 +32,6 @@ from ptfollow.simworld import (
     integrate,
     render_measurement,
     target_position,
-    wrap_angle,
 )
 
 
@@ -194,7 +194,7 @@ class TestIntegrate:
     @example(data=None).via("theta exactly at -pi, joints beyond both stops")
     def test_equals_wrap_and_clamp(self, data):
         # integrate wraps the heading and clamps the joints inline; the bits
-        # must be those of wrap_angle and JointLimits.clamp
+        # must be those of wrap_angle and clamp_joints
         if data is None:
             limits = JointLimits(alpha_max=0.5, beta_max=0.25)
             state = SimState(1.0, (0.0, 0.0, -math.pi), PanTiltAngles(0.6, -0.3), (2.0, 0.0))
@@ -285,6 +285,15 @@ class TestBodyModel:
             BodyModel(camera_height=2.0, body_center_height=0.9, head_height=1.8)
         with pytest.raises(ValueError):
             BodyModel(camera_height=0.7, body_center_height=1.0, head_height=1.8)
+
+    def test_center_within_tolerance_is_stored_as_the_exact_half(self):
+        near = 1.0 + 5e-10
+        exact = BodyModel(head_height=2.0)
+        assert BodyModel(head_height=2.0, body_center_height=near) == exact
+        parsed = parse_config({"body": {"head_height": 2.0, "body_center_height": near}})
+        assert parsed.body == exact
+        assert parsed == parse_config({"body": {"head_height": 2.0}})
+        assert float.hex(parsed.body.body_center_height) == float.hex(1.0)
 
 
 class TestRenderMeasurement:

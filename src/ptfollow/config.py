@@ -10,7 +10,8 @@ only walks the mappings: it rejects unknown and repeated keys, dispatches on
 checked by the dataclass that holds it, so a config built in code and one read
 from a file meet the same rules: ``geometry.check_fields`` checks every field
 by its annotation (one validator per annotation, ``geometry.FIELD_CHECKS``;
-numbers must be finite), then the dataclass checks its ranges.  An omitted
+numbers must be finite, and a ``PositiveFloat`` or ``PositiveInt`` > 0), then
+the dataclass checks its other rules, such as ``0 <= u0 < width``.  An omitted
 key keeps the dataclass default, and ``null`` is a value exactly where code
 takes ``None``: ``body.body_center_height``, ``gains.lambda1`` and
 ``gains.lambda2``, each then derived from the body model as when the key is
@@ -37,13 +38,13 @@ Three presets ship built in:
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
 from .controller import ControllerGains, SaturationLimits, JACOBIAN_MODES
 from .geometry import FIELD_CHECKS, BodyModel, CameraIntrinsics, ConfigError, JointLimitError
-from .geometry import JointLimits, PanTiltAngles, check_fields
+from .geometry import JointLimits, PanTiltAngles, PositiveFloat, check_fields
 from .perception import NoiseModel, RecoveryPolicy
 from .simworld import (
     CircleTrajectory,
@@ -76,7 +77,7 @@ class ScenarioConfig:
     recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
     robot_start: tuple[float, float, float] = (0.0, 0.0, 0.0)
     initial_angles: PanTiltAngles = PanTiltAngles()
-    dt: float = 0.02
+    dt: PositiveFloat = 0.02
     duration: float = 60.0
     seed: int = 0  # not a float: random.Random seeds NaN from a per-process hash
     mode: str = "re-derived"
@@ -87,8 +88,6 @@ class ScenarioConfig:
         # body, a value is a magnitude that takes the body's sign
         l1, l2 = signed_lambdas(self.body, self.gains.lambda1, self.gains.lambda2)
         object.__setattr__(self, "gains", replace(self.gains, lambda1=l1, lambda2=l2))
-        if self.dt <= 0:
-            raise ConfigError(f"dt: must be a finite number > 0, got {self.dt!r}")
         if not (self.duration >= 0 and math.isfinite(self.duration / self.dt)):
             raise ConfigError(
                 f"duration: must be a finite number >= 0 and a finite number of dt steps,"
@@ -188,10 +187,11 @@ def parse_config(data: dict, name: str | None = None) -> ScenarioConfig:
         if f.name not in root:
             continue
         value = root.pop(f.name)
-        names = getattr(FIELD_CHECKS.get(f.type), "names", None)
+        check = FIELD_CHECKS.get(f.type)
+        names = getattr(check, "names", None)
         if f.name == "trajectory":
             values[f.name] = _trajectory(value)
-        elif f.default_factory is not MISSING:
+        elif check is None:  # a section, as check_fields tells one
             values[f.name] = _build(f.default_factory, value, f.name)
         elif names is not None:  # a mapping of named numbers, such as {x, y, theta}
             given = _keys(value, f.name, names)
@@ -277,9 +277,10 @@ def load_config(path: str | Path) -> ScenarioConfig:
     """Load and validate a scenario file.
 
     Raises:
-        ConfigError: missing file, malformed YAML (undecodable bytes too), a
-            key given twice in one mapping, unknown keys, or any violated
-            field invariant (the message names the field).
+        ConfigError: missing file, malformed YAML (undecodable bytes and
+            too deep a nesting too), a key given twice in one mapping,
+            unknown keys, or any violated field invariant (the message names
+            the field).
     """
     import yaml  # only scenario files need it; presets do not
 
@@ -300,6 +301,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
                 loader.dispose()
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
+    except RecursionError:  # the composer and the key walk recurse per level
+        raise ConfigError(f"{path}: invalid YAML: nested too deeply") from None
     if data is None:
         data = {}
     return parse_config(data, name=path.stem)

@@ -33,10 +33,10 @@ per channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
-from .geometry import BodyModel, CameraIntrinsics, PanTiltAngles, check_fields, require_positive
+from .geometry import BodyModel, CameraIntrinsics, PanTiltAngles, PositiveFloat, check_fields
 
 JACOBIAN_MODES = ("re-derived", "as-printed")
 
@@ -112,16 +112,15 @@ class ControllerGains:
     body's sign.  :class:`FollowController` takes resolved lambdas only.
     """
 
-    k1: float = 0.5
-    k2: float = 0.5
-    k3: float = 0.5
+    k1: PositiveFloat = 0.5
+    k2: PositiveFloat = 0.5
+    k3: PositiveFloat = 0.5
     lambda1: float | None = None
     lambda2: float | None = None
-    target_half_height: float = 100.0
+    target_half_height: PositiveFloat = 100.0
 
     def __post_init__(self) -> None:
         check_fields(self)
-        require_positive(self, "k1", "k2", "k3", "target_half_height")
         for name in ("lambda1", "lambda2"):
             value = getattr(self, name)
             if value == 0:
@@ -132,14 +131,13 @@ class ControllerGains:
 class SaturationLimits:
     """Symmetric actuator bounds."""
 
-    v_max: float = 1.2
-    omega_alpha_max: float = 1.5
-    omega_beta_max: float = 1.5
-    omega_r_max: float = 1.0
+    v_max: PositiveFloat = 1.2
+    omega_alpha_max: PositiveFloat = 1.5
+    omega_beta_max: PositiveFloat = 1.5
+    omega_r_max: PositiveFloat = 1.0
 
     def __post_init__(self) -> None:
         check_fields(self)
-        require_positive(self, *(f.name for f in fields(self)))
 
 
 class SaturationFlags(NamedTuple):
@@ -485,9 +483,13 @@ def jacobian_discrepancy_report(
     """
     if isinstance(n_states, bool) or not isinstance(n_states, int) or n_states < 1:
         raise ValueError("n_states: must be an integer >= 1")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError("seed: must be an integer >= 0")
+    k = k or CameraIntrinsics()
+    if not (k.width > 100 and k.height > 110):  # so the u and v windows below are not empty
+        raise ValueError(f"k: must be over 100 x 110 px, got {k.width} x {k.height}")
     import numpy as np  # only this report samples random states
 
-    k = k or CameraIntrinsics()
     if gains is None:
         body = BodyModel()
         gains = ControllerGains(lambda1=body.lambda1, lambda2=body.lambda2)

@@ -1,5 +1,8 @@
 """Frame math for a pan-tilt camera mounted on a differential-drive robot,
 and :func:`check_fields`, the one field validator of every config dataclass.
+A field's annotation carries its type and a range rule that many fields
+share (``PositiveFloat``, ``PositiveInt``: a number > 0); ``__post_init__``
+keeps the rules that read several fields or that one field alone has.
 
 Coordinate conventions used throughout the package:
 
@@ -36,6 +39,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Any, Callable, NamedTuple
 
 
@@ -56,15 +60,6 @@ class PanTiltAngles(NamedTuple):
 
     alpha: float = 0.0
     beta: float = 0.0
-
-
-def require_positive(obj, *names: str) -> None:
-    """Reject the first named field of ``obj`` that is not a finite number
-    > 0, naming only the field."""
-    for name in names:
-        value = getattr(obj, name)
-        if not 0 < value < math.inf:  # NaN too
-            raise ValueError(f"{name}: must be a finite number > 0, got {value!r}")
 
 
 def _number(value: Any, path: str) -> float:
@@ -111,12 +106,27 @@ def _pairs(value: Any, path: str) -> tuple[tuple[float, float], ...]:
     return tuple(_pair(item, f"{path}[{i}]") for i, item in enumerate(value))
 
 
+def _positive(check: Callable, value: Any, path: str) -> Any:
+    number = check(value, path)
+    if not number > 0:
+        raise ConfigError(f"{path}: must be a finite number > 0, got {number!r}")
+    return number
+
+
+# The annotations of a field that takes a number > 0, checked by FIELD_CHECKS
+PositiveFloat = float
+PositiveInt = int
+
+_integer = _instance(int, "an integer")
+
 # One validator per config field annotation (a string, as the modules postpone
 # their evaluation).  Each returns the value normalised, a float for an int
 # and tuples for lists, or raises ConfigError naming the item at fault.
 FIELD_CHECKS: dict[str, Callable[[Any, str], Any]] = {
     "float": _number,
-    "int": _instance(int, "an integer"),
+    "int": _integer,
+    "PositiveFloat": partial(_positive, _number),
+    "PositiveInt": partial(_positive, _integer),
     "str": _instance(str, "a string"),
     "tuple[float, float]": _pair,
     "tuple[tuple[float, float], ...]": _pairs,
@@ -147,16 +157,15 @@ def check_fields(obj) -> None:
 class CameraIntrinsics:
     """Pinhole parameters, all in pixels."""
 
-    alpha_x: float = 500.0
-    alpha_y: float = 500.0
+    alpha_x: PositiveFloat = 500.0
+    alpha_y: PositiveFloat = 500.0
     u0: float = 320.0
     v0: float = 240.0
-    width: int = 640
-    height: int = 480
+    width: PositiveInt = 640
+    height: PositiveInt = 480
 
     def __post_init__(self) -> None:
         check_fields(self)
-        require_positive(self, "alpha_x", "alpha_y", "width", "height")
         if not (0 <= self.u0 < self.width):
             raise ValueError("u0: must lie in [0, width)")
         if not (0 <= self.v0 < self.height):
@@ -176,12 +185,11 @@ class JointLimits:
     """Symmetric joint range; defaults give the full useful envelope of a
     typical pan-tilt unit."""
 
-    alpha_max: float = math.pi / 2
-    beta_max: float = math.pi / 3
+    alpha_max: PositiveFloat = math.pi / 2
+    beta_max: PositiveFloat = math.pi / 3
 
     def __post_init__(self) -> None:
         check_fields(self)
-        require_positive(self, "alpha_max", "beta_max")
 
     def check(self, angles: PanTiltAngles) -> None:
         """Raise :class:`JointLimitError` naming the first angle outside the range."""
@@ -251,11 +259,10 @@ class BodyModel:
 
     camera_height: float = 0.7
     body_center_height: float | None = None
-    head_height: float = 1.8
+    head_height: PositiveFloat = 1.8
 
     def __post_init__(self) -> None:
         check_fields(self)
-        require_positive(self, "head_height")
         center = self.head_height / 2.0
         if not 0.0 < self.camera_height < self.head_height:  # NaN too
             raise ValueError("camera_height: must lie in (0, head_height)")

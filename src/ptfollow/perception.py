@@ -27,7 +27,7 @@ from random import NV_MAGICCONST, Random
 from typing import Callable, NamedTuple, Optional
 
 from .controller import BoxMeasurement
-from .geometry import CameraIntrinsics, check_fields, require_positive
+from .geometry import CameraIntrinsics, PositiveFloat, check_fields
 
 # Largest drift, in pixels, between successive detections the gate accepts.
 PIXEL_TOLERANCE = 10.0
@@ -106,12 +106,11 @@ class RecoveryPolicy:
     th_low = 0.4
     th_high = 0.8
 
-    step_s: float = 0.5
-    search_dilation: float = 2.0
+    step_s: PositiveFloat = 0.5
+    search_dilation: PositiveFloat = 2.0
 
     def __post_init__(self) -> None:
         check_fields(self)
-        require_positive(self, "step_s", "search_dilation")
 
 
 class _Recovery(NamedTuple):

@@ -47,6 +47,10 @@ COLUMNS = (
     "failure_state",  # last: written as an integer, every other column as a float
 )
 
+# A channel has settled once its error magnitude stays below this, in pixels.
+SETTLE_PX = 5.0
+
+
 class TimeSeriesLog:
     """Per-tick records of one scenario run: the rows of ``COLUMNS`` back to
     back in one float array."""
@@ -118,7 +122,7 @@ class RunSummary:
     """Aggregate metrics of one run.
 
     Settling time is the first instant after which the channel's error
-    magnitude stays below the settle threshold for the rest of the run (NaN
+    magnitude stays below ``SETTLE_PX`` for the rest of the run (NaN
     if it never does).  RMS values and the mean half-height deviation are
     taken over the steady-state window, the final half of the run.
     """
@@ -181,11 +185,11 @@ def _steady(log: TimeSeriesLog, name: str) -> list[float]:
     return [v for v in log.series(name)[len(log) // 2 :] if not math.isnan(v)]
 
 
-def _settling_time(log: TimeSeriesLog, name: str, threshold: float) -> float:
-    """First time after which |e| stays below threshold (NaN rows never settle)."""
+def _settling_time(log: TimeSeriesLog, name: str) -> float:
+    """First time after which |e| stays below SETTLE_PX (NaN rows never settle)."""
     t, e = log.series("t"), log.series(name)
     i = len(e) - 1
-    while i >= 0 and abs(e[i]) < threshold:
+    while i >= 0 and abs(e[i]) < SETTLE_PX:
         i -= 1
     # i is the last failing row (-1 if none); settled from the next one on
     return t[i + 1] if i + 1 < len(t) else math.nan
@@ -199,7 +203,6 @@ def summarize(
     log: TimeSeriesLog,
     target_half_height: float,
     saturation: SaturationLimits | None = None,
-    settle_px: float = 5.0,
 ) -> RunSummary:
     """Compute run metrics from a log.
 
@@ -232,9 +235,9 @@ def summarize(
     )
 
     return RunSummary(
-        settling_time_e_u=_settling_time(log, "e_u", settle_px),
-        settling_time_e_v=_settling_time(log, "e_v", settle_px),
-        settling_time_e_v2=_settling_time(log, "e_v2", settle_px),
+        settling_time_e_u=_settling_time(log, "e_u"),
+        settling_time_e_v=_settling_time(log, "e_v"),
+        settling_time_e_v2=_settling_time(log, "e_v2"),
         rms_e_u=_rms(log, "e_u"),
         rms_e_v=_rms(log, "e_v"),
         rms_e_v2=_rms(log, "e_v2"),

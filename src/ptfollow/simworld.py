@@ -20,8 +20,8 @@ from .geometry import (
     CameraIntrinsics,
     JointLimits,
     PanTiltAngles,
+    PositiveFloat,
     check_fields,
-    require_positive,
 )
 
 # Bound here for the benchmark's ``geometry.world_to_camera`` span
@@ -45,13 +45,12 @@ class CircleTrajectory:
     """Circular walk: ``(cx - r*cos(rate*t + phase), cy - r*sin(rate*t + phase))``."""
 
     center: tuple[float, float] = (0.5, 0.5)
-    radius: float = 0.4
+    radius: PositiveFloat = 0.4
     rate: float = 1.0
     phase: float = 0.0
 
     def __post_init__(self) -> None:
         check_fields(self)
-        require_positive(self, "radius")
 
     def position(self, t: float) -> tuple[float, float]:
         ang = self.rate * t + self.phase
@@ -87,14 +86,13 @@ class WaypointTrajectory:
     """
 
     points: tuple[tuple[float, float], ...] = ()
-    speed: float = 1.0
+    speed: PositiveFloat = 1.0
     delay: float = 0.0
 
     def __post_init__(self) -> None:
         check_fields(self)
         if not self.points:
             raise ValueError("points: must be a non-empty list of [x, y] pairs")
-        require_positive(self, "speed")
         # (x0, y0, x1, y1, length) per segment, measured once; not a
         # dataclass field, which the config parser reads as a scenario key
         segments = tuple(

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from ptfollow.controller import SaturationLimits
-from ptfollow.runlog import RunSummary, TimeSeriesLog
+from ptfollow.runlog import SETTLE_PX, RunSummary, TimeSeriesLog
 
 
 def _settling_time(t: np.ndarray, e: np.ndarray, threshold: float) -> float:
@@ -40,7 +40,6 @@ def summarize(
     log: TimeSeriesLog,
     target_half_height: float,
     saturation: SaturationLimits | None = None,
-    settle_px: float = 5.0,
 ) -> RunSummary:
     """Compute run metrics from a log.
 
@@ -91,9 +90,9 @@ def summarize(
     )
 
     return RunSummary(
-        settling_time_e_u=_settling_time(t, log.column("e_u"), settle_px),
-        settling_time_e_v=_settling_time(t, log.column("e_v"), settle_px),
-        settling_time_e_v2=_settling_time(t, log.column("e_v2"), settle_px),
+        settling_time_e_u=_settling_time(t, log.column("e_u"), SETTLE_PX),
+        settling_time_e_v=_settling_time(t, log.column("e_v"), SETTLE_PX),
+        settling_time_e_v2=_settling_time(t, log.column("e_v2"), SETTLE_PX),
         rms_e_u=_rms(log.column("e_u")[steady]),
         rms_e_v=_rms(log.column("e_v")[steady]),
         rms_e_v2=_rms(log.column("e_v2")[steady]),

@@ -351,6 +351,21 @@ mode: as-printed
         with pytest.raises(ConfigError, match="^name: expected a string"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        # one "[" a line: on one line, PyYAML's simple-key scan takes about 1 s
+        ["a: " + "[\n" * 5000 + "]" * 5000 + "\n", "{b: " * 5000 + "1" + "}" * 5000 + "\n"],
+        ids=["sequence", "mapping"],
+    )
+    def test_deep_nesting_is_a_config_error(self, tmp_path, capsys, text):
+        path = tmp_path / "deep.yaml"
+        path.write_text(text)
+        message = f"{path}: invalid YAML: nested too deeply"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+        assert main(["--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"ptfollow: configuration error: {message}\n"
+
     def test_resolve_prefers_presets(self):
         assert resolve_scenario("circle-sim").name == "circle-sim"
 
@@ -528,6 +543,64 @@ def test_every_config_field_has_a_validator_or_is_a_section():
             section = getattr(defaults, f.name)
             assert isinstance(section, namespace[kind]), f.name
             assert type(section) in CONFIG_CLASSES, f.name
+
+
+# (section, key) of every field that takes only a number > 0; the section is
+# named as in a scenario file, a trajectory by its kind, the root by None.
+POSITIVE_FIELDS = [
+    *(("intrinsics", key) for key in ("alpha_x", "alpha_y", "width", "height")),
+    ("joints", "alpha_max"),
+    ("joints", "beta_max"),
+    ("body", "head_height"),
+    *(("gains", key) for key in ("k1", "k2", "k3", "target_half_height")),
+    *(("saturation", f.name) for f in dataclasses.fields(SaturationLimits)),
+    ("recovery", "step_s"),
+    ("recovery", "search_dilation"),
+    ("circle", "radius"),
+    ("waypoints", "speed"),
+    (None, "dt"),
+]
+
+
+def _owner(section):
+    return ScenarioConfig if section is None else TRAJECTORIES.get(section) or SECTIONS[section]
+
+
+def test_fields_annotated_positive_are_exactly_these():
+    annotated = {
+        (cls, f.name)
+        for cls in CONFIG_CLASSES
+        for f in dataclasses.fields(cls)
+        if f.type in ("PositiveFloat", "PositiveInt")
+    }
+    assert annotated == {(_owner(section), key) for section, key in POSITIVE_FIELDS}
+
+
+@pytest.mark.parametrize("value", [0, -0.0, -1])
+@pytest.mark.parametrize(
+    "section, key", POSITIVE_FIELDS, ids=[f"{s or 'root'}.{k}" for s, k in POSITIVE_FIELDS]
+)
+def test_value_not_above_zero_rejected_naming_its_field(tmp_path, capsys, section, key, value):
+    cls = _owner(section)
+    if {f.name: f.type for f in dataclasses.fields(cls)}[key] == "PositiveInt":
+        reason = "expected an integer" if isinstance(value, float) else "must be a finite number > 0"
+    else:
+        reason, value = "must be a finite number > 0", float(value)
+    message = f"{key}: {reason}, got {value!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        cls(**{**_required(section), key: value})
+    if section is None:
+        data = {key: value}
+    elif section in TRAJECTORIES:
+        data = {"trajectory": {"kind": section, **_required(section), key: value}}
+        message = f"trajectory.{message}"
+    else:
+        data = {section: {key: value}}
+        message = f"{section}.{message}"
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text(json.dumps(data))  # JSON is YAML
+    assert main(["--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"ptfollow: configuration error: {message}\n"
 
 
 # The top-level fields a scenario file gives as mappings of named numbers.

@@ -162,6 +162,21 @@ class TestJacobianTerms:
         with pytest.raises(ValueError, match=r"^n_states: must be an integer >= 1$"):
             jacobian_discrepancy_report(n_states=n_states)
 
+    @pytest.mark.parametrize("seed", [1.5, True, -1])
+    def test_discrepancy_report_rejects_a_bad_seed(self, seed):
+        with pytest.raises(ValueError, match=r"^seed: must be an integer >= 0$"):
+            jacobian_discrepancy_report(seed=seed)
+
+    @pytest.mark.parametrize("width, height", [(80, 60), (100, 480), (640, 110)])
+    def test_discrepancy_report_rejects_a_camera_below_its_window(self, width, height):
+        # the report samples u in [50, width - 50] and v in [100, height - 10]
+        k = CameraIntrinsics(width=width, height=height, u0=width / 2, v0=height / 2)
+        message = rf"^k: must be over 100 x 110 px, got {width} x {height}$"
+        with pytest.raises(ValueError, match=message):
+            jacobian_discrepancy_report(k=k, n_states=1)
+        smallest = CameraIntrinsics(width=101, height=111, u0=50.0, v0=55.0)
+        assert jacobian_discrepancy_report(k=smallest, n_states=20)["n_states"] == 20
+
 
 class TestControlLaw:
     def test_zero_errors_zero_yaw_give_exact_zero(self, intrinsics, gains):

@@ -13,7 +13,7 @@ import ptfollow.runner
 from ptfollow.config import ScenarioConfig, parse_config, preset_circle_sim
 from ptfollow.controller import SaturationLimits
 from ptfollow.perception import NoiseModel
-from ptfollow.runlog import COLUMNS, TimeSeriesLog, _pairwise_sum, summarize
+from ptfollow.runlog import COLUMNS, SETTLE_PX, TimeSeriesLog, _pairwise_sum, summarize
 from ptfollow.runner import run_scenario, summarize_run
 from ptfollow.simworld import LineTrajectory
 from summary_oracle import summarize as numpy_summarize
@@ -326,7 +326,6 @@ def assert_same_summary(log, target_half_height, saturation=None):
 
 SAT = SaturationLimits()
 H_REF = 100.0
-SETTLE_PX = 5.0
 
 
 def _channel(*edges):

@@ -61,6 +61,10 @@ from .simworld import (
 # tiny ``dt`` (``--dt 1e-9`` is 6e10 ticks) runs for weeks until memory runs out.
 MAX_TICKS = 1_000_000
 
+# Deepest a scenario file may nest flow collections ([...], {...}): PyYAML's
+# scanner spends depth x line length on them, seconds for 5000 "[" on one line.
+MAX_FLOW_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -284,13 +288,20 @@ def load_config(path: str | Path) -> ScenarioConfig:
     """
     import yaml  # only scenario files need it; presets do not
 
+    class Loader(yaml.SafeLoader):
+        def fetch_flow_collection_start(self, TokenClass):
+            if self.flow_level >= MAX_FLOW_DEPTH:
+                problem = f"flow collections nested deeper than {MAX_FLOW_DEPTH} levels"
+                raise yaml.scanner.ScannerError(None, None, problem, self.get_mark())
+            super().fetch_flow_collection_start(TokenClass)
+
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"scenario file not found: {path}")
     try:
         # bytes, so YAML decodes them and undecodable ones are a YAMLError
         with open(path, "rb") as fh:
-            loader = yaml.SafeLoader(fh)
+            loader = Loader(fh)
             try:
                 node = loader.get_single_node()
                 data = None

@@ -36,7 +36,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .geometry import BodyModel, CameraIntrinsics, PanTiltAngles, PositiveFloat, check_fields
+from .geometry import BodyModel, CameraIntrinsics, ConfigError, PanTiltAngles, PositiveFloat
+from .geometry import check_fields
 
 JACOBIAN_MODES = ("re-derived", "as-printed")
 
@@ -124,7 +125,7 @@ class ControllerGains:
         for name in ("lambda1", "lambda2"):
             value = getattr(self, name)
             if value == 0:
-                raise ValueError(f"{name}: must be a finite nonzero number, got {value!r}")
+                raise ConfigError(f"{name}: must be a finite nonzero number, got {value!r}")
 
 
 @dataclass(frozen=True)

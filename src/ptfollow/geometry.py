@@ -167,9 +167,9 @@ class CameraIntrinsics:
     def __post_init__(self) -> None:
         check_fields(self)
         if not (0 <= self.u0 < self.width):
-            raise ValueError("u0: must lie in [0, width)")
+            raise ConfigError("u0: must lie in [0, width)")
         if not (0 <= self.v0 < self.height):
-            raise ValueError("v0: must lie in [0, height)")
+            raise ConfigError("v0: must lie in [0, height)")
 
 
 class CameraPoint(NamedTuple):
@@ -265,10 +265,10 @@ class BodyModel:
         check_fields(self)
         center = self.head_height / 2.0
         if not 0.0 < self.camera_height < self.head_height:  # NaN too
-            raise ValueError("camera_height: must lie in (0, head_height)")
+            raise ConfigError("camera_height: must lie in (0, head_height)")
         given = self.body_center_height  # None derives it
         if given is not None and not abs(given - center) <= 1e-9:  # NaN too
-            raise ValueError("body_center_height: must equal head_height / 2")
+            raise ConfigError("body_center_height: must equal head_height / 2")
         object.__setattr__(self, "body_center_height", center)
 
     @property

@@ -27,7 +27,7 @@ from random import NV_MAGICCONST, Random
 from typing import Callable, NamedTuple, Optional
 
 from .controller import BoxMeasurement
-from .geometry import CameraIntrinsics, PositiveFloat, check_fields
+from .geometry import CameraIntrinsics, ConfigError, PositiveFloat, check_fields
 
 # Largest drift, in pixels, between successive detections the gate accepts.
 PIXEL_TOLERANCE = 10.0
@@ -79,16 +79,16 @@ class NoiseModel:
     def __post_init__(self) -> None:
         check_fields(self)
         if self.sigma_px < 0:
-            raise ValueError("sigma_px: must be >= 0")
+            raise ConfigError("sigma_px: must be >= 0")
         if not 0.0 <= self.dropout_prob <= 1.0:
-            raise ValueError("dropout_prob: must lie in [0, 1]")
+            raise ConfigError("dropout_prob: must lie in [0, 1]")
         for i, (t0, t1) in enumerate(self.occlusion_windows):
             if not t0 < t1:  # NaN too
-                raise ValueError(f"occlusion_windows[{i}]: [{t0}, {t1}) is empty")
+                raise ConfigError(f"occlusion_windows[{i}]: [{t0}, {t1}) is empty")
         windows = sorted(self.occlusion_windows)
         for a, b in zip(windows, windows[1:]):
             if b[0] < a[1]:
-                raise ValueError(f"occlusion_windows: {list(a)} and {list(b)} overlap")
+                raise ConfigError(f"occlusion_windows: {list(a)} and {list(b)} overlap")
         # in time order, for the pipeline's occlusion test, which reads the
         # last window starting at or before t (they do not overlap); not
         # dataclass fields, which the config parser reads as scenario keys

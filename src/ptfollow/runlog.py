@@ -11,19 +11,17 @@ bit (``tests/summary_oracle.py`` keeps that as the reference).
 
 from __future__ import annotations
 
-import csv
 import math
 from array import array
-from dataclasses import dataclass, fields
 from functools import reduce
 from operator import add
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
-
-from .controller import SaturationLimits
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .controller import SaturationLimits
 
 COLUMNS = (
     "t",
@@ -58,14 +56,11 @@ class TimeSeriesLog:
     def __init__(self) -> None:
         self._values = array("d")
 
-    def append(self, values: Iterable[float]) -> None:
-        # fromlist reads a list once and keeps no reference, so a list need
-        # not be copied
-        row = values if isinstance(values, list) else list(values)
+    def append(self, row: list) -> None:
         if len(row) != len(COLUMNS):
             raise ValueError(f"expected {len(COLUMNS)} values per row, got {len(row)}")
-        # fromlist resizes once and undoes the row if a value is not a float;
-        # extend from a tuple or iterator would append value by value
+        # fromlist reads the list once and keeps no reference to it; it resizes
+        # once and undoes the row if a value is not a float
         self._values.fromlist(row)
 
     def __len__(self) -> int:
@@ -95,6 +90,8 @@ class TimeSeriesLog:
                 header, a row of the wrong length, a field that is not a
                 float, or a ``failure_state`` other than ``0`` or ``1``.
         """
+        import csv  # only reading a log back needs it; a run writes its CSV by hand
+
         log = cls()
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -117,8 +114,7 @@ class TimeSeriesLog:
         return log
 
 
-@dataclass(frozen=True)
-class RunSummary:
+class RunSummary(NamedTuple):
     """Aggregate metrics of one run.
 
     Settling time is the first instant after which the channel's error
@@ -139,7 +135,7 @@ class RunSummary:
     saturation_duty_cycle: float
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = self._asdict()
         out["reacquisition_latencies"] = list(self.reacquisition_latencies)
         return out
 
@@ -200,16 +196,13 @@ def _rms(log: TimeSeriesLog, name: str) -> float:
 
 
 def summarize(
-    log: TimeSeriesLog,
-    target_half_height: float,
-    saturation: SaturationLimits | None = None,
+    log: TimeSeriesLog, target_half_height: float, saturation: SaturationLimits
 ) -> RunSummary:
     """Compute run metrics from a log.
 
     ``target_half_height`` and ``saturation`` carry the configured reference
     values the metrics are measured against.
     """
-    saturation = saturation or SaturationLimits()
     episodes, latencies, start = 0, [], None
     for i, failed in enumerate(log.series("failure_state")):
         if failed:
@@ -219,14 +212,9 @@ def summarize(
             latencies.append(i - start)
             start = None
 
+    s = saturation
     cv, cw, ca, cb = (
-        limit * (1.0 - 1e-12)
-        for limit in (
-            saturation.v_max,
-            saturation.omega_r_max,
-            saturation.omega_alpha_max,
-            saturation.omega_beta_max,
-        )
+        c * (1.0 - 1e-12) for c in (s.v_max, s.omega_r_max, s.omega_alpha_max, s.omega_beta_max)
     )
     saturated = sum(
         1

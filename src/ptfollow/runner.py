@@ -73,8 +73,4 @@ def run_scenario(config: ScenarioConfig) -> TimeSeriesLog:
 
 def summarize_run(config: ScenarioConfig, log: TimeSeriesLog) -> RunSummary:
     """Summary with the run's configured reference values."""
-    return summarize(
-        log,
-        target_half_height=config.gains.target_half_height,
-        saturation=config.saturation,
-    )
+    return summarize(log, config.gains.target_half_height, config.saturation)

@@ -18,6 +18,7 @@ from .geometry import (
     DEFAULT_JOINT_LIMITS,
     BodyModel,
     CameraIntrinsics,
+    ConfigError,
     JointLimits,
     PanTiltAngles,
     PositiveFloat,
@@ -92,7 +93,7 @@ class WaypointTrajectory:
     def __post_init__(self) -> None:
         check_fields(self)
         if not self.points:
-            raise ValueError("points: must be a non-empty list of [x, y] pairs")
+            raise ConfigError("points: must be a non-empty list of [x, y] pairs")
         # (x0, y0, x1, y1, length) per segment, measured once; not a
         # dataclass field, which the config parser reads as a scenario key
         segments = tuple(

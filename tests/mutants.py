@@ -10,6 +10,10 @@ unchanged copy, which must pass.  It exits 1 if that check fails, if a
 mutant survives, or if an old text is not found exactly once in its file
 (the code has moved on: update the entry).
 
+A mutant with an ``equivalent`` reason changes no behaviour any valid run
+can reach; it is applied and reported, and its survival is expected.  If a
+named test kills it, the reason no longer holds and the script exits 1.
+
 Pytest does not collect this file (its name does not start with ``test_``).
 A change that says "each mutation failed a test" adds its mutants here.
 """
@@ -27,6 +31,10 @@ from typing import NamedTuple
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_TESTS = "tests/test_config_cli.py::"
+PERCEPTION_TESTS = "tests/test_perception.py::"
+PIPELINE_TESTS = PERCEPTION_TESTS + "TestPerceptionPipeline::"
+RUNLOG_TESTS = "tests/test_runlog.py::"
+WORLD_TESTS = "tests/test_simworld.py::"
 
 
 class Mutant(NamedTuple):
@@ -34,6 +42,7 @@ class Mutant(NamedTuple):
     old: str
     new: str
     tests: tuple[str, ...]  # pytest node ids; at least one must fail
+    equivalent: str = ""  # why no reachable state tells it apart; then none may fail
 
 
 MUTANTS = [
@@ -61,7 +70,7 @@ MUTANTS = [
         "config.py",
         "    except RecursionError:",
         "    except NotImplementedError:",
-        (CONFIG_TESTS + "TestParseConfig::test_deep_nesting_is_a_config_error[sequence]",),
+        (CONFIG_TESTS + "TestParseConfig::test_deep_nesting_is_a_config_error[block]",),
     ),
     Mutant(
         "controller.py",
@@ -111,6 +120,140 @@ MUTANTS = [
         "        check = FIELD_CHECKS.get(f.type)",
         (CONFIG_TESTS + "TestParseConfig::test_full_round_trip",),
     ),
+    # the fused tick's fourth pass: comparisons for builtin min/max, the noisy
+    # box built without its constructor's frame, the row appended uncopied
+    Mutant(
+        "perception.py",
+        "                    if v2 < v:  # BoxMeasurement's check",
+        "                    if True:  # BoxMeasurement's check",
+        (PIPELINE_TESTS + "test_noisy_box_keeps_the_box_check",),
+    ),
+    Mutant(
+        "perception.py",
+        "                    if v2 < v:  # BoxMeasurement's check",
+        "                    if v2 <= v:  # BoxMeasurement's check",
+        (PIPELINE_TESTS + "test_noisy_box_keeps_the_box_check",),
+    ),
+    Mutant(  # the 1 px cap as min(v - 1.0, v2), which drops a NaN top row
+        "perception.py",
+        "                    if top < v2:\n",
+        "                    if not v2 < top:\n",
+        (PIPELINE_TESTS + "test_noisy_box_keeps_the_box_check",),
+    ),
+    Mutant(
+        "perception.py",
+        "cap = (height if height > width else width) / nominal",
+        "cap = width / nominal",
+        (PERCEPTION_TESTS + "test_cap_only_on_lost_ticks_changes_no_output",),
+    ),
+    Mutant(
+        "perception.py",
+        "                if not cap > 1.0:\n",
+        "                if False:\n",
+        (PERCEPTION_TESTS + "test_cap_only_on_lost_ticks_changes_no_output",),
+    ),
+    Mutant(  # max(cap, 1.0) flipped for NaN
+        "perception.py",
+        "                if not cap > 1.0:\n",
+        "                if 1.0 > cap:\n",
+        (PERCEPTION_TESTS + "test_cap_only_on_lost_ticks_changes_no_output",),
+        equivalent="the cap is never NaN: the image sides are > 0 and the last box's half"
+        " height is finite and > 0 (its check), so the cap is finite or +inf",
+    ),
+    Mutant(  # min(scale, cap) flipped for NaN
+        "perception.py",
+        "                if cap < scale:\n",
+        "                if not scale <= cap:\n",
+        (PERCEPTION_TESTS + "test_cap_only_on_lost_ticks_changes_no_output",),
+        equivalent="the scale is never NaN: RecoveryState rejects a NaN region_scale and"
+        " step_s is a finite number > 0",
+    ),
+    Mutant(
+        "runlog.py",
+        '        if len(row) != len(COLUMNS):\n            raise ValueError(f"expected',
+        '        if False:\n            raise ValueError(f"expected',
+        (RUNLOG_TESTS + "TestTimeSeriesLog::test_row_length_checked",),
+    ),
+    Mutant(
+        "runlog.py",
+        "        self._values.fromlist(row)",
+        "        self._values.extend(row)",
+        (RUNLOG_TESTS + "TestTimeSeriesLog::test_append_takes_a_list_and_keeps_no_part_of_a_bad_row",),
+    ),
+    Mutant(  # max(alpha, -alpha_max) with its arguments swapped
+        "simworld.py",
+        "    if -alpha_max > alpha:\n",
+        "    if not alpha > -alpha_max:\n",
+        (WORLD_TESTS + "TestIntegrate::test_clamp_edges_equal_min_max",),
+    ),
+    Mutant(  # min(beta, beta_max) with its arguments swapped
+        "simworld.py",
+        "    if beta_max < beta:\n",
+        "    if not beta < beta_max:\n",
+        (WORLD_TESTS + "TestIntegrate::test_clamp_edges_equal_min_max",),
+    ),
+    Mutant(  # a NaN or -0.0 elapsed time let through
+        "simworld.py",
+        "        dt = dt if dt > 0.0 else 0.0",
+        "        dt = dt if not dt < 0.0 else 0.0",
+        (WORLD_TESTS + "TestTrajectories::test_line_equals_builtin_max",),
+    ),
+    Mutant(  # a -0.0 elapsed time let through
+        "simworld.py",
+        "(elapsed if elapsed > 0.0 else 0.0)",
+        "(elapsed if elapsed >= 0.0 else 0.0)",
+        (WORLD_TESTS + "TestTrajectories::test_waypoints_equal_a_per_call_scan",),
+    ),
+    Mutant(  # a builtin min back in a per-tick function
+        "simworld.py",
+        "    if beta_max < beta:\n        beta = beta_max\n",
+        "    beta = min(beta, beta_max)\n",
+        ("tests/test_hot_path.py::test_per_tick_function_calls_no_builtin_min_or_max",),
+    ),
+    Mutant(  # a wrong minor
+        "controller.py",
+        "        m_bc, m_af, m_cf = b * c - a * d, a * f - b * e, c * f - d * e",
+        "        m_bc, m_af, m_cf = b * c - a * d, a * f - b * e, c * f - d * b",
+        ("tests/test_controller.py::TestFusedStep",),
+    ),
+    Mutant(  # two minors swapped in the determinant
+        "controller.py",
+        "        den = m_bc * o3 * l2 + m_af * o2 * l1 - m_cf * o1 * l1",
+        "        den = m_bc * o3 * l2 + m_cf * o2 * l1 - m_af * o1 * l1",
+        ("tests/test_controller.py::TestFusedStep",),
+    ),
+    # the run log as a leaf module; section rules raise ConfigError; the
+    # flow-nesting bound of scenario files
+    Mutant(  # summarize measuring against the default limits, not the given ones
+        "runlog.py",
+        "for c in (s.v_max, s.omega_r_max, s.omega_alpha_max, s.omega_beta_max)",
+        "for c in (1.2, 1.0, 1.5, 1.5)",
+        (RUNLOG_TESTS + "TestSummarize::test_saturation_duty_from_columns",),
+    ),
+    Mutant(
+        "runlog.py",
+        "from array import array\n",
+        "import csv\nfrom array import array\n",
+        ("tests/test_import_path.py::test_preset_run_loads_neither_numpy_nor_yaml",),
+    ),
+    Mutant(
+        "perception.py",
+        'raise ConfigError("sigma_px: must be >= 0")',
+        'raise ValueError("sigma_px: must be >= 0")',
+        (CONFIG_TESTS + "test_section_rule_in_code_is_a_config_error[sigma_px]",),
+    ),
+    Mutant(
+        "config.py",
+        "            if self.flow_level >= MAX_FLOW_DEPTH:",
+        "            if self.flow_level > MAX_FLOW_DEPTH:",
+        (CONFIG_TESTS + "TestParseConfig::test_deep_nesting_is_a_config_error[one-line]",),
+    ),
+    Mutant(
+        "config.py",
+        "            if self.flow_level >= MAX_FLOW_DEPTH:",
+        "            if self.flow_level >= MAX_FLOW_DEPTH - 1:",
+        (CONFIG_TESTS + "TestParseConfig::test_flow_nesting_up_to_the_bound_is_read",),
+    ),
 ]
 
 
@@ -150,12 +293,17 @@ def main() -> int:
                 continue
             path.write_text(text.replace(mutant.old, mutant.new))
             code = run_tests(src, mutant.tests)
-            if code in (1, 2):  # a test failed, or collection did (the copy does not import)
+            killed = code in (1, 2)  # a test failed, or collection did (the copy does not import)
+            if mutant.equivalent:
+                verdict = "KILLED, recorded as equivalent" if killed else "equivalent"
+                print(f"{verdict} {label} (pytest exit {code}): {mutant.equivalent}")
+                bad += killed
+            elif killed:
                 print(f"killed    {label} (pytest exit {code})")
             else:
                 print(f"SURVIVED  {label} (pytest exit {code})")
                 bad += 1
-    print(f"{len(MUTANTS)} mutants, {bad} not killed, {time.perf_counter() - start:.1f} s")
+    print(f"{len(MUTANTS)} mutants, {bad} wrong, {time.perf_counter() - start:.1f} s")
     return 1 if bad else 0
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from ptfollow import cli
 from ptfollow.cli import main
 from ptfollow.config import (
+    MAX_FLOW_DEPTH,
     MAX_TICKS,
     ConfigError,
     PRESETS,
@@ -352,19 +354,39 @@ mode: as-printed
             load_config(path)
 
     @pytest.mark.parametrize(
-        "text",
-        # one "[" a line: on one line, PyYAML's simple-key scan takes about 1 s
-        ["a: " + "[\n" * 5000 + "]" * 5000 + "\n", "{b: " * 5000 + "1" + "}" * 5000 + "\n"],
-        ids=["sequence", "mapping"],
+        "text, where",
+        [
+            # flow collections: the scanner stops at the first level past the bound
+            ("a: " + "[\n" * 5000 + "]" * 5000 + "\n", "line 101, column 1"),
+            ("{b: " * 5000 + "1" + "}" * 5000 + "\n", "line 1, column 401"),
+            ("a: " + "[" * 5000 + "]" * 5000 + "\n", "line 1, column 104"),
+            # block sequences have no bound of their own: the composer's recursion is
+            ("- " * 5000 + "1\n", None),
+        ],
+        ids=["sequence", "mapping", "one-line", "block"],
     )
-    def test_deep_nesting_is_a_config_error(self, tmp_path, capsys, text):
+    def test_deep_nesting_is_a_config_error(self, tmp_path, capsys, text, where):
         path = tmp_path / "deep.yaml"
         path.write_text(text)
         message = f"{path}: invalid YAML: nested too deeply"
+        if where is not None:
+            message = (
+                f"{path}: invalid YAML: flow collections nested deeper than {MAX_FLOW_DEPTH}"
+                f' levels\n  in "{path}", {where}'
+            )
+        start = time.perf_counter()
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_config(path)
+        # the scanner stops at the bound, so even one line of 5000 levels is quick
+        assert time.perf_counter() - start < 0.5
         assert main(["--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"ptfollow: configuration error: {message}\n"
+
+    def test_flow_nesting_up_to_the_bound_is_read(self, tmp_path):
+        path = tmp_path / "deep.yaml"
+        path.write_text("a: " + "[" * MAX_FLOW_DEPTH + "]" * MAX_FLOW_DEPTH + "\n")
+        with pytest.raises(ConfigError, match="^unknown key 'a'$"):  # read, then rejected
+            load_config(path)
 
     def test_resolve_prefers_presets(self):
         assert resolve_scenario("circle-sim").name == "circle-sim"
@@ -517,6 +539,34 @@ def test_section_of_another_class_in_code_is_a_config_error():
         ScenarioConfig(body="tall")
     with pytest.raises(ConfigError, match=r"^trajectory: expected a TargetTrajectory, got None$"):
         ScenarioConfig(trajectory=None, duration=1.0)
+
+
+# one value per rule a config class checks in __post_init__ beyond its fields'
+# annotations, with the field the error names
+SECTION_RULES = [
+    (lambda: CameraIntrinsics(u0=-1.0), "u0", "u0"),
+    (lambda: CameraIntrinsics(v0=480.0), "v0", "v0"),
+    (lambda: BodyModel(camera_height=5.0), "camera_height", "camera_height"),
+    (lambda: BodyModel(body_center_height=1.0), "body_center_height", "body_center_height"),
+    (lambda: ControllerGains(lambda1=0.0), "lambda1", "lambda1"),
+    (lambda: NoiseModel(sigma_px=-1.0), "sigma_px", "sigma_px"),
+    (lambda: NoiseModel(dropout_prob=1.5), "dropout_prob", "dropout_prob"),
+    (lambda: NoiseModel(occlusion_windows=[(2.0, 1.0)]), "occlusion_windows[0]", "window-empty"),
+    (
+        lambda: NoiseModel(occlusion_windows=[(0.0, 2.0), (1.0, 3.0)]),
+        "occlusion_windows",
+        "windows-overlap",
+    ),
+    (lambda: WaypointTrajectory(points=()), "points", "points"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, field", [pytest.param(build, field, id=i) for build, field, i in SECTION_RULES]
+)
+def test_section_rule_in_code_is_a_config_error(build, field):
+    with pytest.raises(ConfigError, match=f"^{re.escape(field)}: "):
+        build()
 
 
 # Every config dataclass: the section classes, the trajectories and the root.

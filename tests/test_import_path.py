@@ -1,6 +1,7 @@
 """What a run imports, and what it writes, in a fresh interpreter: no run
-loads numpy, even one that draws tracker noise, and yaml is loaded for
-scenario files only.  Fresh interpreters are needed because the test process
+loads numpy, even one that draws tracker noise, yaml is loaded for scenario
+files only, and a preset run does not load ``csv`` (only reading a log back
+needs it).  Fresh interpreters are needed because the test process
 itself has both loaded, and to show that a noisy run writes the same bytes
 in every process."""
 
@@ -20,7 +21,8 @@ PROBE = """\
 import json, sys
 import ptfollow, ptfollow.cli
 code = ptfollow.cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "yaml": "yaml" in sys.modules}))
+loaded = {name: name in sys.modules for name in ("numpy", "yaml", "csv")}
+print(json.dumps({"code": code, **loaded}))
 """
 
 
@@ -37,7 +39,8 @@ def _loaded(tmp_path, *scenario_args, **env):
 
 
 def test_preset_run_loads_neither_numpy_nor_yaml(tmp_path):
-    assert _loaded(tmp_path, "--scenario", "circle-sim") == {"numpy": False, "yaml": False}
+    loaded = _loaded(tmp_path, "--scenario", "circle-sim")
+    assert loaded == {"numpy": False, "yaml": False, "csv": False}
     assert (tmp_path / "out" / "timeseries.csv").is_file()
 
 
@@ -53,7 +56,8 @@ def test_preset_run_loads_neither_numpy_nor_yaml(tmp_path):
 def test_scenario_file_loads_yaml_but_never_numpy(tmp_path, noise):
     scenario = tmp_path / "s.yaml"
     scenario.write_text("duration: 1.0\n" + noise)
-    assert _loaded(tmp_path, "--scenario", str(scenario)) == {"numpy": False, "yaml": True}
+    loaded = _loaded(tmp_path, "--scenario", str(scenario))
+    assert (loaded["numpy"], loaded["yaml"]) == (False, True)
 
 
 def test_noisy_run_writes_the_same_bytes_in_every_process(tmp_path):

@@ -1,9 +1,9 @@
-"""One rule for value types: config sections are frozen dataclasses, the
-values a tick builds are NamedTuples.
+"""One rule for value types: config sections are frozen dataclasses, every
+other record is a NamedTuple.
 
 A NamedTuple is built in about half the time of a frozen dataclass; these
-tests pin what the loop's records keep from the dataclasses they replaced:
-read-only fields, the checks on construction, and the ``repr``.  The loop
+tests pin what the records keep from the dataclasses they replaced: read-only
+fields, the checks on construction, and the ``repr``.  The loop
 builds the records that have no check with ``tuple.__new__(Cls, (...))``,
 every field given, which is the body of their generated ``__new__`` without
 its frame; ``BoxMeasurement`` and ``RecoveryState`` always run their checked
@@ -37,6 +37,7 @@ from ptfollow.perception import (
     RecoveryPolicy,
     RecoveryState,
 )
+from ptfollow.runlog import RunSummary
 from ptfollow.simworld import CircleTrajectory, LineTrajectory, SimState, WaypointTrajectory
 from test_goldens import NOISY_WALK
 
@@ -71,6 +72,12 @@ RECORDS = [
         PerceptionOutput(None, False, 0.0, 1.0, False, False),
         "PerceptionOutput(box=None, hold=False, score=0.0, region_scale=1.0,"
         " failure_state=False, initialized=False)",
+    ),
+    (
+        RunSummary(0.5, math.nan, 1.25, 2.0, 3.0, 4.0, 0.75, 2, (3, 40), 0.1),
+        "RunSummary(settling_time_e_u=0.5, settling_time_e_v=nan, settling_time_e_v2=1.25,"
+        " rms_e_u=2.0, rms_e_v=3.0, rms_e_v2=4.0, mean_abs_height_error=0.75,"
+        " failure_episodes=2, reacquisition_latencies=(3, 40), saturation_duty_cycle=0.1)",
     ),
 ]
 CONFIG_SECTIONS = (

@@ -41,7 +41,7 @@ class TestTimeSeriesLog:
     def test_csv_round_trip(self, tmp_path_factory, rows):
         log = TimeSeriesLog()
         for row in rows:
-            log.append(row)
+            log.append(list(row))
         path = tmp_path_factory.mktemp("csv") / "log.csv"
         log.write_csv(path)
         back = TimeSeriesLog.read_csv(path)
@@ -113,19 +113,20 @@ class TestTimeSeriesLog:
     def test_row_length_checked(self):
         log = TimeSeriesLog()
         log.append(_row(0.0, e=3.5))
-        for wrong in ([0.0, 1.0], _row(0.02)[1:], _row(0.02) + [0.0], iter(_row(0.02)[1:])):
+        for wrong in ([0.0, 1.0], _row(0.02)[1:], _row(0.02) + [0.0], []):
             with pytest.raises(ValueError):
                 log.append(wrong)
         assert len(log) == 1
         assert [log.column(name).tolist() for name in COLUMNS] == [[v] for v in _row(0.0, e=3.5)]
 
-    def test_append_takes_any_iterable_and_keeps_no_part_of_a_bad_row(self):
+    def test_append_takes_a_list_and_keeps_no_part_of_a_bad_row(self):
         log = TimeSeriesLog()
-        log.append(iter(_row(0.0)))
-        log.append(tuple(_row(0.02)))
+        log.append(_row(0.0))
+        log.append(_row(0.02))
         before = log._values.tobytes()
-        # a list is taken without a copy; fromlist must still undo a bad one
-        for bad in (_row(0.04)[:-1] + ["x"], [None] + _row(0.04)[1:]):
+        # a list is taken without a copy; fromlist must still undo a bad one,
+        # and rejects a row of the right length that is not a list
+        for bad in (_row(0.04)[:-1] + ["x"], [None] + _row(0.04)[1:], tuple(_row(0.04))):
             with pytest.raises(TypeError):
                 log.append(bad)
         assert log._values.tobytes() == before
@@ -158,7 +159,7 @@ class TestSummarize:
         log = TimeSeriesLog()
         for i in range(100):
             log.append(_row(i * 0.02))
-        s = summarize(log, target_half_height=100.0)
+        s = summarize(log, target_half_height=100.0, saturation=SaturationLimits())
         assert s.settling_time_e_u == 0.0
         assert s.rms_e_u == 0.0 and s.rms_e_v == 0.0 and s.rms_e_v2 == 0.0
         assert s.mean_abs_height_error == 0.0
@@ -169,7 +170,7 @@ class TestSummarize:
         log = TimeSeriesLog()
         for i in range(100):
             log.append(_row(i * 0.02, failure=1.0 if 30 <= i < 45 else 0.0))
-        s = summarize(log, target_half_height=100.0)
+        s = summarize(log, target_half_height=100.0, saturation=SaturationLimits())
         assert s.failure_episodes == 1
         assert s.reacquisition_latencies == (15,)
 
@@ -177,7 +178,7 @@ class TestSummarize:
         log = TimeSeriesLog()
         for i in range(50):
             log.append(_row(i * 0.02, failure=1.0 if i >= 40 else 0.0))
-        s = summarize(log, target_half_height=100.0)
+        s = summarize(log, target_half_height=100.0, saturation=SaturationLimits())
         assert s.failure_episodes == 1
         assert s.reacquisition_latencies == ()
 
@@ -186,29 +187,34 @@ class TestSummarize:
         for i in range(100):
             e = 50.0 if i < 20 else 1.0
             log.append(_row(i * 0.02, e=e))
-        s = summarize(log, target_half_height=100.0)
+        s = summarize(log, target_half_height=100.0, saturation=SaturationLimits())
         assert s.settling_time_e_u == pytest.approx(20 * 0.02)
 
     def test_never_settles_is_nan(self):
         log = TimeSeriesLog()
         for i in range(10):
             log.append(_row(i * 0.02, e=50.0))
-        assert math.isnan(summarize(log, target_half_height=100.0).settling_time_e_u)
+        s = summarize(log, target_half_height=100.0, saturation=SaturationLimits())
+        assert math.isnan(s.settling_time_e_u)
 
     def test_empty_log(self):
-        s = summarize(TimeSeriesLog(), target_half_height=100.0)
+        s = summarize(TimeSeriesLog(), target_half_height=100.0, saturation=SaturationLimits())
         assert math.isnan(s.settling_time_e_u)
         assert math.isnan(s.rms_e_u)
         assert s.failure_episodes == 0
         assert s.saturation_duty_cycle == 0.0
 
     def test_saturation_duty_from_columns(self):
+        # each channel at its given limit on one tick, all below the default limits
+        limits = SaturationLimits(v_max=0.5, omega_alpha_max=0.6, omega_beta_max=0.7, omega_r_max=0.8)
+        ticks = [("V_r", -0.5), ("omega_alpha", 0.6), ("omega_beta", -0.7), ("omega_r", 0.8)]
         log = TimeSeriesLog()
-        limits = SaturationLimits()
-        for i in range(10):
-            log.append(_row(i * 0.02, v_r=limits.v_max if i < 4 else 0.3))
+        for i, (column, value) in enumerate([*ticks, ("V_r", 0.49)]):
+            row = _row(i * 0.02)
+            row[COLUMNS.index(column)] = value
+            log.append(row)
         s = summarize(log, target_half_height=100.0, saturation=limits)
-        assert s.saturation_duty_cycle == pytest.approx(0.4)
+        assert s.saturation_duty_cycle == 4 / 5
 
     def test_summary_pure_function_of_csv(self, tmp_path):
         cfg = replace(preset_circle_sim(), duration=8.0)
@@ -315,7 +321,7 @@ def _bits(value):
     return value
 
 
-def assert_same_summary(log, target_half_height, saturation=None):
+def assert_same_summary(log, target_half_height, saturation):
     ours = summarize(log, target_half_height, saturation).to_dict()
     reference = numpy_summarize(log, target_half_height, saturation).to_dict()
     assert {k: _bits(v) for k, v in ours.items()} == {

@@ -27,12 +27,17 @@ Three presets ship built in:
 
 ``circle-sim``
     The person walks a 0.4 m circle around (0.5, 0.5) at 1 rad/s, the robot
-    starts at the origin facing the person, half-height reference 100 px.
+    starts 4.5 m behind it facing it, half-height reference 100 px.
 ``indoor``
-    Close-following configuration: half-height reference 500 px with the
-    published inverse-offset constants (5 and 0.91).
+    Close-following configuration: half-height reference 200 px with the
+    published inverse-offset constants (5 and 0.91), the person 2.5 m ahead.
 ``outdoor``
-    Same constants with half-height reference 300 px.
+    Same constants with half-height reference 120 px.
+
+The published references, 500 and 300 px, are scaled by 0.4 to fit the
+480-row image: a zero-error box has its head top at row ``v0 - H``, which
+must be in the image (``ScenarioConfig`` rejects ``H >= v0``).  Every preset
+starts with the whole box in view.
 """
 
 from __future__ import annotations
@@ -101,6 +106,12 @@ class ScenarioConfig:
             raise ConfigError(
                 f"duration: {self.duration!r} s at dt {self.dt!r} s is {self.n_ticks} ticks,"
                 f" above the cap of {MAX_TICKS} ticks (duration / dt)"
+            )
+        # a zero-error box has its head top at row v0 - target_half_height
+        if self.gains.target_half_height >= self.intrinsics.v0:
+            raise ConfigError(
+                f"gains.target_half_height: must be below intrinsics.v0"
+                f" ({self.intrinsics.v0!r} px), got {self.gains.target_half_height!r}"
             )
         try:
             self.joints.check(self.initial_angles)
@@ -207,23 +218,23 @@ def parse_config(data: dict, name: str | None = None) -> ScenarioConfig:
 
 
 def preset_circle_sim() -> ScenarioConfig:
-    cfg = parse_config(
+    return parse_config(
         {
             "trajectory": {"kind": "circle", "center": [0.5, 0.5], "radius": 0.4, "rate": 1.0},
             "gains": {"target_half_height": 100.0},
+            # 4.5 m behind the person's start (0.1, 0.5), facing it: the whole
+            # box is in view and at the reference height from the first tick
+            "robot_start": {"x": -4.4, "y": 0.5, "theta": 0.0},
         },
         name="circle-sim",
     )
-    x, y, _ = cfg.robot_start
-    tx, ty = cfg.trajectory.position(0.0)
-    return replace(cfg, robot_start=(x, y, math.atan2(ty - y, tx - x)))  # face the person
 
 
 def preset_indoor() -> ScenarioConfig:
     return parse_config(
         {
-            "trajectory": {"kind": "line", "start": [2.0, 0.0], "velocity": [0.1, 0.0]},
-            "gains": {"lambda1": 5.0, "lambda2": 0.91, "target_half_height": 500.0},
+            "trajectory": {"kind": "line", "start": [2.5, 0.0], "velocity": [0.1, 0.0]},
+            "gains": {"lambda1": 5.0, "lambda2": 0.91, "target_half_height": 200.0},
             "duration": 30.0,
         },
         name="indoor",
@@ -234,7 +245,7 @@ def preset_outdoor() -> ScenarioConfig:
     return parse_config(
         {
             "trajectory": {"kind": "line", "start": [3.0, 0.0], "velocity": [0.2, 0.05]},
-            "gains": {"lambda1": 5.0, "lambda2": 0.91, "target_half_height": 300.0},
+            "gains": {"lambda1": 5.0, "lambda2": 0.91, "target_half_height": 120.0},
             "duration": 30.0,
         },
         name="outdoor",

@@ -33,6 +33,7 @@ per channel.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -489,21 +490,19 @@ def jacobian_discrepancy_report(
     k = k or CameraIntrinsics()
     if not (k.width > 100 and k.height > 110):  # so the u and v windows below are not empty
         raise ValueError(f"k: must be over 100 x 110 px, got {k.width} x {k.height}")
-    import numpy as np  # only this report samples random states
-
     if gains is None:
         body = BodyModel()
         gains = ControllerGains(lambda1=body.lambda1, lambda2=body.lambda2)
-    rng = np.random.default_rng(seed)
+    uniform = random.Random(seed).uniform
     term_names = ("omega1", "omega2", "omega3", "a", "b", "c", "d", "e", "f")
     max_abs_diff = {name: 0.0 for name in term_names}
     sign_flips = {name: 0 for name in term_names}
     for _ in range(n_states):
-        alpha = rng.uniform(-1.0, 1.0)
-        beta = rng.uniform(-0.5, 0.5)
-        u = rng.uniform(50.0, k.width - 50.0)
-        v = rng.uniform(100.0, k.height - 10.0)
-        v2 = v - rng.uniform(20.0, 200.0)
+        alpha = uniform(-1.0, 1.0)
+        beta = uniform(-0.5, 0.5)
+        u = uniform(50.0, k.width - 50.0)
+        v = uniform(100.0, k.height - 10.0)
+        v2 = v - uniform(20.0, 200.0)
         box = BoxMeasurement(u=u, v=v, v2=v2)
         err = compute_errors(box, k, gains.target_half_height)
         angles = PanTiltAngles(alpha, beta)

@@ -4,23 +4,19 @@ One CSV row per control tick, fixed column order, floats written as their
 shortest round-trip decimal so identical runs produce byte-identical files.
 The summary is a pure function of the logged columns (plus the configured
 reference values), so recomputing it from a written CSV reproduces the
-in-memory result.  It is plain Python whose sums follow numpy's float64
-summation order, so its values equal those of the numpy computation bit for
-bit (``tests/summary_oracle.py`` keeps that as the reference).
+in-memory result.  Each mean is the correctly rounded sum (``math.fsum``)
+over the count, so it does not depend on the order of the values
+(``tests/summary_oracle.py`` computes the same from exact rational sums).
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from functools import reduce
-from operator import add
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .controller import SaturationLimits
 
 COLUMNS = (
@@ -70,7 +66,8 @@ class TimeSeriesLog:
         """Column ``name``, one float per tick."""
         return self._values[COLUMNS.index(name) :: len(COLUMNS)]
 
-    def column(self, name: str) -> np.ndarray:
+    def column(self, name: str):
+        """Column ``name`` as a numpy array; needs numpy, from the ``dev`` extra."""
         import numpy as np  # for analysis and tests; the run and its summary do without
 
         return np.array(self.series(name))
@@ -140,39 +137,16 @@ class RunSummary(NamedTuple):
         return out
 
 
-# numpy's pairwise-summation block size (PW_BLOCKSIZE).
-_BLOCK = 128
-
-
-def _pairwise_sum(values: list[float], lo: int, hi: int) -> float:
-    """Sum of ``values[lo:hi]`` in the order of numpy's float64 ``add.reduce``,
-    so that it equals ``np.sum`` bit for bit.
-
-    That order is pairwise: above ``_BLOCK`` values the range splits at half
-    its length rounded down to a multiple of 8; a block of 8 or more values
-    sums into eight interleaved accumulators combined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and then adds the remainder; fewer
-    than 8 values add one by one onto 0.0.  ``math.fsum`` and a running total
-    differ from it in the last bit.
-    """
-    n = hi - lo
-    if n > _BLOCK:
-        mid = lo + n // 2 - n // 2 % 8
-        return _pairwise_sum(values, lo, mid) + _pairwise_sum(values, mid, hi)
-    total = 0.0
-    if n >= 8:
-        whole = hi - n % 8
-        r = [reduce(add, values[j:whole:8]) for j in range(lo, lo + 8)]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        lo = whole
-    for value in values[lo:hi]:
-        total += value
-    return total
-
-
 def _mean(values: list[float]) -> float:
-    """``np.mean(values)`` bit for bit; NaN if there are none."""
-    return _pairwise_sum(values, 0, len(values)) / len(values) if values else math.nan
+    """The correctly rounded sum of ``values`` (each >= 0) over their count;
+    NaN if there are none."""
+    if not values:
+        return math.nan
+    try:
+        total = math.fsum(values)
+    except OverflowError:  # finite values >= 0 whose sum rounds beyond the float range
+        total = math.inf
+    return total / len(values)
 
 
 def _steady(log: TimeSeriesLog, name: str) -> list[float]:

@@ -176,7 +176,8 @@ def render_measurement(
     """Ground-truth box from projecting the body-center and head-top points.
 
     Returns ``None`` when the target is not measurable: either point at or
-    behind the optical center, or the box center outside the image bounds.
+    behind the optical center, or the box center or its head-top row outside
+    the image bounds.
 
     This is :func:`~ptfollow.geometry.world_to_camera` and
     :func:`~ptfollow.geometry.project` for the two points, fused: the
@@ -209,9 +210,9 @@ def render_measurement(
     u = k.u0 + k.alpha_x * cam_x / z_center
     v = k.v0 + k.alpha_y * (row_y - cb * dz_center) / z_center
     v2 = k.v0 + k.alpha_y * (row_y - cb * dz_head) / z_head
-    if not (0.0 <= u < k.width and 0.0 <= v < k.height):
-        return None
-    if not v2 < v:  # only possible for degenerate geometry behind the mast
+    # the head-top row must be in the image too, above the center row
+    # (v2 < v fails only for degenerate geometry behind the mast)
+    if not (0.0 <= u < k.width and 0.0 <= v2 < v < k.height):
         return None
     # BoxMeasurement's own check (v2 < v) has just passed
     return tuple.__new__(BoxMeasurement, (u, v, v2))

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from oracles import integrate_exact_arc, solve_denominator_by_attribute
 from ptfollow.controller import (
@@ -23,6 +24,25 @@ from ptfollow.simworld import (
     SimState,
     render_measurement,
 )
+
+
+# ``python tests/mutants.py`` selects this profile (``--hypothesis-profile
+# mutants``): each property then draws at most MUTANT_EXAMPLES examples,
+# whatever its own ``@settings`` asks for, in an order fixed by its source.
+MUTANT_EXAMPLES = 20
+settings.register_profile(
+    "mutants", max_examples=MUTANT_EXAMPLES, derandomize=True, database=None
+)
+
+
+def pytest_collection_modifyitems(items):
+    if settings.get_current_profile_name() != "mutants":
+        return
+    for item in items:
+        test = getattr(item, "function", None)
+        own = getattr(test, "_hypothesis_internal_use_settings", None)
+        if own is not None and own.max_examples > MUTANT_EXAMPLES:
+            test._hypothesis_internal_use_settings = settings(own, max_examples=MUTANT_EXAMPLES)
 
 
 @pytest.fixture

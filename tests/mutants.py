@@ -5,7 +5,10 @@ Each entry of ``MUTANTS`` is a small fault put into one file of
 script copies ``src/`` to a temporary directory, replaces the one occurrence
 of the old text with the new, runs only the named tests against the copy and
 reports the mutant killed (a named test failed, or the copy no longer
-imports) or survived.  Before the mutants it runs every named test on an
+imports) or survived.  The tests run under the ``mutants`` hypothesis profile
+of ``tests/conftest.py``: each property draws at most ``MUTANT_EXAMPLES``
+examples, in a fixed order, so a mutant a property kills is killed within that
+budget on every run.  Before the mutants it runs every named test on an
 unchanged copy, which must pass.  It exits 1 if that check fails, if a
 mutant survives, or if an old text is not found exactly once in its file
 (the code has moved on: update the entry).
@@ -230,6 +233,29 @@ MUTANTS = [
         "for c in (1.2, 1.0, 1.5, 1.5)",
         (RUNLOG_TESTS + "TestSummarize::test_saturation_duty_from_columns",),
     ),
+    # feasible scenes: the head-top row inside the image, a reference the image
+    # can hold; the summary's correctly rounded mean
+    Mutant(
+        "simworld.py",
+        "0.0 <= v2 < v < k.height",
+        "v2 < v < k.height",
+        (WORLD_TESTS + "TestRenderMeasurement::test_head_top_above_image_gives_none",),
+    ),
+    Mutant(
+        "config.py",
+        "if self.gains.target_half_height >= self.intrinsics.v0:",
+        "if self.gains.target_half_height > self.intrinsics.v0:",
+        (
+            CONFIG_TESTS
+            + "test_reference_the_image_cannot_hold_rejected_naming_both_fields[240.0-240.0]",
+        ),
+    ),
+    Mutant(
+        "runlog.py",
+        "        total = math.fsum(values)",
+        "        total = sum(values)",
+        (RUNLOG_TESTS + "test_mean_is_the_correctly_rounded_sum_over_the_count",),
+    ),
     Mutant(
         "runlog.py",
         "from array import array\n",
@@ -261,6 +287,7 @@ def run_tests(src: Path, tests) -> int:
     """pytest's exit code for ``tests`` run against the package in ``src``."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    command += ["--hypothesis-profile", "mutants"]
     command += ["-o", f"pythonpath={src}", *tests]
     done = subprocess.run(command, cwd=REPO, env=env, capture_output=True, text=True)
     return done.returncode

@@ -219,7 +219,7 @@ def render_two_points(
     _, v2 = project(p_head, k)
     if not (0.0 <= u < k.width and 0.0 <= v < k.height):
         return None
-    if not v2 < v:
+    if not 0.0 <= v2 < v:  # the head-top row in the image, above the center
         return None
     return BoxMeasurement(u=u, v=v, v2=v2)
 

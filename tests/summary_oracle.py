@@ -1,13 +1,17 @@
-"""numpy reference for :func:`ptfollow.runlog.summarize`.
+"""Reference for :func:`ptfollow.runlog.summarize`, which the tests compare
+it against bit for bit.
 
 The library computes the run summary in plain Python; this is the numpy
-computation it replaced, kept verbatim as the reference the tests compare it
-against bit for bit.
+computation it replaced, except that each mean is the exact rational sum of
+its values (``fractions.Fraction``) rounded once to a float and divided by the
+count.  That is the correctly rounded mean the library takes from
+``math.fsum``, reached without it.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -29,11 +33,21 @@ def _settling_time(t: np.ndarray, e: np.ndarray, threshold: float) -> float:
     return float(t[last_fail + 1])
 
 
+def _mean(values: np.ndarray) -> float:
+    """The exact sum of ``values`` (each >= 0), rounded to a float, over their
+    count."""
+    try:
+        total = float(sum(map(Fraction, values.tolist()), Fraction(0)))
+    except OverflowError:  # an infinite value, or a sum that rounds beyond the float range
+        total = math.inf
+    return total / len(values)
+
+
 def _rms(values: np.ndarray) -> float:
     values = values[~np.isnan(values)]
     if len(values) == 0:
         return math.nan
-    return float(np.sqrt(np.mean(values**2)))
+    return float(np.sqrt(_mean(values**2)))
 
 
 def summarize(
@@ -66,7 +80,7 @@ def summarize(
 
     h = log.column("h")[steady]
     h = h[~np.isnan(h)]
-    mean_h_err = float(np.mean(np.abs(h - target_half_height))) if len(h) else math.nan
+    mean_h_err = _mean(np.abs(h - target_half_height)) if len(h) else math.nan
 
     failure = log.column("failure_state").astype(bool)
     rising = np.nonzero(failure[1:] & ~failure[:-1])[0] + 1

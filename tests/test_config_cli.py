@@ -38,7 +38,9 @@ from ptfollow.simworld import (
     BodyModel,
     CircleTrajectory,
     LineTrajectory,
+    SimState,
     WaypointTrajectory,
+    render_measurement,
 )
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -69,7 +71,7 @@ class TestPresets:
         assert isinstance(cfg.trajectory, CircleTrajectory)
         assert cfg.trajectory.center == (0.5, 0.5)
         assert cfg.trajectory.radius == 0.4
-        assert cfg.robot_start[:2] == (0.0, 0.0)
+        assert cfg.robot_start == (-4.4, 0.5, 0.0)  # 4.5 m behind the person, facing it
         assert cfg.dt == 0.02 and cfg.duration == 60.0
         # exact inverse offsets from the default body geometry
         assert cfg.gains.lambda1 == pytest.approx(-5.0)
@@ -77,18 +79,49 @@ class TestPresets:
 
     def test_indoor(self):
         cfg = preset_indoor()
-        assert cfg.gains.target_half_height == 500.0
+        assert cfg.gains.target_half_height == 200.0
+        assert cfg.trajectory.start == (2.5, 0.0)
         assert abs(cfg.gains.lambda1) == pytest.approx(5.0)
         assert abs(cfg.gains.lambda2) == pytest.approx(0.91)
 
     def test_outdoor(self):
         cfg = preset_outdoor()
-        assert cfg.gains.target_half_height == 300.0
+        assert cfg.gains.target_half_height == 120.0
         assert abs(cfg.gains.lambda1) == pytest.approx(5.0)
         assert abs(cfg.gains.lambda2) == pytest.approx(0.91)
 
     def test_registry(self):
         assert set(PRESETS) == {"circle-sim", "indoor", "outdoor"}
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_renders_a_box_at_tick_0(self, name):
+        cfg = PRESETS[name]()
+        state = SimState(0.0, cfg.robot_start, cfg.initial_angles, cfg.trajectory.position(0.0))
+        assert render_measurement(state, cfg.body, cfg.intrinsics) is not None
+
+
+@pytest.mark.parametrize(
+    "half_height, v0", [(240.0, 240.0), (500.0, 240.0), (100.0, 100.0), (100.0, 0.0)]
+)
+def test_reference_the_image_cannot_hold_rejected_naming_both_fields(
+    tmp_path, capsys, half_height, v0
+):
+    # a zero-error box has its head-top row at v0 - target_half_height
+    message = (
+        f"gains.target_half_height: must be below intrinsics.v0 ({v0!r} px), got {half_height!r}"
+    )
+    gains, intrinsics = {"target_half_height": half_height}, {"v0": v0}
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ScenarioConfig(gains=ControllerGains(**gains), intrinsics=CameraIntrinsics(**intrinsics))
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text(json.dumps({"gains": gains, "intrinsics": intrinsics}))
+    assert main(["--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"ptfollow: configuration error: {message}\n"
+
+
+def test_reference_just_below_v0_accepted():
+    cfg = ScenarioConfig(gains=ControllerGains(target_half_height=math.nextafter(240.0, 0.0)))
+    assert cfg.intrinsics.v0 == 240.0
 
 
 class TestSignedLambdas:
@@ -123,7 +156,7 @@ class TestParseConfig:
 
     def test_code_built_lambdas_get_the_body_sign(self):
         # the published magnitudes, as the indoor preset quotes them
-        gains = ControllerGains(lambda1=5.0, lambda2=0.91, target_half_height=500.0)
+        gains = ControllerGains(lambda1=5.0, lambda2=0.91, target_half_height=200.0)
         assert dataclasses.replace(preset_indoor(), gains=gains) == preset_indoor()
 
     def test_code_built_angles_take_a_plain_pair(self):

@@ -307,9 +307,11 @@ class TestFollowController:
         assert abs(err_after.e_u) < abs(err.e_u)
 
     def test_saturation_clamps_and_flags(self, intrinsics, body, gains):
-        # very large half-height error demands more reverse speed than allowed
-        state = SimState(robot=(0.0, 0.0, 0.0), angles=PanTiltAngles(), target=(1.2, 0.0))
+        # a person 2.5 m away, the head-top row 20 px into the image: a half
+        # height 80 px above the reference demands more reverse speed than allowed
+        state = SimState(robot=(0.0, 0.0, 0.0), angles=PanTiltAngles(), target=(2.5, 0.0))
         box = render_measurement(state, body, intrinsics)
+        assert box.half_height - gains.target_half_height > 79.0
         ctrl = FollowController(gains, intrinsics, SaturationLimits(v_max=0.2))
         cmd = ctrl.step(box, state.angles)
         assert abs(cmd.v_r) == 0.2

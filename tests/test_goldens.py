@@ -7,19 +7,22 @@ never settles.  The byte pins at the end hold the whole CSV and summary.json.
 The per-tick path is plain float arithmetic, so these values do not depend on
 the BLAS kernel numpy picks for the host CPU.
 
-``indoor`` stays in on purpose: its near-singular rate solve (ROADMAP item 1)
-makes ``rms_e_v`` jump between about 60.56 and 78.78 px on a last-bit change
-anywhere in the loop, so this pin is what shows such a change.
+Every preset starts with the whole box in the image and asks for a half
+height the image can hold, so the loop is well conditioned: a 1e-6 m bump of
+a preset's start moves no summary value by more than 1e-6 px
+(``test_start_bump_moves_no_summary_value``).  A pin that moves therefore
+means a change in the loop, not chaos amplifying a last bit.
 """
 
 import dataclasses
 import hashlib
 import math
+from pathlib import Path
 
 import pytest
 
 from ptfollow.cli import CSV_NAME, SUMMARY_NAME, run
-from ptfollow.config import PRESETS, parse_config
+from ptfollow.config import PRESETS, load_config, parse_config
 from ptfollow.runner import run_scenario, summarize_run
 
 NAN = math.nan
@@ -38,46 +41,46 @@ NOISY_WALK = {
 GOLDENS = {
     "circle-sim": (3000, {
         "settling_time_e_u": NAN,
-        "settling_time_e_v": 10.06,
-        "settling_time_e_v2": NAN,
-        "rms_e_u": 29.246301435422808,
-        "rms_e_v": 1.3228594388727617,
-        "rms_e_v2": 5.81899740495589,
-        "mean_abs_height_error": 5.144306763880415,
-        "failure_episodes": 1,
-        "reacquisition_latencies": [166],
-        "saturation_duty_cycle": 0.0003333333333333333,
+        "settling_time_e_v": 2.36,
+        "settling_time_e_v2": 59.94,
+        "rms_e_u": 28.318002066513447,
+        "rms_e_v": 1.3483116778607482,
+        "rms_e_v2": 5.931524605720965,
+        "mean_abs_height_error": 5.306963792842327,
+        "failure_episodes": 0,
+        "reacquisition_latencies": [],
+        "saturation_duty_cycle": 0.0,
     }),
     "indoor": (1500, {
         "settling_time_e_u": 0.04,
-        "settling_time_e_v": NAN,
+        "settling_time_e_v": 3.3000000000000003,
         "settling_time_e_v2": NAN,
         "rms_e_u": 0.0,
-        "rms_e_v": 60.55724402189351,
-        "rms_e_v2": 63.16437217728159,
-        "mean_abs_height_error": 62.65176139960867,
+        "rms_e_v": 3.645287881175488,
+        "rms_e_v2": 15.080890481997697,
+        "mean_abs_height_error": 15.080890478514554,
         "failure_episodes": 0,
         "reacquisition_latencies": [],
-        "saturation_duty_cycle": 0.172,
+        "saturation_duty_cycle": 0.0,
     }),
     "outdoor": (1500, {
         "settling_time_e_u": NAN,
-        "settling_time_e_v": NAN,
+        "settling_time_e_v": 3.04,
         "settling_time_e_v2": NAN,
-        "rms_e_u": 40.40990673890907,
-        "rms_e_v": 13.651768892322199,
-        "rms_e_v2": 50.85636511640029,
-        "mean_abs_height_error": 50.84147819476055,
+        "rms_e_u": 2.8368943638685282,
+        "rms_e_v": 2.4817513947679806,
+        "rms_e_v2": 10.868901493926291,
+        "mean_abs_height_error": 10.868888081888866,
         "failure_episodes": 0,
         "reacquisition_latencies": [],
-        "saturation_duty_cycle": 0.01,
+        "saturation_duty_cycle": 0.0,
     }),
     "noisy-walk": (1500, {
         "settling_time_e_u": NAN,
         "settling_time_e_v": 29.64,
         "settling_time_e_v2": NAN,
-        "rms_e_u": 11.249975265336225,
-        "rms_e_v": 4.2186716467468575,
+        "rms_e_u": 11.249975265336227,
+        "rms_e_v": 4.218671646746857,
         "rms_e_v2": 17.077432968583707,
         "mean_abs_height_error": 16.77603813678321,
         "failure_episodes": 27,
@@ -114,24 +117,24 @@ def test_summary_matches_golden(name):
 # as-printed run is the only closed-loop check of that coefficient block.
 BYTE_GOLDENS = {
     "circle-sim": (
-        "4cbec1f6a9db8f1b6ba1c97b5af41176634fb4025fbf2af06d036f0e3b8e8bf3",
-        "548963d4b0e72b3bb94c40d3b5f8a91d22c62a1997737b3b5fac83045b96430f",
+        "a77ee773011589910811965f690472601a94128a3e0242adcb350a2ea12d6e16",
+        "2a348607ab56cc5345ebe02180ca4c25b595513e5076d7a8190dbc03d1939067",
     ),
     "indoor": (
-        "e93f567f400fe0377b7644f5829008d0d71922ed43915d9d864724058831f5a5",
-        "0acf540e53982bb1a55ecbf07a96df7debf90bbc7af3f711d22d4509aaae26c0",
+        "720f1b99615451a3062839d3b0cfbdff0db35a4557e71854f009a85354507c57",
+        "c6adcce9fc9a97d6bbb4ac058ddc001268db086526bf842ba3932b5d52bd5c84",
     ),
     "outdoor": (
-        "22409f53d9aabed291e55a959ecf347274b93b6c68d405621877c01e80678c73",
-        "4868e89c641e2af5a6abfeaae4c7d0971e69ad043bb72a5f9d2865cd8c1ff20a",
+        "00369646cae2c2de7abe8fc6cf7e37baf254c21e552c071314079959c72c00a9",
+        "0d0518ca4f5554b0229f7a17f52fc086899373effaa2f669751c8f1f3c21ba7c",
     ),
     "noisy-walk": (
         "eea8ba2ca63cc56cc86eec0e11e8f0951e8e245593e836ba11494fba814b7489",
-        "fba6a53b21ff22150708371b30cf7f9fe91d244ca6558df0bc76339b13955dca",
+        "94365bddc3b36d571cd6e998b09d91e49ef278fa0e63e4f5bf278bec7714eec1",
     ),
     "circle-sim-as-printed": (
-        "8c7e2b6aa5962e7bfe84bfc537c6acba64aeaaf36639abc3ac6168b693cfb677",
-        "2518d81228fe6ff06ad7f997fa5420f464c44dd1d9c1a622c007214251335edf",
+        "d383f098ea30fda7a8f8f410862e7899df1da67534fe8e32fdd84b8f2613895d",
+        "99d5f484e08bb3e8e6000f3b4f6a082d0620859ebdd84d999deef5ae9774722a",
     ),
 }
 
@@ -150,3 +153,37 @@ def test_output_bytes_match_golden(name, tmp_path):
         for file in (CSV_NAME, SUMMARY_NAME)
     )
     assert digests == BYTE_GOLDENS[name]
+
+
+NOISY_WALK_FILE = Path(__file__).resolve().parent.parent / "perfbench/scenarios/noisy-walk.yaml"
+
+
+@pytest.mark.parametrize("name", [*PRESETS, "noisy-walk.yaml"])
+def test_forward_speed_never_drives_the_half_height_error_up(name):
+    # V_r and e_v2 of one sign move the box away from its reference height
+    config = load_config(NOISY_WALK_FILE) if name == "noisy-walk.yaml" else PRESETS[name]()
+    log = run_scenario(config)
+    wrong = [
+        (t, v_r, e_v2)
+        for t, v_r, e_v2 in zip(*map(log.series, ("t", "V_r", "e_v2")))
+        if v_r * e_v2 > 0.0 and abs(e_v2) > 5.0
+    ]
+    assert wrong == []
+
+
+# The summary values a bump of the start may move, and by how much, in px.
+SMOOTH_FIELDS = ("rms_e_u", "rms_e_v", "rms_e_v2", "mean_abs_height_error")
+BUMP_BOUND_PX = 1e-6
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_start_bump_moves_no_summary_value(name):
+    config = PRESETS[name]()
+    base = summarize_run(config, run_scenario(config))
+    x, y, theta = config.robot_start
+    for bump in (1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6):
+        bumped = dataclasses.replace(config, robot_start=(x + bump, y, theta))
+        summary = summarize_run(bumped, run_scenario(bumped))
+        for field in SMOOTH_FIELDS:
+            moved = abs(getattr(summary, field) - getattr(base, field))
+            assert moved <= BUMP_BOUND_PX, (bump, field, moved)

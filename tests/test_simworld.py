@@ -327,6 +327,13 @@ class TestRenderMeasurement:
         state = SimState(robot=(0.0, 0.0, 0.0), target=(2.0, 1.9))
         assert render_measurement(state, body, intrinsics) is None
 
+    def test_head_top_above_image_gives_none(self, intrinsics, body):
+        # rows 240 - 500 * 1.1 / d: at 2.5 m the head top is row 20, at 2.0 m
+        # row -35, above the image though the center (row 190) is inside it
+        box = render_measurement(SimState(target=(2.5, 0.0)), body, intrinsics)
+        assert box.v2 == pytest.approx(20.0)
+        assert render_measurement(SimState(target=(2.0, 0.0)), body, intrinsics) is None
+
     # one example per outcome: x, y, heading, bearing, distance, alpha, beta,
     # camera_height, head_height, focal
     @example(18.72, 15.02, -1.22, 2.25, 2.69, 1.32, 0.49, 0.72, 1.63, 205.0)  # a box
@@ -334,6 +341,7 @@ class TestRenderMeasurement:
     @example(-18.73, -5.51, -2.06, 0.28, 0.4, 1.36, -0.98, 1.11, 1.51, 353.0)  # head behind
     @example(-14.63, 13.9, 1.66, -1.54, 4.11, -0.15, 0.3, 1.19, 1.55, 217.0)  # center out
     @example(7.0, 14.4, -2.85, -0.17, 0.45, 1.43, 0.82, 0.3, 1.88, 227.0)  # v2 >= v
+    @example(0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.7, 1.8, 500.0)  # head top above the image
     @settings(max_examples=300, deadline=None)
     @given(
         x=st.floats(-20.0, 20.0),

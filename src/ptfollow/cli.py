@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from .config import PRESETS, ConfigError, ScenarioConfig, resolve_scenario
-from .controller import JACOBIAN_MODES
 from .runner import run_scenario, summarize_run
 
 CSV_NAME = "timeseries.csv"
@@ -48,12 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--dt", type=float, default=None, help="override the control period, seconds"
     )
     parser.add_argument(
-        "--mode",
-        choices=JACOBIAN_MODES,
-        default=None,
-        help="override the coefficient-block mode",
-    )
-    parser.add_argument(
         "--summary-only",
         action="store_true",
         help="write only the metrics summary, skip the CSV",
@@ -63,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
     """Replace the config fields whose override flag was given."""
-    updates = {key: getattr(args, key) for key in ("seed", "duration", "dt", "mode")}
+    updates = {key: getattr(args, key) for key in ("seed", "duration", "dt")}
     updates = {key: value for key, value in updates.items() if value is not None}
     return dataclasses.replace(config, **updates) if updates else config
 

@@ -3,9 +3,10 @@
 A scenario file is one YAML mapping whose keys are the field names of
 :class:`ScenarioConfig`; each section's keys are the field names of its
 dataclass (``recovery`` is :class:`RecoveryPolicy`, ``trajectory`` the class
-its ``kind`` picks from :data:`TRAJECTORIES`).  The tracker scores and the
-recovery thresholds are constants of :mod:`perception`, not keys.  This module
-only walks the mappings: it rejects unknown and repeated keys, dispatches on
+its ``kind`` picks from :data:`TRAJECTORIES`).  The tracker scores, the
+recovery thresholds of :mod:`perception` and the loop's coefficient block
+``ScenarioConfig.mode`` are constants, not keys.  This module only walks the
+mappings: it rejects unknown and repeated keys, dispatches on
 ``trajectory.kind`` and prefixes the section to an error.  Each value is
 checked by the dataclass that holds it, so a config built in code and one read
 from a file meet the same rules: ``geometry.check_fields`` checks every field
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
-from .controller import ControllerGains, SaturationLimits, JACOBIAN_MODES
+from .controller import ControllerGains, SaturationLimits
 from .geometry import FIELD_CHECKS, BodyModel, CameraIntrinsics, ConfigError, JointLimitError
 from .geometry import JointLimits, PanTiltAngles, PositiveFloat, check_fields
 from .perception import NoiseModel, RecoveryPolicy
@@ -75,6 +76,8 @@ MAX_FLOW_DEPTH = 100
 class ScenarioConfig:
     """Everything a run needs; fully validated on construction."""
 
+    mode = "re-derived"  # the loop's coefficient block: a constant, not a field
+
     name: str = "custom"
     intrinsics: CameraIntrinsics = field(default_factory=CameraIntrinsics)
     body: BodyModel = field(default_factory=BodyModel)
@@ -89,7 +92,6 @@ class ScenarioConfig:
     dt: PositiveFloat = 0.02
     duration: float = 60.0
     seed: int = 0  # not a float: random.Random seeds NaN from a per-process hash
-    mode: str = "re-derived"
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -119,8 +121,6 @@ class ScenarioConfig:
             raise ConfigError(f"initial_angles.{exc}") from None
         if self.seed < 0:
             raise ConfigError(f"seed: must be an integer >= 0, got {self.seed!r}")
-        if self.mode not in JACOBIAN_MODES:
-            raise ConfigError(f"mode: must be one of {JACOBIAN_MODES}")
 
     @property
     def n_ticks(self) -> int:

@@ -13,17 +13,13 @@ Error dynamics are linear in the commanded rates::
     de_v  = lambda1*V_r*Omega2 + C*(w_alpha + w_r) + D*w_beta
     de_v2 = de_v - (lambda2*V_r*Omega3 + E*(w_alpha + w_r) + F*w_beta)
 
-Two evaluation modes exist for the coefficient block:
-
-``"re-derived"`` (default)
-    Coefficients obtained by differentiating the pixel errors through the
-    projection model in this package's conventions.  Verified against
-    finite-difference error rates from the nonlinear simulator.
-
-``"as-printed"``
-    An earlier hand-tabulated variant of the same block whose tilt-related
-    signs disagree with the finite-difference check.  Kept so the two forms
-    can be compared; see :func:`jacobian_discrepancy_report`.
+The closed loop uses the ``"re-derived"`` coefficient block: coefficients
+obtained by differentiating the pixel errors through the projection model in
+this package's conventions, verified against finite-difference error rates
+from the nonlinear simulator.  :func:`jacobian_terms` also evaluates the
+``"as-printed"`` block, an earlier hand-tabulated variant whose tilt-related
+signs disagree with the finite-difference check; it serves only for
+comparison (see :func:`jacobian_discrepancy_report`).
 
 Given a yaw rate from the deadband strategy, the remaining three rates are
 the unique solution of the 3x3 linear system that assigns ``de_i = -K_i e_i``
@@ -373,15 +369,11 @@ class FollowController:
         gains: ControllerGains,
         intrinsics: CameraIntrinsics,
         saturation: SaturationLimits | None = None,
-        mode: str = "re-derived",
     ) -> None:
-        if mode not in JACOBIAN_MODES:
-            raise ValueError(f"unknown jacobian mode {mode!r}; expected one of {JACOBIAN_MODES}")
         self._eps_den = singularity_eps(intrinsics, gains)  # rejects unresolved lambdas
         self.gains = gains
         self.intrinsics = intrinsics
         self.saturation = saturation or SaturationLimits()
-        self.mode = mode
         self._last = ZERO_COMMAND
 
     def _hold_and_decay(self, freeze_rotation: bool) -> ControlCommand:
@@ -408,11 +400,11 @@ class FollowController:
         ``err`` is ``compute_errors`` of ``box`` when the caller has it
         already; otherwise it is computed here.
 
-        The rates are :func:`control_law` of :func:`jacobian_terms` with the
-        yaw of :func:`robot_angular_strategy`, passed to :func:`saturate`.
-        Those three run inline here (``as-printed`` keeps its call to
-        ``jacobian_terms``), each expression in its order, so every rate
-        has the bits of the plain composition.
+        The rates are :func:`control_law` of the re-derived
+        :func:`jacobian_terms` with the yaw of :func:`robot_angular_strategy`,
+        passed to :func:`saturate`.  Those three run inline here, each
+        expression in its order, so every rate has the bits of the plain
+        composition.
         """
         if box is None:
             self._last = ZERO_COMMAND
@@ -426,25 +418,23 @@ class FollowController:
         e_u, e_v, e_v2 = err
         l1, l2 = gains.lambda1, gains.lambda2
         alpha, beta = angles
-        if self.mode == "re-derived":  # jacobian_terms
-            sa, ca = math.sin(alpha), math.cos(alpha)
-            sb, cb = math.sin(beta), math.cos(beta)
-            ax, ay = k.alpha_x, k.alpha_y
-            vt2 = box[2] - k.v0
-            g1 = e_v * cb - ay * sb
-            g2 = vt2 * cb - ay * sb
-            u2 = e_u * (l2 * g2) / (l1 * g1) if g1 != 0.0 else e_u
-            o1 = (e_u * ca * cb - ax * sa) * g1 / ay
-            o2 = ca * g1 * g1 / ay
-            o3 = ca * g2 * g2 / ay
-            a = ax * cb + (ax / ay) * sb * e_v + e_u * e_u * cb / ax
-            b = e_u * e_v / ay
-            c = (e_u / ax) * g1
-            d = (ay * ay + e_v * e_v) / ay
-            e = (u2 / ax) * g2
-            f = (ay * ay + vt2 * vt2) / ay
-        else:
-            o1, o2, o3, a, b, c, d, e, f = jacobian_terms(err, box, angles, k, gains, self.mode)
+        # jacobian_terms, re-derived
+        sa, ca = math.sin(alpha), math.cos(alpha)
+        sb, cb = math.sin(beta), math.cos(beta)
+        ax, ay = k.alpha_x, k.alpha_y
+        vt2 = box[2] - k.v0
+        g1 = e_v * cb - ay * sb
+        g2 = vt2 * cb - ay * sb
+        u2 = e_u * (l2 * g2) / (l1 * g1) if g1 != 0.0 else e_u
+        o1 = (e_u * ca * cb - ax * sa) * g1 / ay
+        o2 = ca * g1 * g1 / ay
+        o3 = ca * g2 * g2 / ay
+        a = ax * cb + (ax / ay) * sb * e_v + e_u * e_u * cb / ax
+        b = e_u * e_v / ay
+        c = (e_u / ax) * g1
+        d = (ay * ay + e_v * e_v) / ay
+        e = (u2 / ax) * g2
+        f = (ay * ay + vt2 * vt2) / ay
         # robot_angular_strategy
         omega_r = 0.0 if -DEADBAND_HALF_WIDTH < alpha < DEADBAND_HALF_WIDTH else YAW_GAIN * alpha
 

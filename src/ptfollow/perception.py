@@ -6,8 +6,9 @@ Three stages stand in for a real perception stack:
    once three consecutive detections agree to within ``PIXEL_TOLERANCE``.
 2. A tracker channel that reports each tick the ground-truth box, perturbed
    by Gaussian pixel noise, or that the target is lost (scripted occlusion
-   windows, outside the search region, random dropouts).  Dropouts and noise
-   are drawn from the run's seeded ``random.Random``.
+   windows, outside the search region, random dropouts, a noisy box outside
+   the image).  Dropouts and noise are drawn from the run's seeded
+   ``random.Random``.
 3. A failure-recovery state machine: a lost tick enters the failure state
    and a seen tick leaves it, and while failed the search region grows by a
    constant step per tick up to full-image coverage.  The pipeline scores
@@ -215,10 +216,9 @@ class PerceptionPipeline:
         with each expression in its order, so every output and every draw from
         ``rng`` is theirs: a lost tick enters the failure state and a seen tick
         leaves it.  Their builtin ``min``/``max`` are comparisons keeping the
-        builtins' first-argument-wins rule.  A noisy box runs
-        :class:`BoxMeasurement`'s check inline and is built without the
-        constructor's frame; one that fails goes to the constructor, which
-        raises.
+        builtins' first-argument-wins rule.  A noisy box inside the image is
+        built without :class:`BoxMeasurement`'s frame (the image test implies
+        its check); any other noisy box is a lost tick.
         """
         noise = self.noise
         seen = truth
@@ -244,15 +244,18 @@ class PerceptionPipeline:
                 elif noise.sigma_px > 0.0:
                     rand, sigma = rng.random, noise.sigma_px
                     du, dv, dv2 = normal(rand, sigma), normal(rand, sigma), normal(rand, sigma)
+                    u = seen[0] + du
                     v = seen[1] + dv
                     v2 = seen[2] + dv2
                     top = v - 1.0  # keep at least 1 px of half height
                     if top < v2:
                         v2 = top
-                    if v2 < v:  # BoxMeasurement's check, without its frame
-                        seen = tuple.__new__(BoxMeasurement, (seen[0] + du, v, v2))
-                    else:  # the checked constructor raises its own error
-                        seen = BoxMeasurement(seen[0] + du, v, v2)
+                    k = self.intrinsics
+                    # render_measurement's image test, which implies v2 < v
+                    if 0.0 <= u < k.width and 0.0 <= v2 < v < k.height:
+                        seen = tuple.__new__(BoxMeasurement, (u, v, v2))
+                    else:
+                        seen = None
             # an unchanged recovery state is kept, where recovery_step builds one
             if seen is None:
                 score = LOST_SCORE

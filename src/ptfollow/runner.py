@@ -25,7 +25,6 @@ def run_scenario(config: ScenarioConfig) -> TimeSeriesLog:
         gains=config.gains,
         intrinsics=config.intrinsics,
         saturation=config.saturation,
-        mode=config.mode,
     )
     pipeline = PerceptionPipeline(
         noise=config.noise,

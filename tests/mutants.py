@@ -11,7 +11,8 @@ examples, in a fixed order, so a mutant a property kills is killed within that
 budget on every run.  Before the mutants it runs every named test on an
 unchanged copy, which must pass.  It exits 1 if that check fails, if a
 mutant survives, or if an old text is not found exactly once in its file
-(the code has moved on: update the entry).
+(the code has moved on: update the entry); ``tests/test_mutants.py`` checks
+that, and that each named test exists, on every test run.
 
 A mutant with an ``equivalent`` reason changes no behaviour any valid run
 can reach; it is applied and reported, and its survival is expected.  If a
@@ -124,24 +125,31 @@ MUTANTS = [
         (CONFIG_TESTS + "TestParseConfig::test_full_round_trip",),
     ),
     # the fused tick's fourth pass: comparisons for builtin min/max, the noisy
-    # box built without its constructor's frame, the row appended uncopied
+    # box built only inside the image and without its constructor's frame, the
+    # row appended uncopied
     Mutant(
         "perception.py",
-        "                    if v2 < v:  # BoxMeasurement's check",
-        "                    if True:  # BoxMeasurement's check",
-        (PIPELINE_TESTS + "test_noisy_box_keeps_the_box_check",),
+        "                    if 0.0 <= u < k.width and 0.0 <= v2 < v < k.height:\n",
+        "                    if True:\n",
+        (PIPELINE_TESTS + "test_noisy_box_outside_the_image_is_lost",),
     ),
-    Mutant(
+    Mutant(  # a NaN center row let through
         "perception.py",
-        "                    if v2 < v:  # BoxMeasurement's check",
-        "                    if v2 <= v:  # BoxMeasurement's check",
-        (PIPELINE_TESTS + "test_noisy_box_keeps_the_box_check",),
+        "0.0 <= v2 < v < k.height",
+        "0.0 <= v2 < k.height",
+        (PIPELINE_TESTS + "test_noisy_box_outside_the_image_is_lost",),
+    ),
+    Mutant(  # a column left of the image let through
+        "perception.py",
+        "                    if 0.0 <= u < k.width and",
+        "                    if u < k.width and",
+        (PIPELINE_TESTS + "test_noisy_box_outside_the_image_is_lost",),
     ),
     Mutant(  # the 1 px cap as min(v - 1.0, v2), which drops a NaN top row
         "perception.py",
         "                    if top < v2:\n",
         "                    if not v2 < top:\n",
-        (PIPELINE_TESTS + "test_noisy_box_keeps_the_box_check",),
+        (PIPELINE_TESTS + "test_noisy_box_outside_the_image_is_lost",),
     ),
     Mutant(
         "perception.py",

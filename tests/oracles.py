@@ -379,12 +379,15 @@ def simulated_track(
     t: float,
     rng: Random,
     dilation: float = RecoveryPolicy.search_dilation,
+    k: CameraIntrinsics = CameraIntrinsics(),
 ) -> BoxMeasurement | None:
     """One tracker update against the synthetic measurement channel.
 
     Returns ``None`` (target lost) whenever the target is occluded, absent,
     outside the square search region around ``last_box``, or lost to a
-    random dropout; otherwise returns the (possibly noise-perturbed) truth.
+    random dropout, or its noisy box is outside the image ``k`` (the test of
+    :func:`ptfollow.simworld.render_measurement`); otherwise returns the
+    (possibly noise-perturbed) truth.
     """
     if truth is None or occluded_at(noise, t):
         return None
@@ -398,7 +401,10 @@ def simulated_track(
         du, dv, dv2 = normal(random, sigma), normal(random, sigma), normal(random, sigma)
         v = truth.v + dv
         v2 = min(truth.v2 + dv2, v - 1.0)  # keep at least 1 px of half height
-        return BoxMeasurement(truth.u + du, v, v2)
+        u = truth.u + du
+        if not (0.0 <= u < k.width and 0.0 <= v2 < v < k.height):
+            return None
+        return BoxMeasurement(u, v, v2)
     return truth
 
 
@@ -418,7 +424,7 @@ def pipeline_step_with_cap(
     else:
         seen = simulated_track(
             truth, pipe._box, pipe.recovery.region_scale,
-            pipe.noise, t, rng, pipe.policy.search_dilation,
+            pipe.noise, t, rng, pipe.policy.search_dilation, pipe.intrinsics,
         )
         if seen is None:
             score = LOST_SCORE
@@ -466,11 +472,10 @@ def follow_step(
     gains: ControllerGains,
     k: CameraIntrinsics,
     limits: SaturationLimits,
-    mode: str,
 ) -> ControlCommand:
     """:meth:`ptfollow.controller.FollowController.step` after the command
     ``last``, composed of the plain functions: :func:`compute_errors`,
-    :func:`jacobian_terms`, :func:`robot_angular_strategy`,
+    the re-derived :func:`jacobian_terms`, :func:`robot_angular_strategy`,
     :func:`control_law` with its guard, and :func:`clamp` per rate."""
     if box is None:
         return ControlCommand(0.0, 0.0, 0.0, 0.0)
@@ -478,7 +483,7 @@ def follow_step(
         return hold_and_decay(last, freeze_rotation=True)
     if err is None:
         err = compute_errors(box, k, gains.target_half_height)
-    terms = jacobian_terms(err, box, angles, k, gains, mode)
+    terms = jacobian_terms(err, box, angles, k, gains)
     omega_r = robot_angular_strategy(angles.alpha)
     try:
         v_r, omega_alpha, omega_beta = control_law(

@@ -237,7 +237,6 @@ initial_angles: {alpha: 0.1, beta: -0.1}
 dt: 0.01
 duration: 12.0
 seed: 7
-mode: as-printed
 """
         path = tmp_path / "walk.yaml"
         path.write_text(text)
@@ -269,7 +268,6 @@ mode: as-printed
             dt=0.01,
             duration=12.0,
             seed=7,
-            mode="as-printed",
         )
         assert load_config(path) == expected
 
@@ -285,9 +283,13 @@ mode: as-printed
         assert parse_config(data) == parse_config({})
 
     def test_schema_covers_every_config_field(self):
-        top_level = {"name", "trajectory", "robot_start", "dt", "duration", "seed", "mode"}
+        top_level = {"name", "trajectory", "robot_start", "dt", "duration", "seed"}
         assert {f.name for f in dataclasses.fields(ScenarioConfig)} == set(SECTIONS) | top_level
         assert set(TRAJECTORY_SAMPLES) == set(TRAJECTORIES)
+        # the loop's coefficient block is a class constant, not a field
+        assert ScenarioConfig.mode == "re-derived"
+        with pytest.raises(TypeError):
+            ScenarioConfig(mode="as-printed")
 
     @pytest.mark.parametrize("section", SECTIONS)
     def test_every_section_field_is_a_key(self, section):
@@ -311,7 +313,7 @@ mode: as-printed
             assert getattr(cfg.trajectory, f.name) == getattr(sample, f.name), f.name
 
     def test_top_level_fields_are_keys(self):
-        given = {"name": "n", "dt": 0.01, "duration": 2.0, "seed": 3, "mode": "as-printed"}
+        given = {"name": "n", "dt": 0.01, "duration": 2.0, "seed": 3}
         cfg = parse_config(given)
         assert {key: getattr(cfg, key) for key in given} == given
         pose = parse_config({"robot_start": {"x": 1.0, "y": 2.0, "theta": 0.5}})
@@ -330,6 +332,8 @@ mode: as-printed
             ({"noise": {"score_visible": 0.7}}, "noise.score_visible"),
             ({"recovery": {"th_low": 0.9}}, "recovery.th_low"),
             ({"recovery": {"th_high": 0.8}}, "recovery.th_high"),
+            # and so is the loop's coefficient block
+            ({"mode": "re-derived"}, "mode"),
         ],
     )
     def test_non_schema_keys_rejected(self, tmp_path, capsys, data, path):
@@ -695,12 +699,12 @@ LEAF_KEYS = [
       for f in dataclasses.fields(cls)),
     *((kind, f.name) for kind, cls in TRAJECTORIES.items() for f in dataclasses.fields(cls)),
     *((section, key) for section, keys in NAMED_KEYS.items() for key in keys),
-    *((None, key) for key in ("name", "dt", "duration", "seed", "mode")),
+    *((None, key) for key in ("name", "dt", "duration", "seed")),
 ]
 SCALARS = st.one_of(
     st.integers(-3, 3),
     st.floats(),  # NaN and the infinities too
-    st.sampled_from([0.25, 1.5, 2**64, 10**400, "as-printed", "1.0"]),
+    st.sampled_from([0.25, 1.5, 2**64, 10**400, "1.0"]),
     st.booleans(),
     st.text(max_size=2),
     st.none(),
@@ -889,13 +893,27 @@ class TestCli:
         assert not (out / "timeseries.csv").exists()
         assert (out / "summary.json").is_file()
 
-    def test_mode_override(self, tmp_path):
+    def test_noise_far_past_the_image_loses_the_target(self, tmp_path):
+        # a valid config whose every noisy box lands outside the image: the
+        # tracker loses the target once the gate opens, and the run completes
+        scenario = tmp_path / "huge.yaml"
+        scenario.write_text(
+            "trajectory: {kind: waypoints, points: [[4.5, 0.0], [20.0, 3.0]]}\n"
+            "noise: {sigma_px: 1.0e+20}\n"
+            "duration: 1.0\n"
+        )
         out = tmp_path / "out"
-        code = main([
-            "--scenario", "circle-sim", "--out", str(out),
-            "--duration", "0.2", "--mode", "as-printed",
-        ])
-        assert code == 0
+        assert main(["--scenario", str(scenario), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failure_episodes"] == 1 and summary["reacquisition_latencies"] == []
+
+    def test_mode_flag_is_gone(self, tmp_path, capsys):
+        # the loop runs one coefficient block; argparse rejects the flag
+        with pytest.raises(SystemExit) as exc:
+            main(["--scenario", "circle-sim", "--out", str(tmp_path), "--mode", "as-printed"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode as-printed" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
 
     def test_dt_override_changes_tick_count(self, tmp_path):
         out = tmp_path / "out"

@@ -357,15 +357,12 @@ class TestFollowController:
         cmd = ctrl.step(box, state.angles)
         assert cmd.omega_r == pytest.approx(0.07)
 
-    @pytest.mark.parametrize("mode", ["re-derived", "as-printed"])
-    def test_step_with_given_errors_equals_step_computing_them(
-        self, intrinsics, body, gains, mode
-    ):
+    def test_step_with_given_errors_equals_step_computing_them(self, intrinsics, body, gains):
         # two controllers fed one sequence of boxes, holds and a singular box:
         # handing step the errors changes no bit of any command
         rng = np.random.default_rng(11)
-        given_err = FollowController(gains, intrinsics, SaturationLimits(v_max=0.3), mode)
-        own_err = FollowController(gains, intrinsics, SaturationLimits(v_max=0.3), mode)
+        given_err = FollowController(gains, intrinsics, SaturationLimits(v_max=0.3))
+        own_err = FollowController(gains, intrinsics, SaturationLimits(v_max=0.3))
         singular_box = BoxMeasurement(
             u=intrinsics.u0 + 30.0, v=intrinsics.v0, v2=intrinsics.v0 - 1e-12
         )
@@ -546,22 +543,21 @@ class TestFusedStep:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        mode=st.sampled_from(JACOBIAN_MODES),
         gains=_GAINS,
         limits=_LIMIT_SETS,
         ticks=st.lists(_TICK, min_size=1, max_size=30),
     )
     @example(  # yaw outside the deadband, then the guard's hold of its rates
-        "re-derived", _DEFAULT_GAINS, _LIMITS,
+        _DEFAULT_GAINS, _LIMITS,
         [(400.0, 300.0, 80.0, 0.7, 0.1, False, False), "singular", "singular"],
     ).via("singular hold after a yawing tick")
     @example(
-        "as-printed", _DEFAULT_GAINS, _LIMITS,
+        _DEFAULT_GAINS, _LIMITS,
         [(400.0, 300.0, 80.0, -0.7, 0.1, False, True), "singular", "none"],
-    ).via("singular hold after a yawing tick, as printed")
-    def test_step_equals_the_plain_composition(self, mode, gains, limits, ticks):
+    ).via("singular hold after a yawing tick with its errors given")
+    def test_step_equals_the_plain_composition(self, gains, limits, ticks):
         k = CameraIntrinsics()
-        ctrl = FollowController(gains, k, limits, mode)
+        ctrl = FollowController(gains, k, limits)
         last = ZERO_COMMAND
         for i, tick in enumerate(ticks):
             if tick == "none":
@@ -573,22 +569,21 @@ class TestFusedStep:
                 box, angles = BoxMeasurement(u, v, v - half_height), PanTiltAngles(alpha, beta)
             err = compute_errors(box, k, gains.target_half_height) if given_err else None
             got = ctrl.step(box, angles, hold, err)
-            want = follow_step(last, box, angles, hold, err, gains, k, limits, mode)
+            want = follow_step(last, box, angles, hold, err, gains, k, limits)
             assert list(map(float.hex, got[:4])) == list(map(float.hex, want[:4])), i
             assert type(got) is ControlCommand and repr(got) == repr(want), i
             last = want
 
-    @pytest.mark.parametrize("mode", JACOBIAN_MODES)
-    def test_guard_holds_at_its_bound(self, mode, intrinsics, gains):
+    def test_guard_holds_at_its_bound(self, intrinsics, gains):
         # control_law raises at |den| == eps; the step must hold there too
         box, angles = BoxMeasurement(400.0, 300.0, 220.0), PanTiltAngles(0.2, 0.1)
         err = compute_errors(box, intrinsics, gains.target_half_height)
-        terms = jacobian_terms(err, box, angles, intrinsics, gains, mode)
+        terms = jacobian_terms(err, box, angles, intrinsics, gains)
         den = abs(solve_denominator_by_attribute(terms, gains))
         with pytest.raises(SingularConfigurationError):
             control_law(err, terms, gains, 0.0, den)
         for eps, holds in ((den, True), (math.nextafter(den, 0.0), False)):
-            ctrl = FollowController(gains, intrinsics, mode=mode)
+            ctrl = FollowController(gains, intrinsics)
             ctrl._eps_den = eps
             assert ctrl.step(box, angles, False, err).hold is holds
 

@@ -113,8 +113,7 @@ def test_summary_matches_golden(name):
 
 
 # sha256 of the CSV and summary.json the CLI writes, (csv, summary).  These
-# pin every bit of every tick, where the summary pins above allow 1e-12; the
-# as-printed run is the only closed-loop check of that coefficient block.
+# pin every bit of every tick, where the summary pins above allow 1e-12.
 BYTE_GOLDENS = {
     "circle-sim": (
         "a77ee773011589910811965f690472601a94128a3e0242adcb350a2ea12d6e16",
@@ -132,22 +131,12 @@ BYTE_GOLDENS = {
         "eea8ba2ca63cc56cc86eec0e11e8f0951e8e245593e836ba11494fba814b7489",
         "94365bddc3b36d571cd6e998b09d91e49ef278fa0e63e4f5bf278bec7714eec1",
     ),
-    "circle-sim-as-printed": (
-        "d383f098ea30fda7a8f8f410862e7899df1da67534fe8e32fdd84b8f2613895d",
-        "99d5f484e08bb3e8e6000f3b4f6a082d0620859ebdd84d999deef5ae9774722a",
-    ),
 }
-
-
-def _byte_config(name):
-    if name == "circle-sim-as-printed":
-        return dataclasses.replace(PRESETS["circle-sim"](), mode="as-printed")
-    return _config(name)
 
 
 @pytest.mark.parametrize("name", BYTE_GOLDENS)
 def test_output_bytes_match_golden(name, tmp_path):
-    run(_byte_config(name), tmp_path)
+    run(_config(name), tmp_path)
     digests = tuple(
         hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
         for file in (CSV_NAME, SUMMARY_NAME)

@@ -1,8 +1,7 @@
 """The package ships the loop and its API, and no code that only tests call.
 
 Every function and method defined in ``src/ptfollow`` is entered by a CLI
-run of a preset, of circle-sim in ``as-printed`` mode or of a noisy scenario
-file, is imported by ``tests/test_acceptance.py``, is exported by
+run of a preset or of a noisy scenario file, is imported by ``tests/test_acceptance.py``, is exported by
 ``ptfollow``, or is read by ``perfbench/`` (as an attribute, or by its
 qualified name in a string).  A plain form that only tests call lives in
 ``tests/oracles.py``; ``ALLOWED`` gives each exception its reason.
@@ -53,10 +52,8 @@ def _entered(tmp_path):
         if event == "call":
             entered.add(frame.f_code)
 
-    for i, args in enumerate(
-        [["--scenario", name] for name in ("circle-sim", "indoor", "outdoor", str(scenario))]
-        + [["--scenario", "circle-sim", "--mode", "as-printed"]]
-    ):
+    for i, name in enumerate(("circle-sim", "indoor", "outdoor", str(scenario))):
+        args = ["--scenario", name]
         sys.setprofile(record)
         try:
             assert cli.main([*args, "--out", str(tmp_path / str(i))]) == 0, args

@@ -106,13 +106,17 @@ class TestSimulatedTrack:
         assert simulated_track(truth, last, 1.0, noise, 0.0, rng) is None
 
     def test_noise_keeps_box_valid(self):
+        # a noisy box lies in the image with at least 1 px of half height,
+        # or the tick is lost
         rng = random.Random(1)
         noise = NoiseModel(sigma_px=80.0)
         truth = _box(320.0, 240.0, h=30.0)
-        last = truth
-        for _ in range(200):
-            box = simulated_track(truth, last, 1.0, noise, 0.0, rng)
-            assert box.v2 < box.v
+        k = CameraIntrinsics()
+        boxes = [simulated_track(truth, truth, 1.0, noise, 0.0, rng) for _ in range(200)]
+        seen = [box for box in boxes if box is not None]
+        assert 0 < len(boxes) - len(seen) < 20
+        for box in seen:
+            assert 0.0 <= box.u < k.width and 0.0 <= box.v2 <= box.v - 1.0 and box.v < k.height
 
     def test_noisy_box_is_plain_floats(self):
         rng = random.Random(1)
@@ -326,28 +330,46 @@ class TestPerceptionPipeline:
         assert out.region_scale == 1.0
         assert not out.hold
 
-    # (du, dv, dv2): v so large that v - 1.0 == v, so the 1 px cap leaves
-    # v2 == v; a NaN row; a NaN top row, which min(v2, v - 1.0) keeps
-    @pytest.mark.parametrize(
-        "draws", [(0.0, 2.0**60, 2.0**61), (0.0, math.nan, 0.0), (0.0, 0.0, math.nan)]
-    )
-    def test_noisy_box_keeps_the_box_check(self, monkeypatch, draws):
-        # the step builds a noisy box without BoxMeasurement's frame, so it
-        # must run the check itself and raise the constructor's own error
+    def _tracked_with_draws(self, monkeypatch, draws):
+        """The output of the first tracked tick of a truth at (320, 240) with
+        half height 100, whose noise is ``draws``, and the oracle's box for
+        the same draws."""
         pipe = self._pipeline(NoiseModel(sigma_px=1.0))
         rng = random.Random(0)
         for i in range(3):
             pipe.step(_box(320.0, 240.0), 0.02 * i, rng)
+        held = pipe._box
+        for module in ("ptfollow.perception", "oracles"):
+            draw = iter(draws)
+            monkeypatch.setattr(f"{module}.normal", lambda random, sigma, draw=draw: next(draw))
+        out = pipe.step(_box(320.0, 240.0), 0.06, rng)
+        want = simulated_track(held, held, 1.0, NoiseModel(sigma_px=1.0), 0.06, rng)
+        return out, held, want
+
+    # (du, dv, dv2): v so large that v - 1.0 == v, so the 1 px cap leaves
+    # v2 == v; a NaN row; a NaN top row, which min(v2, v - 1.0) keeps; the
+    # column left and right of the image; the row below it; the top row above
+    @pytest.mark.parametrize(
+        "draws",
+        [
+            (0.0, 2.0**60, 2.0**61), (0.0, math.nan, 0.0), (0.0, 0.0, math.nan),
+            (-400.0, 0.0, 0.0), (320.0, 0.0, 0.0), (0.0, 240.0, 0.0), (0.0, 0.0, -141.0),
+        ],
+    )
+    def test_noisy_box_outside_the_image_is_lost(self, monkeypatch, draws):
+        # the step builds a noisy box only where render_measurement would
+        # build the truth; any other noisy box is a lost tick, in the oracle too
+        out, held, want = self._tracked_with_draws(monkeypatch, draws)
+        assert out.box is held and out.hold and out.failure_state
+        assert out.score == LOST_SCORE
+        assert want is None
+
+    @pytest.mark.parametrize("draws", [(-320.0, 0.0, 0.0), (0.0, 0.0, -140.0), (1.0, 1.0, 1.0)])
+    def test_noisy_box_on_the_image_edge_is_seen(self, monkeypatch, draws):
+        out, _, want = self._tracked_with_draws(monkeypatch, draws)
         du, dv, dv2 = draws
-        v = 240.0 + dv
-        v2 = min(140.0 + dv2, v - 1.0)
-        with pytest.raises(ValueError) as want:
-            BoxMeasurement(320.0 + du, v, v2)
-        draw = iter(draws)
-        monkeypatch.setattr("ptfollow.perception.normal", lambda random, sigma: next(draw))
-        with pytest.raises(ValueError) as got:
-            pipe.step(_box(320.0, 240.0), 0.06, rng)
-        assert str(got.value) == str(want.value)
+        assert out.box == want == (320.0 + du, 240.0 + dv, 140.0 + dv2)
+        assert not out.hold and out.score == SEEN_SCORE
 
     def test_deterministic_for_equal_seeds(self):
         noise = NoiseModel(sigma_px=2.0, dropout_prob=0.1)

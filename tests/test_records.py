@@ -115,9 +115,6 @@ def test_box_rejects_a_top_row_not_above_the_center(v, v2):
 
 RUNS = {
     **{name: PRESETS[name] for name in ("circle-sim", "indoor", "outdoor")},
-    "circle-sim-as-printed": lambda: dataclasses.replace(
-        PRESETS["circle-sim"](), mode="as-printed"
-    ),
     "noisy-walk": lambda: parse_config(NOISY_WALK),
 }
 
@@ -157,7 +154,7 @@ def test_every_record_of_a_run_is_whole(name, monkeypatch):
     kinds = {type(rec).__name__ for rec in records.values()}
     assert {"SimState", "PanTiltAngles", "ImageErrors", "ControlCommand"} <= kinds
     assert {"PerceptionOutput", "BoxMeasurement", "SaturationFlags"} <= kinds
-    assert ("JacobianTerms" in kinds) == name.endswith("as-printed")
+    assert "JacobianTerms" not in kinds  # the step runs the block inline
     for rec in records.values():
         cls = type(rec)
         assert len(rec) == len(cls._fields), rec

@@ -385,7 +385,7 @@ class TestDepthAgreement:
         from ptfollow.controller import FollowController
 
         cfg = preset_circle_sim()
-        controller = FollowController(cfg.gains, cfg.intrinsics, cfg.saturation, cfg.mode)
+        controller = FollowController(cfg.gains, cfg.intrinsics, cfg.saturation)
         state = SimState(
             robot=cfg.robot_start, angles=cfg.initial_angles,
             target=target_position(0.0, cfg.trajectory),

@@ -2,9 +2,9 @@
 
 A scenario file is one YAML mapping whose keys are the field names of
 :class:`ScenarioConfig`; each section's keys are the field names of its
-dataclass (``recovery`` is :class:`RecoveryPolicy`, ``trajectory`` the class
-its ``kind`` picks from :data:`TRAJECTORIES`).  The tracker scores, the
-recovery thresholds of :mod:`perception` and the loop's coefficient block
+dataclass (``trajectory`` the class its ``kind`` picks from
+:data:`TRAJECTORIES`).  The tracker scores, the failure-recovery numbers
+of :class:`perception.RecoveryPolicy` and the loop's coefficient block
 ``ScenarioConfig.mode`` are constants, not keys.  This module only walks the
 mappings: it rejects unknown and repeated keys, dispatches on
 ``trajectory.kind`` and prefixes the section to an error.  Each value is
@@ -44,11 +44,12 @@ starts with the whole box in view.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
-from .controller import ControllerGains, SaturationLimits
+from .controller import DEADBAND_HALF_WIDTH, ControllerGains, SaturationLimits
 from .geometry import FIELD_CHECKS, BodyModel, CameraIntrinsics, ConfigError, JointLimitError
 from .geometry import JointLimits, PanTiltAngles, PositiveFloat, check_fields
 from .perception import NoiseModel, RecoveryPolicy
@@ -77,6 +78,7 @@ class ScenarioConfig:
     """Everything a run needs; fully validated on construction."""
 
     mode = "re-derived"  # the loop's coefficient block: a constant, not a field
+    recovery = RecoveryPolicy  # the failure-recovery constants, not a section
 
     name: str = "custom"
     intrinsics: CameraIntrinsics = field(default_factory=CameraIntrinsics)
@@ -86,7 +88,6 @@ class ScenarioConfig:
     joints: JointLimits = field(default_factory=JointLimits)
     trajectory: TargetTrajectory = field(default_factory=CircleTrajectory)
     noise: NoiseModel = field(default_factory=NoiseModel)
-    recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
     robot_start: tuple[float, float, float] = (0.0, 0.0, 0.0)
     initial_angles: PanTiltAngles = PanTiltAngles()
     dt: PositiveFloat = 0.02
@@ -114,6 +115,21 @@ class ScenarioConfig:
             raise ConfigError(
                 f"gains.target_half_height: must be below intrinsics.v0"
                 f" ({self.intrinsics.v0!r} px), got {self.gains.target_half_height!r}"
+            )
+        # an Euler step of de/dt = -k e maps e to (1 - k dt) e, which
+        # overshoots past zero for k dt > 1 and diverges for k dt > 2
+        for name in ("k1", "k2", "k3"):
+            k = getattr(self.gains, name)
+            if k * self.dt >= 2.0:
+                raise ConfigError(
+                    f"gains.{name}: {name} * dt must be below 2, got {k!r} at dt {self.dt!r}"
+                )
+        # the base turns only while the pan is past the deadband, so a pan
+        # limit inside it leaves the base still and the person walks out of view
+        if self.joints.alpha_max < DEADBAND_HALF_WIDTH:
+            raise ConfigError(
+                f"joints.alpha_max: must be at least controller.DEADBAND_HALF_WIDTH"
+                f" ({DEADBAND_HALF_WIDTH!r} rad), got {self.joints.alpha_max!r}"
             )
         try:
             self.joints.check(self.initial_angles)
@@ -305,6 +321,14 @@ def load_config(path: str | Path) -> ScenarioConfig:
                 problem = f"flow collections nested deeper than {MAX_FLOW_DEPTH} levels"
                 raise yaml.scanner.ScannerError(None, None, problem, self.get_mark())
             super().fetch_flow_collection_start(TokenClass)
+
+    # YAML 1.2's exponent floats, such as 1e-3 and 1E5, which YAML 1.1 reads
+    # as strings; after the int resolver, so 10, 0x10 and 1_000 stay integers
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"),
+    )
 
     path = Path(path)
     if not path.is_file():

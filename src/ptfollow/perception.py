@@ -13,7 +13,9 @@ Three stages stand in for a real perception stack:
    and a seen tick leaves it, and while failed the search region grows by a
    constant step per tick up to full-image coverage.  The pipeline scores
    the verdict with the constants ``SEEN_SCORE`` and ``LOST_SCORE``, which
-   lie outside the hysteresis band of :func:`recovery_step`.
+   lie outside the hysteresis band of :func:`recovery_step`.  The band, the
+   step and the region's size are the constants of :class:`RecoveryPolicy`,
+   not scenario keys.
 
 While failed, the pipeline reports the last box seen with a hold flag so the
 controller can stop chasing stale measurements.
@@ -28,7 +30,7 @@ from random import NV_MAGICCONST, Random
 from typing import Callable, NamedTuple, Optional
 
 from .controller import BoxMeasurement
-from .geometry import CameraIntrinsics, ConfigError, PositiveFloat, check_fields
+from .geometry import CameraIntrinsics, ConfigError, check_fields
 
 # Largest drift, in pixels, between successive detections the gate accepts.
 PIXEL_TOLERANCE = 10.0
@@ -97,21 +99,16 @@ class NoiseModel:
         object.__setattr__(self, "_ends", tuple(t1 for _, t1 in windows))
 
 
-@dataclass(frozen=True)
 class RecoveryPolicy:
-    """Failure-recovery settings: the per-tick growth step of the search
-    region multiplier, and the region's nominal half side in units of the box
-    half height.  The hysteresis thresholds on the tracker score are class
-    constants, not fields: the pipeline's two scores lie outside the band."""
+    """Failure-recovery constants: the hysteresis thresholds on the tracker
+    score (the pipeline's two scores lie outside the band), the per-tick
+    growth step of the search region multiplier, and the region's nominal
+    half side in units of the box half height."""
 
     th_low = 0.4
     th_high = 0.8
-
-    step_s: PositiveFloat = 0.5
-    search_dilation: PositiveFloat = 2.0
-
-    def __post_init__(self) -> None:
-        check_fields(self)
+    step_s = 0.5
+    search_dilation = 2.0
 
 
 class _Recovery(NamedTuple):
@@ -135,12 +132,7 @@ class RecoveryState(_Recovery):
         return cls(*iterable)
 
 
-def recovery_step(
-    state: RecoveryState,
-    score: float,
-    scale_cap: float = math.inf,
-    policy: RecoveryPolicy = RecoveryPolicy(),
-) -> RecoveryState:
+def recovery_step(state: RecoveryState, score: float, scale_cap: float = math.inf) -> RecoveryState:
     """One transition of the failure-recovery machine, as a new state.
 
     Scores at or below ``th_low`` enter the failure state; scores at or above
@@ -149,12 +141,12 @@ def recovery_step(
     ``step_s`` per tick, capped at ``scale_cap`` (full-image coverage).
     """
     failed = state.failure_state
-    if score <= policy.th_low:
+    if score <= RecoveryPolicy.th_low:
         failed = True
-    elif score >= policy.th_high:
+    elif score >= RecoveryPolicy.th_high:
         failed = False
     if failed:
-        scale = min(state.region_scale + policy.step_s, max(scale_cap, 1.0))
+        scale = min(state.region_scale + RecoveryPolicy.step_s, max(scale_cap, 1.0))
     else:
         scale = 1.0
     return RecoveryState(failed, scale)
@@ -197,11 +189,8 @@ class PerceptionPipeline:
     (detector internals are out of scope); occlusion suppresses them too.
     """
 
-    def __init__(
-        self, noise: NoiseModel, policy: RecoveryPolicy, intrinsics: CameraIntrinsics
-    ) -> None:
+    def __init__(self, noise: NoiseModel, intrinsics: CameraIntrinsics) -> None:
         self.noise = noise
-        self.policy = policy
         self.recovery = RecoveryState()
         self.intrinsics = intrinsics
         self.window: list[tuple[float, float]] = []  # the detection gate's, see gate_update
@@ -234,9 +223,8 @@ class PerceptionPipeline:
                 return _GATING
             score = SEEN_SCORE
         else:
-            policy = self.policy
             if seen is not None:
-                half = recovery.region_scale * policy.search_dilation * (box[1] - box[2])
+                half = recovery.region_scale * RecoveryPolicy.search_dilation * (box[1] - box[2])
                 if not (abs(seen[0] - box[0]) <= half and abs(seen[1] - box[1]) <= half):
                     seen = None  # outside the search region
                 elif noise.dropout_prob > 0.0 and rng.random() < noise.dropout_prob:
@@ -261,13 +249,13 @@ class PerceptionPipeline:
                 score = LOST_SCORE
                 # failed: the region grows, capped at the multiplier at which
                 # it covers the whole image
-                nominal = policy.search_dilation * (box[1] - box[2])
+                nominal = RecoveryPolicy.search_dilation * (box[1] - box[2])
                 k = self.intrinsics
                 width, height = k.width, k.height
                 cap = (height if height > width else width) / nominal
                 if not cap > 1.0:
                     cap = 1.0
-                scale = recovery.region_scale + policy.step_s
+                scale = recovery.region_scale + RecoveryPolicy.step_s
                 if cap < scale:
                     scale = cap
                 if not (recovery.failure_state and scale == recovery.region_scale):

@@ -26,11 +26,7 @@ def run_scenario(config: ScenarioConfig) -> TimeSeriesLog:
         intrinsics=config.intrinsics,
         saturation=config.saturation,
     )
-    pipeline = PerceptionPipeline(
-        noise=config.noise,
-        policy=config.recovery,
-        intrinsics=config.intrinsics,
-    )
+    pipeline = PerceptionPipeline(noise=config.noise, intrinsics=config.intrinsics)
     rng = Random(config.seed)
     log = TimeSeriesLog()
     nan = math.nan

@@ -93,14 +93,6 @@ MUTANTS = [
     ),
     # one field validator for code-built and file configs
     Mutant(
-        "perception.py",
-        "    search_dilation: PositiveFloat = 2.0\n\n"
-        "    def __post_init__(self) -> None:\n        check_fields(self)\n",
-        "    search_dilation: PositiveFloat = 2.0\n\n"
-        "    def __post_init__(self) -> None:\n        pass\n",
-        (CONFIG_TESTS + "test_value_not_above_zero_rejected_naming_its_field[recovery.step_s-0]",),
-    ),
-    Mutant(
         "geometry.py",
         "if not isinstance(value, (tuple, list)) or len(value) != len(names):",
         "if not isinstance(value, (tuple, list)):",
@@ -177,7 +169,7 @@ MUTANTS = [
         "                if not scale <= cap:\n",
         (PERCEPTION_TESTS + "test_cap_only_on_lost_ticks_changes_no_output",),
         equivalent="the scale is never NaN: RecoveryState rejects a NaN region_scale and"
-        " step_s is a finite number > 0",
+        " RecoveryPolicy.step_s is the constant 0.5",
     ),
     Mutant(
         "runlog.py",
@@ -287,6 +279,34 @@ MUTANTS = [
         "            if self.flow_level >= MAX_FLOW_DEPTH:",
         "            if self.flow_level >= MAX_FLOW_DEPTH - 1:",
         (CONFIG_TESTS + "TestParseConfig::test_flow_nesting_up_to_the_bound_is_read",),
+    ),
+    # configs the loop cannot follow; YAML 1.2 exponent floats
+    Mutant(
+        "config.py",
+        "            if k * self.dt >= 2.0:",
+        "            if k * self.dt > 2.0:",
+        (
+            CONFIG_TESTS
+            + "test_gain_the_time_step_cannot_follow_rejected_naming_both_fields[k1-4.0-0.5]",
+        ),
+    ),
+    Mutant(
+        "config.py",
+        "        if self.joints.alpha_max < DEADBAND_HALF_WIDTH:",
+        "        if self.joints.alpha_max <= DEADBAND_HALF_WIDTH:",
+        (CONFIG_TESTS + "test_pan_limit_at_the_yaw_deadband_accepted[0.5235987755982988]",),
+    ),
+    Mutant(
+        "config.py",
+        "    Loader.add_implicit_resolver(\n",
+        "    (lambda *args: None)(\n",
+        (CONFIG_TESTS + "test_exponent_floats_are_read_as_in_yaml_1_2",),
+    ),
+    Mutant(
+        "config.py",
+        "[eE][-+]?[0-9]+$",
+        "[eE][-+][0-9]+$",
+        (CONFIG_TESTS + "test_exponent_floats_are_read_as_in_yaml_1_2",),
     ),
 ]
 

@@ -378,7 +378,6 @@ def simulated_track(
     noise: NoiseModel,
     t: float,
     rng: Random,
-    dilation: float = RecoveryPolicy.search_dilation,
     k: CameraIntrinsics = CameraIntrinsics(),
 ) -> BoxMeasurement | None:
     """One tracker update against the synthetic measurement channel.
@@ -391,7 +390,7 @@ def simulated_track(
     """
     if truth is None or occluded_at(noise, t):
         return None
-    half = region_scale * dilation * last_box.half_height
+    half = region_scale * RecoveryPolicy.search_dilation * last_box.half_height
     if not (abs(truth.u - last_box.u) <= half and abs(truth.v - last_box.v) <= half):
         return None
     if noise.dropout_prob > 0.0 and rng.random() < noise.dropout_prob:
@@ -424,7 +423,7 @@ def pipeline_step_with_cap(
     else:
         seen = simulated_track(
             truth, pipe._box, pipe.recovery.region_scale,
-            pipe.noise, t, rng, pipe.policy.search_dilation, pipe.intrinsics,
+            pipe.noise, t, rng, pipe.intrinsics,
         )
         if seen is None:
             score = LOST_SCORE
@@ -432,10 +431,10 @@ def pipeline_step_with_cap(
             score = SEEN_SCORE
             pipe._box = seen
         # the multiplier at which the search region covers the whole image
-        nominal = pipe.policy.search_dilation * pipe._box.half_height
+        nominal = RecoveryPolicy.search_dilation * pipe._box.half_height
         k = pipe.intrinsics
         cap = max(1.0, max(k.width, k.height) / nominal)
-        pipe.recovery = recovery_step(pipe.recovery, score, cap, pipe.policy)
+        pipe.recovery = recovery_step(pipe.recovery, score, cap)
     failed = pipe.recovery.failure_state
     return PerceptionOutput(pipe._box, failed, score, pipe.recovery.region_scale, failed, True)
 

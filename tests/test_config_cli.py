@@ -30,7 +30,7 @@ from ptfollow.config import (
     resolve_scenario,
     signed_lambdas,
 )
-from ptfollow.controller import ControllerGains, SaturationLimits
+from ptfollow.controller import DEADBAND_HALF_WIDTH, ControllerGains, SaturationLimits
 from ptfollow.geometry import FIELD_CHECKS, CameraIntrinsics, JointLimits, PanTiltAngles
 from ptfollow.perception import NoiseModel, RecoveryPolicy
 from ptfollow.runner import run_scenario, summarize_run
@@ -54,7 +54,6 @@ SECTIONS = {
     "saturation": SaturationLimits,
     "joints": JointLimits,
     "noise": NoiseModel,
-    "recovery": RecoveryPolicy,
     "initial_angles": PanTiltAngles,
 }
 TRAJECTORY_SAMPLES = {
@@ -100,6 +99,16 @@ class TestPresets:
         assert render_measurement(state, cfg.body, cfg.intrinsics) is not None
 
 
+def _rejected_in_code_and_file(tmp_path, capsys, message, data, build):
+    """``build()`` and a scenario file of ``data`` both fail with ``message``."""
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        build()
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text(json.dumps(data))  # JSON is YAML
+    assert main(["--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"ptfollow: configuration error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "half_height, v0", [(240.0, 240.0), (500.0, 240.0), (100.0, 100.0), (100.0, 0.0)]
 )
@@ -111,17 +120,63 @@ def test_reference_the_image_cannot_hold_rejected_naming_both_fields(
         f"gains.target_half_height: must be below intrinsics.v0 ({v0!r} px), got {half_height!r}"
     )
     gains, intrinsics = {"target_half_height": half_height}, {"v0": v0}
-    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-        ScenarioConfig(gains=ControllerGains(**gains), intrinsics=CameraIntrinsics(**intrinsics))
-    scenario = tmp_path / "bad.yaml"
-    scenario.write_text(json.dumps({"gains": gains, "intrinsics": intrinsics}))
-    assert main(["--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == f"ptfollow: configuration error: {message}\n"
+    _rejected_in_code_and_file(
+        tmp_path, capsys, message, {"gains": gains, "intrinsics": intrinsics},
+        lambda: ScenarioConfig(
+            gains=ControllerGains(**gains), intrinsics=CameraIntrinsics(**intrinsics)
+        ),
+    )
 
 
 def test_reference_just_below_v0_accepted():
     cfg = ScenarioConfig(gains=ControllerGains(target_half_height=math.nextafter(240.0, 0.0)))
     assert cfg.intrinsics.v0 == 240.0
+
+
+@pytest.mark.parametrize("k, dt", [(4.0, 0.5), (100.0, 0.02), (1e300, 0.02)])
+@pytest.mark.parametrize("gain", ["k1", "k2", "k3"])
+def test_gain_the_time_step_cannot_follow_rejected_naming_both_fields(
+    tmp_path, capsys, gain, k, dt
+):
+    # an Euler step of de/dt = -k e maps e to (1 - k dt) e, which no longer
+    # shrinks from k dt = 2 on
+    message = f"gains.{gain}: {gain} * dt must be below 2, got {k!r} at dt {dt!r}"
+    _rejected_in_code_and_file(
+        tmp_path, capsys, message, {"gains": {gain: k}, "dt": dt},
+        lambda: ScenarioConfig(gains=ControllerGains(**{gain: k}), dt=dt),
+    )
+
+
+def test_gain_just_below_two_over_dt_accepted(tmp_path):
+    k = math.nextafter(4.0, 0.0)  # k * 0.5 is exact: the float just below 2
+    path = tmp_path / "edge.yaml"
+    path.write_text(json.dumps({"gains": {"k1": k, "k2": k, "k3": k}, "dt": 0.5}))
+    gains = ControllerGains(k1=k, k2=k, k3=k)
+    assert load_config(path) == ScenarioConfig(name="edge", gains=gains, dt=0.5)
+
+
+@pytest.mark.parametrize("alpha_max", [0.5, math.nextafter(DEADBAND_HALF_WIDTH, 0.0)])
+def test_pan_limit_inside_the_yaw_deadband_rejected_naming_both_fields(
+    tmp_path, capsys, alpha_max
+):
+    # the base turns only while the pan is past the deadband
+    message = (
+        f"joints.alpha_max: must be at least controller.DEADBAND_HALF_WIDTH"
+        f" ({DEADBAND_HALF_WIDTH!r} rad), got {alpha_max!r}"
+    )
+    _rejected_in_code_and_file(
+        tmp_path, capsys, message, {"joints": {"alpha_max": alpha_max}},
+        lambda: ScenarioConfig(joints=JointLimits(alpha_max=alpha_max)),
+    )
+
+
+@pytest.mark.parametrize("alpha_max", [DEADBAND_HALF_WIDTH, 0.6])
+def test_pan_limit_at_the_yaw_deadband_accepted(tmp_path, alpha_max):
+    # the deadband test is strict, so a pan clamped at pi/6 still turns the base
+    path = tmp_path / "edge.yaml"
+    path.write_text(json.dumps({"joints": {"alpha_max": alpha_max}}))
+    expected = ScenarioConfig(name="edge", joints=JointLimits(alpha_max=alpha_max))
+    assert load_config(path) == expected
 
 
 class TestSignedLambdas:
@@ -206,10 +261,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="trajectory.kind"):
             parse_config({"trajectory": {"kind": "spiral"}})
 
-    def test_invalid_sub_invariant_reported(self):
-        with pytest.raises(ConfigError, match="^recovery.step_s: must be a finite number > 0"):
-            parse_config({"recovery": {"step_s": 0.0}})
-
     def test_wrong_type_reported_with_path(self):
         with pytest.raises(ConfigError, match="intrinsics.alpha_x"):
             parse_config({"intrinsics": {"alpha_x": "fast"}})
@@ -231,7 +282,6 @@ noise:
   sigma_px: 1.0
   occlusion_windows: [[4.0, 6.0]]
   dropout_prob: 0.1
-recovery: {step_s: 0.25, search_dilation: 1.5}
 robot_start: {x: 0.5, y: -0.5, theta: 0.25}
 initial_angles: {alpha: 0.1, beta: -0.1}
 dt: 0.01
@@ -262,7 +312,6 @@ seed: 7
             noise=NoiseModel(
                 sigma_px=1.0, occlusion_windows=((4.0, 6.0),), dropout_prob=0.1
             ),
-            recovery=RecoveryPolicy(step_s=0.25, search_dilation=1.5),
             robot_start=(0.5, -0.5, 0.25),
             initial_angles=PanTiltAngles(alpha=0.1, beta=-0.1),
             dt=0.01,
@@ -286,10 +335,17 @@ seed: 7
         top_level = {"name", "trajectory", "robot_start", "dt", "duration", "seed"}
         assert {f.name for f in dataclasses.fields(ScenarioConfig)} == set(SECTIONS) | top_level
         assert set(TRAJECTORY_SAMPLES) == set(TRAJECTORIES)
-        # the loop's coefficient block is a class constant, not a field
+        # the loop's coefficient block and the failure-recovery numbers are
+        # class constants, not fields
         assert ScenarioConfig.mode == "re-derived"
         with pytest.raises(TypeError):
             ScenarioConfig(mode="as-printed")
+        recovery = preset_circle_sim().recovery
+        assert recovery is RecoveryPolicy
+        assert (recovery.th_low, recovery.th_high) == (0.4, 0.8)
+        assert (recovery.step_s, recovery.search_dilation) == (0.5, 2.0)
+        with pytest.raises(TypeError):
+            ScenarioConfig(recovery=RecoveryPolicy)
 
     @pytest.mark.parametrize("section", SECTIONS)
     def test_every_section_field_is_a_key(self, section):
@@ -322,16 +378,16 @@ seed: 7
     @pytest.mark.parametrize(
         "data, path",
         [
-            ({"recovery": {"region_scale": 1.0}}, "recovery.region_scale"),
-            ({"recovery": {"failure_state": False}}, "recovery.failure_state"),
             ({"search_dilation": 2.0}, "search_dilation"),
+            ({"step_s": 0.5}, "step_s"),
             ({"joint_limits": {}}, "joint_limits"),
             ({"robot_start": {"z": 0.0}}, "robot_start.z"),
-            # the tracker scores and recovery thresholds are constants
+            # the tracker scores and the failure-recovery numbers are constants
             ({"noise": {"score_occluded": 0.5}}, "noise.score_occluded"),
             ({"noise": {"score_visible": 0.7}}, "noise.score_visible"),
-            ({"recovery": {"th_low": 0.9}}, "recovery.th_low"),
-            ({"recovery": {"th_high": 0.8}}, "recovery.th_high"),
+            ({"recovery": {}}, "recovery"),
+            ({"recovery": {"step_s": 0.5, "search_dilation": 2.0}}, "recovery"),
+            ({"recovery": {"th_low": 0.9}}, "recovery"),
             # and so is the loop's coefficient block
             ({"mode": "re-derived"}, "mode"),
         ],
@@ -447,7 +503,6 @@ BAD_INPUTS = [
     ("trajectory: {kind: line, velocity: [.inf, 0]}", "trajectory.velocity[0]"),
     ("noise: {sigma_px: .inf}", "noise.sigma_px"),
     ("noise: {occlusion_windows: [[1.0, .inf]]}", "noise.occlusion_windows[0][1]"),
-    ("recovery: {step_s: .nan}", "recovery.step_s"),
     ("robot_start: {theta: .inf}", "robot_start.theta"),
     ("initial_angles: {alpha: .nan}", "initial_angles.alpha"),
     ("dt: .nan", "dt"),
@@ -466,15 +521,14 @@ BAD_INPUTS = [
     ("trajectory: {kind: circle, center: [0.5, true]}", "trajectory.center[1]"),
     ("trajectory: {kind: waypoints, points: [[1, 2], [false, 1]]}", "trajectory.points[1][0]"),
     ("noise: {occlusion_windows: [[1.0, x]]}", "noise.occlusion_windows[0][1]"),
-    # limits and policies that must be positive
+    # limits that must be positive
     ("saturation: {v_max: -1}", "saturation.v_max"),
     ("saturation: {omega_r_max: 0}", "saturation.omega_r_max"),
     ("joints: {alpha_max: -1}", "joints.alpha_max"),
-    ("recovery: {search_dilation: 0}", "recovery.search_dilation"),
     # initial angles outside the joint range
     ("initial_angles: {alpha: 10.0}", "initial_angles.alpha"),
     ("initial_angles: {beta: -1.1}", "initial_angles.beta"),
-    ("{joints: {alpha_max: 0.5}, initial_angles: {alpha: 0.6}}", "initial_angles.alpha"),
+    ("{joints: {alpha_max: 0.6}, initial_angles: {alpha: 0.7}}", "initial_angles.alpha"),
     # invariants a section's dataclass checks on its own fields
     ("gains: {k1: -1}", "gains.k1"),
     ("gains: {target_half_height: 0}", "gains.target_half_height"),
@@ -536,7 +590,6 @@ NON_FINITE_IN_CODE = [
     (lambda: BodyModel(body_center_height=nan), "body_center_height"),
     (lambda: JointLimits(alpha_max=inf), "alpha_max"),
     (lambda: NoiseModel(sigma_px=inf), "sigma_px"),
-    (lambda: RecoveryPolicy(step_s=inf), "step_s"),
 ]
 
 
@@ -641,8 +694,6 @@ POSITIVE_FIELDS = [
     ("body", "head_height"),
     *(("gains", key) for key in ("k1", "k2", "k3", "target_half_height")),
     *(("saturation", f.name) for f in dataclasses.fields(SaturationLimits)),
-    ("recovery", "step_s"),
-    ("recovery", "search_dilation"),
     ("circle", "radius"),
     ("waypoints", "speed"),
     (None, "dt"),
@@ -808,6 +859,43 @@ def test_undecodable_file_is_invalid_yaml(tmp_path, capsys):
     assert "invalid YAML" in capsys.readouterr().err
 
 
+def test_exponent_floats_are_read_as_in_yaml_1_2(tmp_path):
+    # YAML 1.1 wants a dot and a signed exponent; integers keep their forms
+    path = tmp_path / "exp.yaml"
+    path.write_text(
+        "noise: {dropout_prob: 1e-3}\n"
+        "saturation: {v_max: 1E5}\n"
+        "intrinsics: {alpha_x: 1.5e3, alpha_y: .5e3, width: 1_000}\n"
+        "seed: 0x10\n"
+    )
+    expected = ScenarioConfig(
+        name="exp",
+        noise=NoiseModel(dropout_prob=1e-3),
+        saturation=SaturationLimits(v_max=1e5),
+        intrinsics=CameraIntrinsics(alpha_x=1.5e3, alpha_y=500.0, width=1000),
+        seed=16,
+    )
+    assert load_config(path) == expected
+
+
+@pytest.mark.parametrize("value, shown", [("1e400", "inf"), ("'1e-3'", "'1e-3'")])
+def test_exponent_float_out_of_range_or_quoted_rejected(tmp_path, capsys, value, shown):
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text(f"noise: {{dropout_prob: {value}}}\n")
+    assert main(["--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    message = f"noise.dropout_prob: expected a finite number, got {shown}"
+    assert capsys.readouterr().err == f"ptfollow: configuration error: {message}\n"
+
+
+def test_readme_section_table_names_exactly_the_sections():
+    text = README.read_text().split("## Scenario files\n")[1].split("\n## ")[0]
+    keys = set(re.findall(r"^\| `(\w+)` ", text, re.M))
+    config_fields = dataclasses.fields(ScenarioConfig)
+    assert keys <= {f.name for f in config_fields}
+    # a section is a field that check_fields has no validator for
+    assert {f.name for f in config_fields if f.type not in FIELD_CHECKS} <= keys
+
+
 def test_readme_scenario_example_runs_one_tick(tmp_path):
     blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(), re.DOTALL)
     assert len(blocks) == 1
@@ -923,6 +1011,12 @@ class TestCli:
         ])
         assert code == 0
         assert len((out / "timeseries.csv").read_text().splitlines()) == 101
+
+    def test_dt_override_the_gains_cannot_follow_is_config_error(self, tmp_path, capsys):
+        code = main(["--scenario", "circle-sim", "--out", str(tmp_path), "--dt", "4"])
+        assert code == 2
+        message = "gains.k1: k1 * dt must be below 2, got 0.5 at dt 4.0"
+        assert capsys.readouterr().err == f"ptfollow: configuration error: {message}\n"
 
     def test_invalid_dt_override_is_config_error(self, tmp_path):
         code = main([

@@ -3,7 +3,7 @@
 import math
 import random
 import statistics
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -236,7 +236,8 @@ class TestRecoveryStep:
             assert not recovery_step(state, SEEN_SCORE).failure_state
         names = [f.name for f in fields(NoiseModel)]
         assert names == ["sigma_px", "occlusion_windows", "dropout_prob"]
-        assert [f.name for f in fields(RecoveryPolicy)] == ["step_s", "search_dilation"]
+        assert not is_dataclass(RecoveryPolicy)
+        assert (RecoveryPolicy.step_s, RecoveryPolicy.search_dilation) == (0.5, 2.0)
 
     @pytest.mark.parametrize("scale", [math.nan, 0.5])
     def test_region_scale_below_one_or_nan_rejected(self, scale):
@@ -266,11 +267,7 @@ class TestNormalDraw:
 
 class TestPerceptionPipeline:
     def _pipeline(self, noise=None):
-        return PerceptionPipeline(
-            noise=noise or NoiseModel(),
-            policy=RecoveryPolicy(),
-            intrinsics=CameraIntrinsics(),
-        )
+        return PerceptionPipeline(noise=noise or NoiseModel(), intrinsics=CameraIntrinsics())
 
     def test_initialization_takes_three_frames(self):
         pipe = self._pipeline()
@@ -404,10 +401,6 @@ def _runs(draw):
         occlusion_windows=tuple(windows),
         dropout_prob=draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])),
     )
-    policy = RecoveryPolicy(
-        step_s=draw(st.sampled_from([0.5]) | st.floats(1e-3, 5.0)),
-        search_dilation=draw(st.sampled_from([2.0]) | st.floats(0.5, 4.0)),
-    )
     # 400 px: a box whose nominal search region already covers the image,
     # so a failed state keeps the scale 1
     u, v, h = 320.0, 240.0, draw(st.sampled_from([400.0]) | st.floats(5.0, 150.0))
@@ -417,14 +410,14 @@ def _runs(draw):
         u += draw(st.floats(-step, step))
         v += draw(st.floats(-step, step))
         truths.append(_box(u, v, h) if draw(st.integers(0, 9)) else None)
-    return noise, policy, truths, draw(st.integers(0, 2**32 - 1))
+    return noise, truths, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_runs())
 def test_pipeline_reports_one_verdict_per_tick(run):
-    noise, policy, truths, seed = run
-    pipe = PerceptionPipeline(noise=noise, policy=policy, intrinsics=CameraIntrinsics())
+    noise, truths, seed = run
+    pipe = PerceptionPipeline(noise=noise, intrinsics=CameraIntrinsics())
     rng = random.Random(seed)
     prev = None
     for i, truth in enumerate(truths):
@@ -459,10 +452,8 @@ def test_cap_only_on_lost_ticks_changes_no_output(run, intrinsics):
     # skips the search-region cap on seen ticks, which reset the scale; the
     # plain composition, computing the cap on every tick, gives the same
     # outputs and leaves the generator at the same point
-    noise, policy, truths, seed = run
-    fast, full = (
-        PerceptionPipeline(noise=noise, policy=policy, intrinsics=intrinsics) for _ in range(2)
-    )
+    noise, truths, seed = run
+    fast, full = (PerceptionPipeline(noise=noise, intrinsics=intrinsics) for _ in range(2))
     fast_rng, full_rng = random.Random(seed), random.Random(seed)
     for i, truth in enumerate(truths):
         got = fast.step(truth, DT * i, fast_rng)

@@ -34,7 +34,6 @@ from ptfollow.perception import (
     NoiseModel,
     PerceptionOutput,
     PerceptionPipeline,
-    RecoveryPolicy,
     RecoveryState,
 )
 from ptfollow.runlog import RunSummary
@@ -82,7 +81,7 @@ RECORDS = [
 ]
 CONFIG_SECTIONS = (
     CameraIntrinsics, BodyModel, ControllerGains, SaturationLimits, JointLimits,
-    NoiseModel, RecoveryPolicy, CircleTrajectory, LineTrajectory, WaypointTrajectory,
+    NoiseModel, CircleTrajectory, LineTrajectory, WaypointTrajectory,
     ScenarioConfig,
 )
 

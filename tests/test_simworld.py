@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ptfollow.controller import ControlCommand, compute_errors
+from ptfollow.controller import DEADBAND_HALF_WIDTH, ControlCommand, compute_errors
 from oracles import (
     DepthUnobservableError,
     depth_from_height,
@@ -427,10 +427,12 @@ _TRAJECTORIES = st.one_of(
 
 @st.composite
 def _joint_range_runs(draw):
-    """A scenario with a random joint range, initial angles inside it, and a
+    """A scenario with a random joint range (a pan limit no narrower than
+    the yaw deadband, as configs require), initial angles inside it, and a
     trajectory the robot starts roughly facing, so the pan-tilt unit often
     drives into its stops."""
-    joints = JointLimits(alpha_max=draw(st.floats(0.02, 3.0)), beta_max=draw(st.floats(0.02, 1.5)))
+    alpha_max = draw(st.floats(DEADBAND_HALF_WIDTH, 3.0))
+    joints = JointLimits(alpha_max=alpha_max, beta_max=draw(st.floats(0.02, 1.5)))
     angles = PanTiltAngles(
         alpha=draw(st.floats(-1.0, 1.0)) * joints.alpha_max,
         beta=draw(st.floats(-1.0, 1.0)) * joints.beta_max,

@@ -105,6 +105,15 @@ class ScenarioConfig:
                 f"duration: must be a finite number >= 0 and a finite number of dt steps,"
                 f" got {self.duration!r} at dt {self.dt!r}"
             )
+        # math.cos of an angle rate * t + phase past the float range raises
+        traj = self.trajectory
+        if isinstance(traj, CircleTrajectory) and not math.isfinite(
+            abs(traj.rate) * self.duration + abs(traj.phase)
+        ):
+            raise ConfigError(
+                f"trajectory.rate: |rate| * duration + |phase| must be finite, got rate"
+                f" {traj.rate!r} and phase {traj.phase!r} at duration {self.duration!r}"
+            )
         if self.n_ticks > MAX_TICKS:
             raise ConfigError(
                 f"duration: {self.duration!r} s at dt {self.dt!r} s is {self.n_ticks} ticks,"
@@ -308,10 +317,10 @@ def load_config(path: str | Path) -> ScenarioConfig:
     """Load and validate a scenario file.
 
     Raises:
-        ConfigError: missing file, malformed YAML (undecodable bytes and
-            too deep a nesting too), a key given twice in one mapping,
-            unknown keys, or any violated field invariant (the message names
-            the field).
+        ConfigError: missing file, a path the system cannot read (a name
+            too long, say), malformed YAML (undecodable bytes and too deep a
+            nesting too), a key given twice in one mapping, unknown keys, or
+            any violated field invariant (the message names the field).
     """
     import yaml  # only scenario files need it; presets do not
 
@@ -331,9 +340,9 @@ def load_config(path: str | Path) -> ScenarioConfig:
     )
 
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"scenario file not found: {path}")
     try:
+        if not path.is_file():
+            raise ConfigError(f"scenario file not found: {path}")
         # bytes, so YAML decodes them and undecodable ones are a YAMLError
         with open(path, "rb") as fh:
             loader = Loader(fh)
@@ -349,6 +358,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     except RecursionError:  # the composer and the key walk recurse per level
         raise ConfigError(f"{path}: invalid YAML: nested too deeply") from None
+    except OSError as exc:  # a name too long, say, or a file not readable
+        raise ConfigError(f"{path}: cannot read scenario file: {exc.strerror}") from exc
     if data is None:
         data = {}
     return parse_config(data, name=path.stem)

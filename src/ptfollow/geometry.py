@@ -199,9 +199,6 @@ class JointLimits:
                 raise JointLimitError(f"{name}: {value!r} outside +/-{limit!r}")
 
 
-DEFAULT_JOINT_LIMITS = JointLimits()
-
-
 def project(p: CameraPoint, k: CameraIntrinsics) -> tuple[float, float]:
     """Pinhole projection to pixel coordinates ``(u, v)``, v increasing down.
 

@@ -1,10 +1,11 @@
 """Closed-loop scenario execution.
 
-One tick is: render the ground-truth box from the world state, push it
-through the perception pipeline, compute the control command, log, and
-integrate the kinematics.  The tracker noise comes from one
-``random.Random(seed)`` per run, so a configuration and seed give the same
-outputs in every process on a given Python version.
+The loop carries two values, the robot's pose tuple and its joint angles.
+One tick is: render the ground-truth box from them and the person's position
+at ``t = tick * dt``, push it through the perception pipeline, compute the
+control command, log, and integrate the pose and angles.  The tracker noise
+comes from one ``random.Random(seed)`` per run, so a configuration and seed
+give the same outputs in every process on a given Python version.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .config import ScenarioConfig
 from .controller import FollowController, compute_errors
 from .perception import PerceptionPipeline
 from .runlog import RunSummary, TimeSeriesLog, summarize
-from .simworld import SimState, integrate, render_measurement, target_position
+from .simworld import integrate, render_measurement, target_position
 
 
 def run_scenario(config: ScenarioConfig) -> TimeSeriesLog:
@@ -35,13 +36,11 @@ def run_scenario(config: ScenarioConfig) -> TimeSeriesLog:
     # bound once per run; the benchmark wraps these methods before the run
     perceive, control, append = pipeline.step, controller.step, log.append
     robot, angles = config.robot_start, config.initial_angles
-    new = tuple.__new__  # builds a record with every field given, without a constructor frame
 
     for tick in range(config.n_ticks):
         t = tick * dt
         target = target_position(t, trajectory)
-        state = new(SimState, (t, robot, angles, target))
-        truth = render_measurement(state, body, k)
+        truth = render_measurement(robot, angles, target, body, k)
         box, hold, score, region_scale, failed, _ = perceive(truth, t, rng)
         if box is not None:
             # once per tick, for the log and the controller (the benchmark
@@ -61,7 +60,7 @@ def run_scenario(config: ScenarioConfig) -> TimeSeriesLog:
                 score, region_scale, 1.0 if failed else 0.0,
             ]
         )
-        _, robot, angles, _ = integrate(state, cmd, dt, joints)
+        robot, angles = integrate(robot, angles, cmd, dt, joints)
 
     return log
 

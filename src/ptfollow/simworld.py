@@ -4,18 +4,18 @@ The robot is a unicycle (forward speed plus yaw rate) carrying the pan-tilt
 camera; the followed person is a vertical segment moving in the ground plane,
 reduced to exactly the two points the controller regulates: the body center
 and the head top.  Ground-truth box measurements come from projecting those
-two points through the pinhole model.
+two points through the pinhole model.  The loop's world state is two plain
+values, the pose ``(x, y, theta)`` and a :class:`PanTiltAngles`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .controller import BoxMeasurement, ControlCommand
 from .geometry import (
-    DEFAULT_JOINT_LIMITS,
     BodyModel,
     CameraIntrinsics,
     ConfigError,
@@ -29,16 +29,6 @@ from .geometry import (
 # (perfbench/tracing.py:SPANS), which wraps ``ptfollow.simworld.world_to_camera``.
 # render_measurement projects its two points inline, so that span counts no calls.
 from .geometry import world_to_camera  # noqa: F401
-
-
-class SimState(NamedTuple):
-    """World snapshot: time, robot planar pose, joint angles, target plan
-    position."""
-
-    t: float = 0.0
-    robot: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    angles: PanTiltAngles = PanTiltAngles()
-    target: tuple[float, float] = (0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -131,23 +121,24 @@ def target_position(t: float, traj: TargetTrajectory) -> tuple[float, float]:
 
 
 def integrate(
-    state: SimState,
+    robot: tuple[float, float, float],
+    angles: PanTiltAngles,
     cmd: ControlCommand,
     dt: float,
-    joint_limits: JointLimits = DEFAULT_JOINT_LIMITS,
-) -> SimState:
+    joint_limits: JointLimits,
+) -> tuple[tuple[float, float, float], PanTiltAngles]:
     """Semi-implicit Euler step: pose advances with the pre-update heading,
     joint angles integrate and clamp to their limits, heading wraps.
 
     ``wrap_angle`` and ``clamp_joints`` of ``tests/oracles.py`` run inline,
-    each expression in its order, so the state has their bits.  The clamp's
+    each expression in its order, so the result has their bits.  The clamp's
     ``min(max(angle, -limit), limit)`` is written as two comparisons that
     keep the builtins' first-argument-wins rule: ``max(a, b)`` is
     ``b if b > a else a`` and ``min(a, b)`` is ``b if b < a else a``, so a
     NaN angle passes through as it does there."""
     if dt <= 0:
         raise ValueError("integrate: dt must be > 0")
-    t, (x, y, theta), (alpha, beta), target = state
+    (x, y, theta), (alpha, beta) = robot, angles
     v_r, omega_r, omega_alpha, omega_beta, _, _ = cmd
     x += v_r * math.cos(theta) * dt
     y += v_r * math.sin(theta) * dt
@@ -166,12 +157,15 @@ def integrate(
         beta = -beta_max
     if beta_max < beta:
         beta = beta_max
-    angles = tuple.__new__(PanTiltAngles, (alpha, beta))
-    return tuple.__new__(SimState, (t + dt, (x, y, theta), angles, target))
+    return (x, y, theta), tuple.__new__(PanTiltAngles, (alpha, beta))
 
 
 def render_measurement(
-    state: SimState, body: BodyModel, k: CameraIntrinsics
+    robot: tuple[float, float, float],
+    angles: PanTiltAngles,
+    target: tuple[float, float],
+    body: BodyModel,
+    k: CameraIntrinsics,
 ) -> Optional[BoxMeasurement]:
     """Ground-truth box from projecting the body-center and head-top points.
 
@@ -186,16 +180,16 @@ def render_measurement(
     expression keeps the left-to-right order of those functions, so the
     box is the same to the last bit.
     """
-    x, y, theta = state.robot
-    tx, ty = state.target
-    h_cam, ang = body.camera_height, state.angles
+    x, y, theta = robot
+    tx, ty = target
+    h_cam = body.camera_height
     dx, dy = tx - x, ty - y
     ct, st = math.cos(theta), math.sin(theta)
     # world -> robot frame (rotation about Z by -theta)
     rx = ct * dx + st * dy
     ry = -st * dx + ct * dy
-    sa, ca = math.sin(ang.alpha), math.cos(ang.alpha)
-    sb, cb = math.sin(ang.beta), math.cos(ang.beta)
+    sa, ca = math.sin(angles.alpha), math.cos(angles.alpha)
+    sb, cb = math.sin(angles.beta), math.cos(angles.beta)
     # camera-frame x is the same for both points; y and z differ only in the
     # height term added to these partial row sums
     cam_x = sa * rx - ca * ry

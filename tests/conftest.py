@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -18,12 +19,8 @@ from ptfollow.controller import (
     predicted_error_rates,
     singularity_eps,
 )
-from ptfollow.geometry import CameraIntrinsics, PanTiltAngles
-from ptfollow.simworld import (
-    BodyModel,
-    SimState,
-    render_measurement,
-)
+from ptfollow.geometry import CameraIntrinsics, JointLimits, PanTiltAngles
+from ptfollow.simworld import BodyModel, render_measurement
 
 
 # ``python tests/mutants.py`` selects this profile (``--hypothesis-profile
@@ -60,13 +57,22 @@ def gains(body: BodyModel) -> ControllerGains:
     return ControllerGains(lambda1=body.lambda1, lambda2=body.lambda2)
 
 
+class TrackingState(NamedTuple):
+    """A sampled world: the robot's pose, its joint angles and the person's
+    position, in the order :func:`render_measurement` takes them."""
+
+    robot: tuple[float, float, float]
+    angles: PanTiltAngles
+    target: tuple[float, float]
+
+
 def sample_tracking_state(
     rng: np.random.Generator,
     body: BodyModel,
     k: CameraIntrinsics,
     gains: ControllerGains,
     margin_px: float = 8.0,
-) -> tuple[SimState, BoxMeasurement]:
+) -> tuple[TrackingState, BoxMeasurement]:
     """Draw a random world state whose rendered box is valid, comfortably
     inside the image, and non-singular for the rate solve."""
     while True:
@@ -76,13 +82,12 @@ def sample_tracking_state(
         depth = rng.uniform(2.0, 10.0)
         bearing = theta + alpha + rng.uniform(-0.4, 0.4)
         rx, ry = rng.uniform(-1.0, 1.0, size=2)
-        state = SimState(
-            t=0.0,
+        state = TrackingState(
             robot=(rx, ry, theta),
             angles=PanTiltAngles(alpha, beta),
             target=(rx + depth * math.cos(bearing), ry + depth * math.sin(bearing)),
         )
-        box = render_measurement(state, body, k)
+        box = render_measurement(*state, body, k)
         if box is None:
             continue
         if not (
@@ -108,7 +113,7 @@ def random_command(rng: np.random.Generator) -> tuple[float, float, float, float
 
 
 def fd_error_rates(
-    state: SimState,
+    state: TrackingState,
     cmd: tuple[float, float, float, float],
     body: BodyModel,
     k: CameraIntrinsics,
@@ -121,11 +126,12 @@ def fd_error_rates(
     O(dt^2).  Returns None when either perturbed state loses the box.
     """
     wrapped = ControlCommand(*cmd)
-    fwd = integrate_exact_arc(state, wrapped, dt)
-    bwd = integrate_exact_arc(state, wrapped, -dt)
     rates = []
-    for s in (fwd, bwd):
-        box = render_measurement(s, body, k)
+    for step in (dt, -dt):
+        robot, angles = integrate_exact_arc(
+            state.robot, state.angles, wrapped, step, JointLimits()
+        )
+        box = render_measurement(robot, angles, state.target, body, k)
         if box is None:
             return None
         err = compute_errors(box, k, target_half_height)

@@ -39,6 +39,9 @@ PERCEPTION_TESTS = "tests/test_perception.py::"
 PIPELINE_TESTS = PERCEPTION_TESTS + "TestPerceptionPipeline::"
 RUNLOG_TESTS = "tests/test_runlog.py::"
 WORLD_TESTS = "tests/test_simworld.py::"
+CIRCLE_RULE_TESTS = (
+    CONFIG_TESTS + "test_circle_angle_past_the_float_range_rejected_naming_both_fields"
+)
 
 
 class Mutant(NamedTuple):
@@ -307,6 +310,25 @@ MUTANTS = [
         "[eE][-+]?[0-9]+$",
         "[eE][-+][0-9]+$",
         (CONFIG_TESTS + "test_exponent_floats_are_read_as_in_yaml_1_2",),
+    ),
+    # a path the system cannot read; a circle angle past the float range
+    Mutant(
+        "config.py",
+        "    except OSError as exc:",
+        "    except FileNotFoundError as exc:",
+        (CONFIG_TESTS + "TestCli::test_path_the_system_cannot_read_is_config_error",),
+    ),
+    Mutant(
+        "config.py",
+        "abs(traj.rate) * self.duration + abs(traj.phase)",
+        "abs(traj.rate) * self.duration",
+        (CIRCLE_RULE_TESTS + "[1e+308-1e+308-1.0]",),
+    ),
+    Mutant(
+        "config.py",
+        "abs(traj.rate) * self.duration + abs(traj.phase)",
+        "traj.rate * self.duration + abs(traj.phase)",
+        (CIRCLE_RULE_TESTS + "[-1e+308--1e+308-1.0]",),
     ),
 ]
 

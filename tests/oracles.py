@@ -43,7 +43,6 @@ from ptfollow.controller import (
     singularity_eps,
 )
 from ptfollow.geometry import (
-    DEFAULT_JOINT_LIMITS,
     BodyModel,
     CameraIntrinsics,
     CameraPoint,
@@ -63,7 +62,7 @@ from ptfollow.perception import (
     normal,
     recovery_step,
 )
-from ptfollow.simworld import LineTrajectory, SimState, WaypointTrajectory
+from ptfollow.simworld import LineTrajectory, WaypointTrajectory
 
 
 class DepthUnobservableError(ValueError):
@@ -76,7 +75,7 @@ def as_array(p: CameraPoint) -> np.ndarray:
 
 
 def rotation_camera_from_robot(
-    angles: PanTiltAngles, limits: JointLimits = DEFAULT_JOINT_LIMITS
+    angles: PanTiltAngles, limits: JointLimits = JointLimits()
 ) -> np.ndarray:
     """Rotation taking robot-frame coordinates to camera-frame coordinates.
 
@@ -109,7 +108,7 @@ def camera_motion(
     omega_r: float,
     omega_alpha: float,
     omega_beta: float,
-    limits: JointLimits = DEFAULT_JOINT_LIMITS,
+    limits: JointLimits = JointLimits(),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Linear and angular velocity of the camera, in camera coordinates.
 
@@ -194,25 +193,31 @@ def depth_from_height(
 
 
 def true_body_center_depth(
-    state: SimState, body: BodyModel, k: CameraIntrinsics
+    robot: tuple[float, float, float],
+    angles: PanTiltAngles,
+    target: tuple[float, float],
+    body: BodyModel,
+    k: CameraIntrinsics,
 ) -> float:
     """Camera-frame depth of the body-center point."""
-    tx, ty = state.target
-    p = world_to_camera(
-        state.robot, body.camera_height, state.angles, (tx, ty, body.body_center_height)
-    )
+    tx, ty = target
+    p = world_to_camera(robot, body.camera_height, angles, (tx, ty, body.body_center_height))
     return p.z
 
 
 def render_two_points(
-    state: SimState, body: BodyModel, k: CameraIntrinsics
+    robot: tuple[float, float, float],
+    angles: PanTiltAngles,
+    target: tuple[float, float],
+    body: BodyModel,
+    k: CameraIntrinsics,
 ) -> BoxMeasurement | None:
     """The box :func:`ptfollow.simworld.render_measurement` gives, from one
     :func:`world_to_camera` and one :func:`project` call per body point."""
-    tx, ty = state.target
-    pose, h_cam, ang = state.robot, body.camera_height, state.angles
-    p_center = world_to_camera(pose, h_cam, ang, (tx, ty, body.body_center_height))
-    p_head = world_to_camera(pose, h_cam, ang, (tx, ty, body.head_height))
+    tx, ty = target
+    h_cam = body.camera_height
+    p_center = world_to_camera(robot, h_cam, angles, (tx, ty, body.body_center_height))
+    p_head = world_to_camera(robot, h_cam, angles, (tx, ty, body.head_height))
     if p_center.z <= 0.0 or p_head.z <= 0.0:
         return None
     u, v = project(p_center, k)
@@ -241,18 +246,19 @@ def clamp_joints(limits: JointLimits, alpha: float, beta: float) -> PanTiltAngle
 
 
 def integrate_exact_arc(
-    state: SimState,
+    robot: tuple[float, float, float],
+    angles: PanTiltAngles,
     cmd: ControlCommand,
     dt: float,
-    joint_limits: JointLimits = DEFAULT_JOINT_LIMITS,
-) -> SimState:
+    joint_limits: JointLimits,
+) -> tuple[tuple[float, float, float], PanTiltAngles]:
     """Closed-form unicycle flow for constant commands over ``dt``.
 
     Exact for any sign of ``dt``; the reference for
     :func:`ptfollow.simworld.integrate` and for finite-difference checks where
     Euler bias would pollute the comparison.
     """
-    x, y, theta = state.robot
+    x, y, theta = robot
     if abs(cmd.omega_r) > 1e-12:
         ratio = cmd.v_r / cmd.omega_r
         x += ratio * (math.sin(theta + cmd.omega_r * dt) - math.sin(theta))
@@ -262,11 +268,9 @@ def integrate_exact_arc(
         y += cmd.v_r * math.sin(theta) * dt
     theta = wrap_angle(theta + cmd.omega_r * dt)
     angles = clamp_joints(
-        joint_limits,
-        state.angles.alpha + cmd.omega_alpha * dt,
-        state.angles.beta + cmd.omega_beta * dt,
+        joint_limits, angles.alpha + cmd.omega_alpha * dt, angles.beta + cmd.omega_beta * dt
     )
-    return SimState(state.t + dt, (x, y, theta), angles, state.target)
+    return (x, y, theta), angles
 
 
 def solve_denominator_by_attribute(terms: JacobianTerms, gains: ControllerGains) -> float:
@@ -501,22 +505,21 @@ def follow_step(
 
 
 def integrate_by_parts(
-    state: SimState,
+    robot: tuple[float, float, float],
+    angles: PanTiltAngles,
     cmd: ControlCommand,
     dt: float,
-    joint_limits: JointLimits = DEFAULT_JOINT_LIMITS,
-) -> SimState:
+    joint_limits: JointLimits,
+) -> tuple[tuple[float, float, float], PanTiltAngles]:
     """:func:`ptfollow.simworld.integrate`, wrapping the heading with
     :func:`wrap_angle` and clamping the joints with :func:`clamp_joints`."""
     if dt <= 0:
         raise ValueError("integrate: dt must be > 0")
-    x, y, theta = state.robot
+    x, y, theta = robot
     x += cmd.v_r * math.cos(theta) * dt
     y += cmd.v_r * math.sin(theta) * dt
     theta = wrap_angle(theta + cmd.omega_r * dt)
     angles = clamp_joints(
-        joint_limits,
-        state.angles.alpha + cmd.omega_alpha * dt,
-        state.angles.beta + cmd.omega_beta * dt,
+        joint_limits, angles.alpha + cmd.omega_alpha * dt, angles.beta + cmd.omega_beta * dt
     )
-    return SimState(state.t + dt, (x, y, theta), angles, state.target)
+    return (x, y, theta), angles

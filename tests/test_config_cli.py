@@ -38,7 +38,6 @@ from ptfollow.simworld import (
     BodyModel,
     CircleTrajectory,
     LineTrajectory,
-    SimState,
     WaypointTrajectory,
     render_measurement,
 )
@@ -95,8 +94,8 @@ class TestPresets:
     @pytest.mark.parametrize("name", PRESETS)
     def test_renders_a_box_at_tick_0(self, name):
         cfg = PRESETS[name]()
-        state = SimState(0.0, cfg.robot_start, cfg.initial_angles, cfg.trajectory.position(0.0))
-        assert render_measurement(state, cfg.body, cfg.intrinsics) is not None
+        world = (cfg.robot_start, cfg.initial_angles, cfg.trajectory.position(0.0))
+        assert render_measurement(*world, cfg.body, cfg.intrinsics) is not None
 
 
 def _rejected_in_code_and_file(tmp_path, capsys, message, data, build):
@@ -177,6 +176,43 @@ def test_pan_limit_at_the_yaw_deadband_accepted(tmp_path, alpha_max):
     path.write_text(json.dumps({"joints": {"alpha_max": alpha_max}}))
     expected = ScenarioConfig(name="edge", joints=JointLimits(alpha_max=alpha_max))
     assert load_config(path) == expected
+
+
+def _circle_overflow_message(rate, phase, duration):
+    return (
+        f"trajectory.rate: |rate| * duration + |phase| must be finite, got rate"
+        f" {rate!r} and phase {phase!r} at duration {duration!r}"
+    )
+
+
+@pytest.mark.parametrize(
+    "rate, phase, duration",
+    [
+        (1e308, 0.0, 3.0),  # rate * t passes the float range near t = 1.8 s
+        (-1e308, 0.0, 3.0),
+        # neither term alone is out of range, their sum is from t = 0.8 s on
+        (1e308, 1e308, 1.0),
+        (-1e308, -1e308, 1.0),
+    ],
+)
+def test_circle_angle_past_the_float_range_rejected_naming_both_fields(
+    tmp_path, capsys, rate, phase, duration
+):
+    # math.cos of an infinite angle raises mid-run
+    traj = {"rate": rate, "phase": phase}
+    _rejected_in_code_and_file(
+        tmp_path, capsys, _circle_overflow_message(rate, phase, duration),
+        {"trajectory": {"kind": "circle", **traj}, "duration": duration},
+        lambda: ScenarioConfig(trajectory=CircleTrajectory(**traj), duration=duration),
+    )
+
+
+@pytest.mark.parametrize("rate, phase", [(1e307, 0.0), (1.0, sys.float_info.max)])
+def test_circle_angle_inside_the_float_range_runs(tmp_path, rate, phase):
+    path = tmp_path / "edge.yaml"
+    traj = {"kind": "circle", "rate": rate, "phase": phase}
+    path.write_text(json.dumps({"trajectory": traj, "duration": 3.0}))
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 class TestSignedLambdas:
@@ -945,6 +981,15 @@ class TestCli:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_path_the_system_cannot_read_is_config_error(self, tmp_path, capsys):
+        # a file name longer than the system allows; a file the process may
+        # not read (EACCES) takes the same path, untested as a process run as
+        # root reads every file
+        path = tmp_path / ("a" * 300 + ".yaml")
+        assert main(["--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ptfollow: configuration error: {path}: cannot read scenario file:")
+
     def test_unwritable_output_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -1037,6 +1082,18 @@ class TestCli:
         reason = "must be a finite number" if value == "1e308" else "expected a finite number"
         assert f"{flag[2:]}: {reason}" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
+
+    def test_duration_override_past_the_circle_float_range_is_config_error(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "fast.yaml"
+        traj = {"kind": "circle", "rate": 1e307}
+        path.write_text(json.dumps({"trajectory": traj, "duration": 3.0}))
+        assert load_config(path).duration == 3.0  # accepted: 3e307 rad at most
+        code = main(["--scenario", str(path), "--out", str(tmp_path / "out"), "--duration", "30"])
+        assert code == 2
+        message = _circle_overflow_message(1e307, 0.0, 30.0)
+        assert capsys.readouterr().err == f"ptfollow: configuration error: {message}\n"
 
     @pytest.mark.parametrize("flag, value", [("--dt", "1e-9"), ("--duration", "1e7")])
     def test_tick_count_above_cap_is_config_error(

@@ -51,8 +51,8 @@ from ptfollow.controller import (
     saturate,
     singularity_eps,
 )
-from ptfollow.geometry import BodyModel, CameraIntrinsics, PanTiltAngles
-from ptfollow.simworld import SimState, integrate, render_measurement
+from ptfollow.geometry import BodyModel, CameraIntrinsics, JointLimits, PanTiltAngles
+from ptfollow.simworld import integrate, render_measurement
 
 
 class TestComputeErrors:
@@ -289,53 +289,47 @@ class TestFollowController:
         # target well to the right of the optical axis: the camera must pan
         # right (negative rate) and one simulated tick must shrink |e_u|
         offset = math.atan(211.0 / intrinsics.alpha_x)
-        state = SimState(
-            robot=(0.0, 0.0, 0.0),
-            angles=PanTiltAngles(),
-            target=(4.5 * math.cos(offset), -4.5 * math.sin(offset)),
-        )
-        box = render_measurement(state, body, intrinsics)
+        robot, angles = (0.0, 0.0, 0.0), PanTiltAngles()
+        target = (4.5 * math.cos(offset), -4.5 * math.sin(offset))
+        box = render_measurement(robot, angles, target, body, intrinsics)
         err = compute_errors(box, intrinsics, gains.target_half_height)
         assert err.e_u == pytest.approx(211.0, abs=2.0)
 
         ctrl = FollowController(gains, intrinsics)
-        cmd = ctrl.step(box, state.angles)
+        cmd = ctrl.step(box, angles)
         assert cmd.omega_alpha < 0.0
-        after = integrate(state, cmd, 0.02)
-        box_after = render_measurement(after, body, intrinsics)
+        robot, angles = integrate(robot, angles, cmd, 0.02, JointLimits())
+        box_after = render_measurement(robot, angles, target, body, intrinsics)
         err_after = compute_errors(box_after, intrinsics, gains.target_half_height)
         assert abs(err_after.e_u) < abs(err.e_u)
 
     def test_saturation_clamps_and_flags(self, intrinsics, body, gains):
         # a person 2.5 m away, the head-top row 20 px into the image: a half
         # height 80 px above the reference demands more reverse speed than allowed
-        state = SimState(robot=(0.0, 0.0, 0.0), angles=PanTiltAngles(), target=(2.5, 0.0))
-        box = render_measurement(state, body, intrinsics)
+        box = render_measurement((0.0, 0.0, 0.0), PanTiltAngles(), (2.5, 0.0), body, intrinsics)
         assert box.half_height - gains.target_half_height > 79.0
         ctrl = FollowController(gains, intrinsics, SaturationLimits(v_max=0.2))
-        cmd = ctrl.step(box, state.angles)
+        cmd = ctrl.step(box, PanTiltAngles())
         assert abs(cmd.v_r) == 0.2
         assert cmd.saturated.v_r
 
     def test_hold_freezes_rotation_and_decays_speed(self, intrinsics, body, gains):
-        state = SimState(robot=(0.0, 0.0, 0.0), angles=PanTiltAngles(), target=(6.0, 0.4))
-        box = render_measurement(state, body, intrinsics)
+        box = render_measurement((0.0, 0.0, 0.0), PanTiltAngles(), (6.0, 0.4), body, intrinsics)
         ctrl = FollowController(gains, intrinsics)
-        normal = ctrl.step(box, state.angles)
+        normal = ctrl.step(box, PanTiltAngles())
         assert normal.v_r != 0.0
 
-        held = ctrl.step(box, state.angles, hold=True)
+        held = ctrl.step(box, PanTiltAngles(), hold=True)
         assert held.hold
         assert held.v_r == 0.5 * normal.v_r
         assert held.omega_alpha == 0.0 and held.omega_beta == 0.0 and held.omega_r == 0.0
-        held2 = ctrl.step(box, state.angles, hold=True)
+        held2 = ctrl.step(box, PanTiltAngles(), hold=True)
         assert held2.v_r == 0.25 * normal.v_r
 
     def test_singular_state_holds_last_rates(self, intrinsics, body, gains):
-        state = SimState(robot=(0.0, 0.0, 0.0), angles=PanTiltAngles(), target=(6.0, 0.4))
-        box = render_measurement(state, body, intrinsics)
+        box = render_measurement((0.0, 0.0, 0.0), PanTiltAngles(), (6.0, 0.4), body, intrinsics)
         ctrl = FollowController(gains, intrinsics)
-        normal = ctrl.step(box, state.angles)
+        normal = ctrl.step(box, PanTiltAngles())
 
         singular_box = BoxMeasurement(
             u=intrinsics.u0 + 30.0, v=intrinsics.v0, v2=intrinsics.v0 - 1e-12
@@ -347,14 +341,11 @@ class TestFollowController:
         assert cmd.omega_beta == normal.omega_beta
 
     def test_yaw_engages_outside_deadband(self, intrinsics, body, gains):
-        state = SimState(
-            robot=(0.0, 0.0, 0.0),
-            angles=PanTiltAngles(alpha=0.7),
-            target=(4.5 * math.cos(0.7), 4.5 * math.sin(0.7)),
-        )
-        box = render_measurement(state, body, intrinsics)
+        angles = PanTiltAngles(alpha=0.7)
+        target = (4.5 * math.cos(0.7), 4.5 * math.sin(0.7))
+        box = render_measurement((0.0, 0.0, 0.0), angles, target, body, intrinsics)
         ctrl = FollowController(gains, intrinsics)
-        cmd = ctrl.step(box, state.angles)
+        cmd = ctrl.step(box, angles)
         assert cmd.omega_r == pytest.approx(0.07)
 
     def test_step_with_given_errors_equals_step_computing_them(self, intrinsics, body, gains):

@@ -27,12 +27,14 @@ from ptfollow.simworld import (
     BodyModel,
     CircleTrajectory,
     LineTrajectory,
-    SimState,
     WaypointTrajectory,
     integrate,
     render_measurement,
     target_position,
 )
+
+LIMITS = JointLimits()  # the default pan and tilt ranges
+ORIGIN, LEVEL = (0.0, 0.0, 0.0), PanTiltAngles()  # a robot at the origin facing +x, joints at zero
 
 
 class TestTrajectories:
@@ -127,62 +129,57 @@ class TestTrajectories:
 
 class TestIntegrate:
     def test_straight_line(self):
-        state = SimState(robot=(0.0, 0.0, 0.0))
         cmd = ControlCommand(1.0, 0.0, 0.0, 0.0)
-        out = integrate(state, cmd, 0.1)
-        assert out.robot == (pytest.approx(0.1), 0.0, 0.0)
-        assert out.t == pytest.approx(0.1)
+        robot, _ = integrate(ORIGIN, LEVEL, cmd, 0.1, LIMITS)
+        assert robot == (pytest.approx(0.1), 0.0, 0.0)
 
     def test_pure_pan(self):
-        state = SimState()
         cmd = ControlCommand(0.0, 0.0, 0.5, 0.0)
-        out = integrate(state, cmd, 0.2)
-        assert out.angles.alpha == pytest.approx(0.1)
-        assert out.angles.beta == 0.0
+        _, angles = integrate(ORIGIN, LEVEL, cmd, 0.2, LIMITS)
+        assert angles.alpha == pytest.approx(0.1)
+        assert angles.beta == 0.0
 
     def test_arc_against_closed_form(self):
         # 1000 small steps of a unit-speed, unit-rate arc end within 1e-3 of
         # the exact arc endpoint (sin 1, 1 - cos 1, 1)
-        state = SimState(robot=(0.0, 0.0, 0.0))
+        robot, angles = ORIGIN, LEVEL
         cmd = ControlCommand(1.0, 1.0, 0.0, 0.0)
         for _ in range(1000):
-            state = integrate(state, cmd, 1e-3)
-        x, y, theta = state.robot
+            robot, angles = integrate(robot, angles, cmd, 1e-3, LIMITS)
+        x, y, theta = robot
         assert abs(x - math.sin(1.0)) < 1e-3
         assert abs(y - (1.0 - math.cos(1.0))) < 1e-3
         assert abs(theta - 1.0) < 1e-12
 
     def test_exact_arc_matches_closed_form(self):
-        state = SimState(robot=(0.2, -0.1, 0.4))
         cmd = ControlCommand(0.8, 0.6, 0.0, 0.0)
-        out = integrate_exact_arc(state, cmd, 1.0)
+        robot, _ = integrate_exact_arc((0.2, -0.1, 0.4), PanTiltAngles(), cmd, 1.0, LIMITS)
         ratio = 0.8 / 0.6
-        assert out.robot[0] == pytest.approx(0.2 + ratio * (math.sin(1.0) - math.sin(0.4)), abs=1e-12)
-        assert out.robot[1] == pytest.approx(-0.1 - ratio * (math.cos(1.0) - math.cos(0.4)), abs=1e-12)
+        assert robot[0] == pytest.approx(0.2 + ratio * (math.sin(1.0) - math.sin(0.4)), abs=1e-12)
+        assert robot[1] == pytest.approx(-0.1 - ratio * (math.cos(1.0) - math.cos(0.4)), abs=1e-12)
 
     def test_exact_arc_reversible(self):
-        state = SimState(robot=(0.3, 0.7, -0.5), angles=PanTiltAngles(0.2, 0.1))
+        robot, angles = (0.3, 0.7, -0.5), PanTiltAngles(0.2, 0.1)
         cmd = ControlCommand(0.5, 0.3, 0.4, -0.2)
-        there = integrate_exact_arc(state, cmd, 0.05)
-        back = integrate_exact_arc(there, cmd, -0.05)
-        assert np.allclose(back.robot, state.robot, atol=1e-12)
-        assert back.angles.alpha == pytest.approx(0.2, abs=1e-12)
+        there = integrate_exact_arc(robot, angles, cmd, 0.05, LIMITS)
+        back_robot, back_angles = integrate_exact_arc(*there, cmd, -0.05, LIMITS)
+        assert np.allclose(back_robot, robot, atol=1e-12)
+        assert back_angles.alpha == pytest.approx(0.2, abs=1e-12)
 
     def test_theta_wraps(self):
-        state = SimState(robot=(0.0, 0.0, 3.1))
         cmd = ControlCommand(0.0, 1.0, 0.0, 0.0)
-        out = integrate(state, cmd, 0.1)
-        assert -math.pi < out.robot[2] <= math.pi
+        robot, _ = integrate((0.0, 0.0, 3.1), PanTiltAngles(), cmd, 0.1, LIMITS)
+        assert -math.pi < robot[2] <= math.pi
 
     def test_angles_clamped_to_joint_limits(self):
-        state = SimState(angles=PanTiltAngles(beta=math.pi / 3 - 0.01))
         cmd = ControlCommand(0.0, 0.0, 0.0, 1.5)
-        out = integrate(state, cmd, 0.1)
-        assert out.angles.beta == pytest.approx(math.pi / 3)
+        start = PanTiltAngles(beta=math.pi / 3 - 0.01)
+        _, angles = integrate(ORIGIN, start, cmd, 0.1, LIMITS)
+        assert angles.beta == pytest.approx(math.pi / 3)
 
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(ValueError):
-            integrate(SimState(), ControlCommand(0, 0, 0, 0), 0.0)
+            integrate(ORIGIN, LEVEL, ControlCommand(0, 0, 0, 0), 0.0, LIMITS)
 
     def test_wrap_angle(self):
         assert wrap_angle(math.pi) == pytest.approx(math.pi)
@@ -197,11 +194,11 @@ class TestIntegrate:
         # must be those of wrap_angle and clamp_joints
         if data is None:
             limits = JointLimits(alpha_max=0.5, beta_max=0.25)
-            state = SimState(1.0, (0.0, 0.0, -math.pi), PanTiltAngles(0.6, -0.3), (2.0, 0.0))
+            robot, angles = (0.0, 0.0, -math.pi), PanTiltAngles(0.6, -0.3)
             cmd, dt = ControlCommand(0.5, 0.0, 1.0, -1.0), 0.02
         else:
-            limits, state, cmd, dt = data.draw(_integrate_inputs())
-        _assert_integrate_equals_by_parts(state, cmd, dt, limits)
+            limits, robot, angles, cmd, dt = data.draw(_integrate_inputs())
+        _assert_integrate_equals_by_parts(robot, angles, cmd, dt, limits)
 
     @pytest.mark.parametrize("side", [1.0, -1.0])
     @pytest.mark.parametrize("rate", [0.0, -0.0, math.nan, math.inf, -math.inf])
@@ -213,20 +210,22 @@ class TestIntegrate:
         for alpha in (0.5, math.nextafter(0.5, 0.0), 0.0, -0.0):
             for beta in (0.25, math.nextafter(0.25, 0.0), 0.0, -0.0):
                 angles = PanTiltAngles(side * alpha, side * beta)
-                state = SimState(1.0, (0.0, 0.0, 0.3), angles, (2.0, 0.0))
                 cmd = ControlCommand(0.5, 0.0, rate, -rate)
-                _assert_integrate_equals_by_parts(state, cmd, 0.02, limits)
+                _assert_integrate_equals_by_parts((0.0, 0.0, 0.3), angles, cmd, 0.02, limits)
 
 
-def _assert_integrate_equals_by_parts(state, cmd, dt, limits):
+def _assert_integrate_equals_by_parts(robot, angles, cmd, dt, limits):
+    args = (robot, angles, cmd, dt, limits)
     try:
-        want = integrate_by_parts(state, cmd, dt, limits)
+        want = integrate_by_parts(*args)
     except ValueError as exc:  # math.fmod of an infinite heading
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            integrate(state, cmd, dt, limits)
+            integrate(*args)
         return
-    got = integrate(state, cmd, dt, limits)
-    assert type(got) is SimState and type(got.angles) is PanTiltAngles
+    got = integrate(*args)
+    # the new pose and angles, and no record around them
+    assert type(got) is tuple and len(got) == 2
+    assert type(got[0]) is tuple and type(got[1]) is PanTiltAngles
     assert _float_bits(got) == _float_bits(want)
     assert repr(got) == repr(want)
 
@@ -255,9 +254,9 @@ _NEAR_PI = [
 
 @st.composite
 def _integrate_inputs(draw):
-    """Joint limits, a state with the heading near +/-pi and the joints at,
-    inside or beyond their stops, a command whose rates may be signed zeros,
-    NaN or infinite, and a step."""
+    """Joint limits, a pose with the heading near +/-pi, joints at, inside or
+    beyond their stops, a command whose rates may be signed zeros, NaN or
+    infinite, and a step."""
     limits = JointLimits(alpha_max=draw(st.floats(0.02, 3.0)), beta_max=draw(st.floats(0.02, 1.5)))
 
     def joint(limit):
@@ -267,11 +266,10 @@ def _integrate_inputs(draw):
     theta = draw(st.sampled_from(_NEAR_PI + [0.0, -0.0]) | st.floats(-7.0, 7.0))
     robot = (draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0)), theta)
     angles = PanTiltAngles(joint(limits.alpha_max), joint(limits.beta_max))
-    state = SimState(draw(st.floats(0.0, 100.0)), robot, angles, (3.0, -1.0))
     rate = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]) | st.floats(-5.0, 5.0)
     cmd = ControlCommand(draw(rate), draw(rate), draw(rate), draw(rate))
     dt = draw(st.sampled_from([0.02, 1e-3]) | st.floats(1e-6, 1.0))
-    return limits, state, cmd, dt
+    return limits, robot, angles, cmd, dt
 
 
 class TestBodyModel:
@@ -300,39 +298,34 @@ class TestRenderMeasurement:
     def test_reference_distance_gives_reference_half_height(self, intrinsics, body):
         # at 4.5 m with the default geometry the half height is exactly
         # alpha_y * (head - body_center) / depth = 500 * 0.9 / 4.5 = 100
-        state = SimState(robot=(0.0, 0.0, 0.0), target=(4.5, 0.0))
-        box = render_measurement(state, body, intrinsics)
+        box = render_measurement(ORIGIN, LEVEL, (4.5, 0.0), body, intrinsics)
         assert box.u == pytest.approx(intrinsics.u0)
         assert box.half_height == pytest.approx(100.0)
 
     def test_half_height_inversely_proportional_to_depth(self, intrinsics, body):
-        state = SimState(robot=(0.0, 0.0, 0.0), target=(9.0, 0.0))
-        box = render_measurement(state, body, intrinsics)
+        box = render_measurement(ORIGIN, LEVEL, (9.0, 0.0), body, intrinsics)
         assert box.half_height == pytest.approx(50.0)
 
     def test_on_axis_body_center_row(self, intrinsics):
         # body center exactly at camera height: the center row is v0
         body = BodyModel(camera_height=0.9, body_center_height=0.9, head_height=1.8)
-        state = SimState(robot=(0.0, 0.0, 0.0), target=(5.0, 0.0))
-        box = render_measurement(state, body, intrinsics)
+        box = render_measurement(ORIGIN, LEVEL, (5.0, 0.0), body, intrinsics)
         assert box.v == intrinsics.v0
 
     def test_behind_camera_gives_none(self, intrinsics, body):
-        state = SimState(robot=(0.0, 0.0, 0.0), target=(-3.0, 0.0))
-        assert render_measurement(state, body, intrinsics) is None
+        assert render_measurement(ORIGIN, LEVEL, (-3.0, 0.0), body, intrinsics) is None
 
     def test_center_outside_image_gives_none(self, intrinsics, body):
         # target far to the side: still in front, but the center column
         # leaves the image
-        state = SimState(robot=(0.0, 0.0, 0.0), target=(2.0, 1.9))
-        assert render_measurement(state, body, intrinsics) is None
+        assert render_measurement(ORIGIN, LEVEL, (2.0, 1.9), body, intrinsics) is None
 
     def test_head_top_above_image_gives_none(self, intrinsics, body):
         # rows 240 - 500 * 1.1 / d: at 2.5 m the head top is row 20, at 2.0 m
         # row -35, above the image though the center (row 190) is inside it
-        box = render_measurement(SimState(target=(2.5, 0.0)), body, intrinsics)
+        box = render_measurement(ORIGIN, LEVEL, (2.5, 0.0), body, intrinsics)
         assert box.v2 == pytest.approx(20.0)
-        assert render_measurement(SimState(target=(2.0, 0.0)), body, intrinsics) is None
+        assert render_measurement(ORIGIN, LEVEL, (2.0, 0.0), body, intrinsics) is None
 
     # one example per outcome: x, y, heading, bearing, distance, alpha, beta,
     # camera_height, head_height, focal
@@ -363,11 +356,11 @@ class TestRenderMeasurement:
             x + distance * math.cos(heading + bearing),
             y + distance * math.sin(heading + bearing),
         )
-        state = SimState(0.0, (x, y, heading), PanTiltAngles(alpha, beta), target)
+        world = ((x, y, heading), PanTiltAngles(alpha, beta), target)
         body = BodyModel(camera_height=camera_height, head_height=head_height)
         k = CameraIntrinsics(alpha_x=focal, alpha_y=focal)
-        got = render_measurement(state, body, k)
-        want = render_two_points(state, body, k)
+        got = render_measurement(*world, body, k)
+        want = render_two_points(*world, body, k)
         if want is None:
             assert got is None
         else:
@@ -386,28 +379,24 @@ class TestDepthAgreement:
 
         cfg = preset_circle_sim()
         controller = FollowController(cfg.gains, cfg.intrinsics, cfg.saturation)
-        state = SimState(
-            robot=cfg.robot_start, angles=cfg.initial_angles,
-            target=target_position(0.0, cfg.trajectory),
-        )
+        robot, angles = cfg.robot_start, cfg.initial_angles
         checked = 0
         for tick in range(800):
-            t = tick * cfg.dt
-            state = state._replace(t=t, target=target_position(t, cfg.trajectory))
-            box = render_measurement(state, cfg.body, cfg.intrinsics)
-            cmd = controller.step(box, state.angles)
+            world = (robot, angles, target_position(tick * cfg.dt, cfg.trajectory))
+            box = render_measurement(*world, cfg.body, cfg.intrinsics)
+            cmd = controller.step(box, angles)
             if box is not None:
                 err = compute_errors(box, cfg.intrinsics, cfg.gains.target_half_height)
                 try:
                     recovered = depth_from_height(
-                        err.e_v, state.angles.beta, cfg.body.offset_body, cfg.intrinsics
+                        err.e_v, angles.beta, cfg.body.offset_body, cfg.intrinsics
                     )
                 except DepthUnobservableError:
                     continue
-                true_depth = true_body_center_depth(state, cfg.body, cfg.intrinsics)
+                true_depth = true_body_center_depth(*world, cfg.body, cfg.intrinsics)
                 assert abs(recovered - true_depth) <= 1e-6 * true_depth
                 checked += 1
-            state = integrate(state, cmd, cfg.dt, cfg.joints)
+            robot, angles = integrate(robot, angles, cmd, cfg.dt, cfg.joints)
         assert checked > 500
 
 

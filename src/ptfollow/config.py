@@ -114,6 +114,19 @@ class ScenarioConfig:
                 f"trajectory.rate: |rate| * duration + |phase| must be finite, got rate"
                 f" {traj.rate!r} and phase {traj.phase!r} at duration {self.duration!r}"
             )
+        # a line walks for at most duration - delay seconds (a negative delay
+        # extrapolates back from the start), each axis within this bound
+        if isinstance(traj, LineTrajectory):
+            walk = self.duration + max(0.0, -traj.delay)
+            if not all(
+                math.isfinite(abs(s) + abs(v) * walk) for s, v in zip(traj.start, traj.velocity)
+            ):
+                raise ConfigError(
+                    f"trajectory.velocity: |start| + |velocity| * (duration + max(0, -delay))"
+                    f" must be finite on each axis, got start {list(traj.start)}, velocity"
+                    f" {list(traj.velocity)} and delay {traj.delay!r} at duration"
+                    f" {self.duration!r}"
+                )
         if self.n_ticks > MAX_TICKS:
             raise ConfigError(
                 f"duration: {self.duration!r} s at dt {self.dt!r} s is {self.n_ticks} ticks,"

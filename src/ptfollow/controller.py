@@ -75,6 +75,11 @@ class BoxMeasurement(_Box):
         return self.v - self.v2
 
 
+# The box the loop hands on: ``(u, v, v2)``, the fields of BoxMeasurement as a
+# plain tuple, which every stage reads by position.
+Box = tuple[float, float, float]
+
+
 class ImageErrors(NamedTuple):
     """The three regulated pixel errors."""
 
@@ -179,7 +184,7 @@ def _resolved_lambdas(gains: ControllerGains) -> tuple[float, float]:
 
 
 def compute_errors(
-    box: BoxMeasurement, k: CameraIntrinsics, target_half_height: float
+    box: Box, k: CameraIntrinsics, target_half_height: float
 ) -> ImageErrors:
     """Pixel errors of a box measurement against the image center and the
     half-height reference."""
@@ -189,8 +194,8 @@ def compute_errors(
 
 def jacobian_terms(
     err: ImageErrors,
-    box: BoxMeasurement,
-    angles: PanTiltAngles,
+    box: Box,
+    angles: tuple[float, float],
     k: CameraIntrinsics,
     gains: ControllerGains,
     mode: str = "re-derived",
@@ -203,11 +208,12 @@ def jacobian_terms(
     """
     if mode not in JACOBIAN_MODES:
         raise ValueError(f"unknown jacobian mode {mode!r}; expected one of {JACOBIAN_MODES}")
-    sa, ca = math.sin(angles.alpha), math.cos(angles.alpha)
-    sb, cb = math.sin(angles.beta), math.cos(angles.beta)
+    alpha, beta = angles
+    sa, ca = math.sin(alpha), math.cos(alpha)
+    sb, cb = math.sin(beta), math.cos(beta)
     ax, ay = k.alpha_x, k.alpha_y
     e_u, e_v, e_v2 = err
-    vt2 = box.v2 - k.v0  # row error of the top-border midpoint
+    vt2 = box[2] - k.v0  # row error of the top-border midpoint
 
     if mode == "as-printed":
         u2 = e_u  # top-border midpoint shares the center column
@@ -388,8 +394,8 @@ class FollowController:
 
     def step(
         self,
-        box: BoxMeasurement | None,
-        angles: PanTiltAngles,
+        box: Box | None,
+        angles: tuple[float, float],
         hold: bool = False,
         err: ImageErrors | None = None,
     ) -> ControlCommand:

@@ -56,7 +56,8 @@ class BehindCameraError(ValueError):
 
 
 class PanTiltAngles(NamedTuple):
-    """Pan/tilt joint angles in radians."""
+    """Pan/tilt joint angles in radians, for callers that name them; the
+    loop carries them as the plain pair ``(alpha, beta)``."""
 
     alpha: float = 0.0
     beta: float = 0.0
@@ -215,13 +216,14 @@ def project(p: CameraPoint, k: CameraIntrinsics) -> tuple[float, float]:
 def world_to_camera(
     robot_pose: tuple[float, float, float],
     camera_height: float,
-    angles: PanTiltAngles,
+    angles: tuple[float, float],
     p_world,
 ) -> CameraPoint:
     """Transform a world point into the camera frame.
 
-    ``robot_pose`` is ``(x, y, theta)``; the optical center sits at
-    ``(x, y, camera_height)`` in world coordinates.  Valid at any joint
+    ``robot_pose`` is ``(x, y, theta)`` and ``angles`` is ``(alpha, beta)``;
+    the optical center sits at ``(x, y, camera_height)`` in world
+    coordinates.  Valid at any joint
     angles; :func:`~ptfollow.simworld.integrate` keeps a run's in range.
     """
     x, y, theta = robot_pose
@@ -231,8 +233,9 @@ def world_to_camera(
     # world -> robot frame (rotation about Z by -theta)
     rx = ct * dx + st * dy
     ry = -st * dx + ct * dy
-    sa, ca = math.sin(angles.alpha), math.cos(angles.alpha)
-    sb, cb = math.sin(angles.beta), math.cos(angles.beta)
+    alpha, beta = angles
+    sa, ca = math.sin(alpha), math.cos(alpha)
+    sb, cb = math.sin(beta), math.cos(beta)
     # the rows of the camera-from-robot rotation matrix times (rx, ry, dz), summed
     # left to right
     return CameraPoint(

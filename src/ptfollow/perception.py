@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from random import NV_MAGICCONST, Random
 from typing import Callable, NamedTuple, Optional
 
-from .controller import BoxMeasurement
+from .controller import Box
 from .geometry import CameraIntrinsics, ConfigError, check_fields
 
 # Largest drift, in pixels, between successive detections the gate accepts.
@@ -42,8 +42,8 @@ LOST_SCORE = 0.1
 
 
 def gate_update(
-    window: list[tuple[float, float]], detection: Optional[BoxMeasurement]
-) -> Optional[BoxMeasurement]:
+    window: list[tuple[float, float]], detection: Optional[Box]
+) -> Optional[Box]:
     """Feed one frame's detection into the stability gate, whose ``window``
     holds the centers of the consecutive agreeing detections so far.
 
@@ -55,7 +55,7 @@ def gate_update(
     if detection is None:
         window.clear()
         return None
-    center = (detection.u, detection.v)
+    center = (detection[0], detection[1])
     if window:
         last = window[-1]
         if math.hypot(center[0] - last[0], center[1] - last[1]) >= PIXEL_TOLERANCE:
@@ -167,7 +167,7 @@ def normal(random: Callable[[], float], sigma: float) -> float:
 class PerceptionOutput(NamedTuple):
     """Per-tick pipeline result handed to the controller and the logger."""
 
-    box: Optional[BoxMeasurement]
+    box: Optional[Box]
     hold: bool
     score: float
     region_scale: float
@@ -194,9 +194,9 @@ class PerceptionPipeline:
         self.recovery = RecoveryState()
         self.intrinsics = intrinsics
         self.window: list[tuple[float, float]] = []  # the detection gate's, see gate_update
-        self._box: Optional[BoxMeasurement] = None  # last box seen; None until initialized
+        self._box: Optional[Box] = None  # last box seen; None until initialized
 
-    def step(self, truth: Optional[BoxMeasurement], t: float, rng: Random) -> PerceptionOutput:
+    def step(self, truth: Optional[Box], t: float, rng: Random) -> PerceptionOutput:
         """Advance the pipeline by one frame.
 
         A tracked tick is the tracker update ``simulated_track`` (with its
@@ -206,8 +206,9 @@ class PerceptionPipeline:
         ``rng`` is theirs: a lost tick enters the failure state and a seen tick
         leaves it.  Their builtin ``min``/``max`` are comparisons keeping the
         builtins' first-argument-wins rule.  A noisy box inside the image is
-        built without :class:`BoxMeasurement`'s frame (the image test implies
-        its check); any other noisy box is a lost tick.
+        the plain triple ``(u, v, v2)`` (the image test implies
+        :class:`~ptfollow.controller.BoxMeasurement`'s check); any other noisy
+        box is a lost tick.
         """
         noise = self.noise
         seen = truth
@@ -241,7 +242,7 @@ class PerceptionPipeline:
                     k = self.intrinsics
                     # render_measurement's image test, which implies v2 < v
                     if 0.0 <= u < k.width and 0.0 <= v2 < v < k.height:
-                        seen = tuple.__new__(BoxMeasurement, (u, v, v2))
+                        seen = (u, v, v2)
                     else:
                         seen = None
             # an unchanged recovery state is kept, where recovery_step builds one

@@ -1,10 +1,15 @@
 """Closed-loop scenario execution.
 
-The loop carries two values, the robot's pose tuple and its joint angles.
-One tick is: render the ground-truth box from them and the person's position
-at ``t = tick * dt``, push it through the perception pipeline, compute the
-control command, log, and integrate the pose and angles.  The tracker noise
-comes from one ``random.Random(seed)`` per run, so a configuration and seed
+The loop carries two values, the robot's pose ``(x, y, theta)`` and its
+joint angles ``(alpha, beta)``, both plain tuples from the first tick on.
+One tick is: render the ground-truth box ``(u, v, v2)`` from them and the
+person's position at ``t = tick * dt``, push it through the perception
+pipeline, compute the control command, log, and integrate the pose and
+angles.  The box and the angles are plain tuples because every stage takes
+them apart by position; the records that a reader outside the loop reads by
+field name (``PerceptionOutput``, ``ImageErrors``, ``ControlCommand``) stay
+``NamedTuple`` records.  The tracker noise comes from one
+``random.Random(seed)`` per run, so a configuration and seed
 give the same outputs in every process on a given Python version.
 """
 
@@ -35,7 +40,7 @@ def run_scenario(config: ScenarioConfig) -> TimeSeriesLog:
     dt, body, joints, trajectory = config.dt, config.body, config.joints, config.trajectory
     # bound once per run; the benchmark wraps these methods before the run
     perceive, control, append = pipeline.step, controller.step, log.append
-    robot, angles = config.robot_start, config.initial_angles
+    robot, angles = config.robot_start, tuple(config.initial_angles)
 
     for tick in range(config.n_ticks):
         t = tick * dt

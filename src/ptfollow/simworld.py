@@ -5,7 +5,11 @@ camera; the followed person is a vertical segment moving in the ground plane,
 reduced to exactly the two points the controller regulates: the body center
 and the head top.  Ground-truth box measurements come from projecting those
 two points through the pinhole model.  The loop's world state is two plain
-values, the pose ``(x, y, theta)`` and a :class:`PanTiltAngles`.
+tuples, the pose ``(x, y, theta)`` and the joint angles ``(alpha, beta)``,
+and a rendered box is the plain triple ``(u, v, v2)``: every reader takes
+them apart by position, and a plain tuple is built and unpacked in a
+fraction of the time of a ``NamedTuple``.  Any pair, a
+:class:`~ptfollow.geometry.PanTiltAngles` too, serves as the angles.
 """
 
 from __future__ import annotations
@@ -14,13 +18,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .controller import BoxMeasurement, ControlCommand
+from .controller import Box, ControlCommand
 from .geometry import (
     BodyModel,
     CameraIntrinsics,
     ConfigError,
     JointLimits,
-    PanTiltAngles,
     PositiveFloat,
     check_fields,
 )
@@ -42,6 +45,13 @@ class CircleTrajectory:
 
     def __post_init__(self) -> None:
         check_fields(self)
+        # each coordinate of the walk lies within |center| + radius
+        (cx, cy), r = self.center, self.radius
+        if not (math.isfinite(abs(cx) + r) and math.isfinite(abs(cy) + r)):
+            raise ConfigError(
+                f"radius: |center| + radius must be finite on each axis, got center"
+                f" {list(self.center)} and radius {r!r}"
+            )
 
     def position(self, t: float) -> tuple[float, float]:
         ang = self.rate * t + self.phase
@@ -90,6 +100,12 @@ class WaypointTrajectory:
             (x0, y0, x1, y1, math.hypot(x1 - x0, y1 - y0))
             for (x0, y0), (x1, y1) in zip(self.points, self.points[1:])
         )
+        for i, (*_, seg) in enumerate(segments):
+            if not math.isfinite(seg):
+                raise ConfigError(
+                    f"points[{i + 1}]: the segment from points[{i}] must have a finite"
+                    f" length, got {seg!r}"
+                )
         object.__setattr__(self, "_segments", segments)
 
     def position(self, t: float) -> tuple[float, float]:
@@ -122,11 +138,11 @@ def target_position(t: float, traj: TargetTrajectory) -> tuple[float, float]:
 
 def integrate(
     robot: tuple[float, float, float],
-    angles: PanTiltAngles,
+    angles: tuple[float, float],
     cmd: ControlCommand,
     dt: float,
     joint_limits: JointLimits,
-) -> tuple[tuple[float, float, float], PanTiltAngles]:
+) -> tuple[tuple[float, float, float], tuple[float, float]]:
     """Semi-implicit Euler step: pose advances with the pre-update heading,
     joint angles integrate and clamp to their limits, heading wraps.
 
@@ -157,17 +173,20 @@ def integrate(
         beta = -beta_max
     if beta_max < beta:
         beta = beta_max
-    return (x, y, theta), tuple.__new__(PanTiltAngles, (alpha, beta))
+    return (x, y, theta), (alpha, beta)
 
 
 def render_measurement(
     robot: tuple[float, float, float],
-    angles: PanTiltAngles,
+    angles: tuple[float, float],
     target: tuple[float, float],
     body: BodyModel,
     k: CameraIntrinsics,
-) -> Optional[BoxMeasurement]:
-    """Ground-truth box from projecting the body-center and head-top points.
+) -> Optional[Box]:
+    """Ground-truth box ``(u, v, v2)`` from projecting the body-center and
+    head-top points, in the field order of
+    :class:`~ptfollow.controller.BoxMeasurement`, whose check ``v2 < v`` the
+    image test implies.
 
     Returns ``None`` when the target is not measurable: either point at or
     behind the optical center, or the box center or its head-top row outside
@@ -188,8 +207,9 @@ def render_measurement(
     # world -> robot frame (rotation about Z by -theta)
     rx = ct * dx + st * dy
     ry = -st * dx + ct * dy
-    sa, ca = math.sin(angles.alpha), math.cos(angles.alpha)
-    sb, cb = math.sin(angles.beta), math.cos(angles.beta)
+    alpha, beta = angles
+    sa, ca = math.sin(alpha), math.cos(alpha)
+    sb, cb = math.sin(beta), math.cos(beta)
     # camera-frame x is the same for both points; y and z differ only in the
     # height term added to these partial row sums
     cam_x = sa * rx - ca * ry
@@ -208,5 +228,4 @@ def render_measurement(
     # (v2 < v fails only for degenerate geometry behind the mast)
     if not (0.0 <= u < k.width and 0.0 <= v2 < v < k.height):
         return None
-    # BoxMeasurement's own check (v2 < v) has just passed
-    return tuple.__new__(BoxMeasurement, (u, v, v2))
+    return (u, v, v2)

@@ -72,7 +72,7 @@ def sample_tracking_state(
     k: CameraIntrinsics,
     gains: ControllerGains,
     margin_px: float = 8.0,
-) -> tuple[TrackingState, BoxMeasurement]:
+) -> tuple[TrackingState, tuple[float, float, float]]:
     """Draw a random world state whose rendered box is valid, comfortably
     inside the image, and non-singular for the rate solve."""
     while True:
@@ -91,8 +91,8 @@ def sample_tracking_state(
         if box is None:
             continue
         if not (
-            margin_px <= box.u <= k.width - margin_px
-            and margin_px <= box.v <= k.height - margin_px
+            margin_px <= box[0] <= k.width - margin_px
+            and margin_px <= box[1] <= k.height - margin_px
         ):
             continue
         err = compute_errors(box, k, gains.target_half_height)

@@ -330,6 +330,31 @@ MUTANTS = [
         "traj.rate * self.duration + abs(traj.phase)",
         (CIRCLE_RULE_TESTS + "[-1e+308--1e+308-1.0]",),
     ),
+    # a walk past the float range: a circle's extent, a waypoint segment, a line
+    Mutant(
+        "simworld.py",
+        " and math.isfinite(abs(cy) + r)",
+        "",
+        (CONFIG_TESTS + "test_circle_past_the_float_range_rejected_naming_its_radius[center1-1e+308]",),
+    ),
+    Mutant(
+        "simworld.py",
+        "            if not math.isfinite(seg):",
+        "            if seg != seg:",
+        (
+            CONFIG_TESTS
+            + "test_waypoint_segment_past_the_float_range_rejected_naming_its_point[points0-1-inf]",
+        ),
+    ),
+    Mutant(
+        "config.py",
+        "            walk = self.duration + max(0.0, -traj.delay)",
+        "            walk = self.duration",
+        (
+            CONFIG_TESTS
+            + "test_line_past_the_float_range_rejected_naming_its_velocity[start2-velocity2--2.0-0.5]",
+        ),
+    ),
 ]
 
 

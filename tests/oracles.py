@@ -506,11 +506,11 @@ def follow_step(
 
 def integrate_by_parts(
     robot: tuple[float, float, float],
-    angles: PanTiltAngles,
+    angles: tuple[float, float],
     cmd: ControlCommand,
     dt: float,
     joint_limits: JointLimits,
-) -> tuple[tuple[float, float, float], PanTiltAngles]:
+) -> tuple[tuple[float, float, float], tuple[float, float]]:
     """:func:`ptfollow.simworld.integrate`, wrapping the heading with
     :func:`wrap_angle` and clamping the joints with :func:`clamp_joints`."""
     if dt <= 0:
@@ -519,7 +519,6 @@ def integrate_by_parts(
     x += cmd.v_r * math.cos(theta) * dt
     y += cmd.v_r * math.sin(theta) * dt
     theta = wrap_angle(theta + cmd.omega_r * dt)
-    angles = clamp_joints(
-        joint_limits, angles.alpha + cmd.omega_alpha * dt, angles.beta + cmd.omega_beta * dt
-    )
-    return (x, y, theta), angles
+    alpha, beta = angles
+    angles = clamp_joints(joint_limits, alpha + cmd.omega_alpha * dt, beta + cmd.omega_beta * dt)
+    return (x, y, theta), tuple(angles)

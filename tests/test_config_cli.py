@@ -42,7 +42,8 @@ from ptfollow.simworld import (
     render_measurement,
 )
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+REPO = Path(__file__).resolve().parent.parent
+README = REPO / "README.md"
 
 # Scenario-file section -> the class whose fields are its keys (a dataclass,
 # or the NamedTuple PanTiltAngles).
@@ -98,14 +99,20 @@ class TestPresets:
         assert render_measurement(*world, cfg.body, cfg.intrinsics) is not None
 
 
-def _rejected_in_code_and_file(tmp_path, capsys, message, data, build):
-    """``build()`` and a scenario file of ``data`` both fail with ``message``."""
-    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-        build()
+def _rejected_in_file(tmp_path, capsys, message, data):
+    """A scenario file of ``data`` exits 2 with ``message`` and writes nothing."""
     scenario = tmp_path / "bad.yaml"
     scenario.write_text(json.dumps(data))  # JSON is YAML
     assert main(["--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"ptfollow: configuration error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def _rejected_in_code_and_file(tmp_path, capsys, message, data, build):
+    """``build()`` and a scenario file of ``data`` both fail with ``message``."""
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        build()
+    _rejected_in_file(tmp_path, capsys, message, data)
 
 
 @pytest.mark.parametrize(
@@ -213,6 +220,98 @@ def test_circle_angle_inside_the_float_range_runs(tmp_path, rate, phase):
     traj = {"kind": "circle", "rate": rate, "phase": phase}
     path.write_text(json.dumps({"trajectory": traj, "duration": 3.0}))
     assert main(["--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize(
+    "center, radius", [((-1e308, 0.0), 1e308), ((0.5, 1e308), 1e308), ((0.0, -1.7e308), 1e307)]
+)
+def test_circle_past_the_float_range_rejected_naming_its_radius(
+    tmp_path, capsys, center, radius
+):
+    # a coordinate of the walk reaches |center| + radius, which would write
+    # an infinite target into the log
+    message = (
+        f"radius: |center| + radius must be finite on each axis, got center"
+        f" {list(center)} and radius {radius!r}"
+    )
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        CircleTrajectory(center=center, radius=radius)
+    traj = {"kind": "circle", "center": list(center), "radius": radius}
+    _rejected_in_file(tmp_path, capsys, f"trajectory.{message}", {"trajectory": traj})
+
+
+@pytest.mark.parametrize(
+    "points, i, length",
+    [
+        ([[1e308, 0.0], [-1e308, 0.0]], 1, math.inf),  # x1 - x0 overflows
+        ([[0.0, 0.0], [1.0, 1.0], [1.5e308, 1.5e308]], 2, math.inf),  # the hypotenuse does
+    ],
+)
+def test_waypoint_segment_past_the_float_range_rejected_naming_its_point(
+    tmp_path, capsys, points, i, length
+):
+    # an infinite segment length turns the interpolated target into NaN
+    message = (
+        f"points[{i}]: the segment from points[{i - 1}] must have a finite length,"
+        f" got {length!r}"
+    )
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        WaypointTrajectory(points=points)
+    traj = {"kind": "waypoints", "points": points}
+    _rejected_in_file(tmp_path, capsys, f"trajectory.{message}", {"trajectory": traj})
+
+
+def _line_overflow_message(start, velocity, delay, duration):
+    return (
+        f"trajectory.velocity: |start| + |velocity| * (duration + max(0, -delay)) must be"
+        f" finite on each axis, got start {list(start)}, velocity {list(velocity)} and"
+        f" delay {delay!r} at duration {duration!r}"
+    )
+
+
+@pytest.mark.parametrize(
+    "start, velocity, delay, duration",
+    [
+        ((1e308, 0.0), (1e308, 0.0), 0.0, 3.0),  # the target passes the float range at once
+        ((0.0, -1e308), (0.0, -1e308), 0.0, 3.0),
+        # 2.5 s of walk: a negative delay moves the start back in time
+        ((0.0, 0.0), (0.0, 1e308), -2.0, 0.5),
+    ],
+)
+def test_line_past_the_float_range_rejected_naming_its_velocity(
+    tmp_path, capsys, start, velocity, delay, duration
+):
+    traj = {"start": start, "velocity": velocity, "delay": delay}
+    _rejected_in_code_and_file(
+        tmp_path, capsys, _line_overflow_message(start, velocity, delay, duration),
+        {"trajectory": {"kind": "line", **traj}, "duration": duration},
+        lambda: ScenarioConfig(trajectory=LineTrajectory(**traj), duration=duration),
+    )
+
+
+@pytest.mark.parametrize(
+    "traj",
+    [
+        {"kind": "circle", "center": [-1e308, 1e308], "radius": 7e307},
+        {"kind": "line", "start": [0.0, 0.0], "velocity": [0.0, 1e308], "delay": -0.5},
+        {"kind": "waypoints", "points": [[8e307, 0.0], [-8e307, 0.0]]},
+    ],
+    ids=["circle", "line", "waypoints"],
+)
+def test_walk_inside_the_float_range_runs(tmp_path, traj):
+    path = tmp_path / "edge.yaml"
+    path.write_text(json.dumps({"trajectory": traj, "duration": 0.5}))
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize(
+    "scenario", [*PRESETS, str(REPO / "perfbench" / "scenarios" / "noisy-walk.yaml")],
+    ids=[*PRESETS, "noisy-walk.yaml"],
+)
+def test_shipped_scenarios_pass_the_trajectory_bounds(tmp_path, scenario):
+    out = tmp_path / "out"
+    assert main(["--scenario", scenario, "--out", str(out), "--duration", "1.0"]) == 0
+    assert (out / "summary.json").is_file()
 
 
 class TestSignedLambdas:
@@ -1093,6 +1192,18 @@ class TestCli:
         code = main(["--scenario", str(path), "--out", str(tmp_path / "out"), "--duration", "30"])
         assert code == 2
         message = _circle_overflow_message(1e307, 0.0, 30.0)
+        assert capsys.readouterr().err == f"ptfollow: configuration error: {message}\n"
+
+    def test_duration_override_past_the_line_float_range_is_config_error(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "fast.yaml"
+        traj = {"kind": "line", "start": [1e308, 0.0], "velocity": [1e307, 0.0]}
+        path.write_text(json.dumps({"trajectory": traj, "duration": 3.0}))
+        assert load_config(path).duration == 3.0  # accepted: 1.3e308 m at most
+        code = main(["--scenario", str(path), "--out", str(tmp_path / "out"), "--duration", "30"])
+        assert code == 2
+        message = _line_overflow_message((1e308, 0.0), (1e307, 0.0), 0.0, 30.0)
         assert capsys.readouterr().err == f"ptfollow: configuration error: {message}\n"
 
     @pytest.mark.parametrize("flag, value", [("--dt", "1e-9"), ("--duration", "1e7")])

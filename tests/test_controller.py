@@ -307,7 +307,8 @@ class TestFollowController:
         # a person 2.5 m away, the head-top row 20 px into the image: a half
         # height 80 px above the reference demands more reverse speed than allowed
         box = render_measurement((0.0, 0.0, 0.0), PanTiltAngles(), (2.5, 0.0), body, intrinsics)
-        assert box.half_height - gains.target_half_height > 79.0
+        _, v, v2 = box
+        assert v - v2 - gains.target_half_height > 79.0
         ctrl = FollowController(gains, intrinsics, SaturationLimits(v_max=0.2))
         cmd = ctrl.step(box, PanTiltAngles())
         assert abs(cmd.v_r) == 0.2

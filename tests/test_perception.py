@@ -378,7 +378,7 @@ class TestPerceptionPipeline:
             for i in range(50):
                 out = pipe.step(_box(320 + 0.3 * i, 240), 0.02 * i, rng)
                 if out.box is not None:
-                    seq.append((out.box.u, out.box.v, out.box.v2, out.score))
+                    seq.append((*out.box, out.score))
             outs.append(seq)
         assert outs[0] == outs[1]
 
@@ -451,13 +451,18 @@ def test_cap_only_on_lost_ticks_changes_no_output(run, intrinsics):
     # the pipeline runs the tracker update and the recovery step inline and
     # skips the search-region cap on seen ticks, which reset the scale; the
     # plain composition, computing the cap on every tick, gives the same
-    # outputs and leaves the generator at the same point
+    # outputs and leaves the generator at the same point.  Its noisy box is a
+    # checked BoxMeasurement where the pipeline's is a plain triple, so the
+    # boxes are compared as tuples.
+    def whole(out):
+        return repr(out._replace(box=out.box and tuple(out.box)))
+
     noise, truths, seed = run
     fast, full = (PerceptionPipeline(noise=noise, intrinsics=intrinsics) for _ in range(2))
     fast_rng, full_rng = random.Random(seed), random.Random(seed)
     for i, truth in enumerate(truths):
         got = fast.step(truth, DT * i, fast_rng)
         want = pipeline_step_with_cap(full, truth, DT * i, full_rng)
-        assert type(got) is PerceptionOutput and repr(got) == repr(want), i
+        assert type(got) is PerceptionOutput and whole(got) == whole(want), i
         assert fast_rng.getstate() == full_rng.getstate(), i
         assert repr(fast.recovery) == repr(full.recovery), i

@@ -293,7 +293,7 @@ def control_law(
 
     Raises:
         SingularConfigurationError: if the denominator magnitude is at or
-            below ``eps_den``.
+            below ``eps_den``, or NaN.
     """
     o1, o2, o3, a, b, c, d, e, f = terms
     e_u, e_v, e_v2 = err
@@ -302,7 +302,7 @@ def control_law(
     # the determinant, from the three 2x2 minors it shares with num_v
     m_bc, m_af, m_cf = b * c - a * d, a * f - b * e, c * f - d * e
     den = m_bc * o3 * l2 + m_af * o2 * l1 - m_cf * o1 * l1
-    if abs(den) <= eps_den:
+    if not abs(den) > eps_den:  # a NaN denominator too
         raise SingularConfigurationError(
             f"solve denominator {den:.3e} within guard {eps_den:.3e}"
         )
@@ -328,40 +328,14 @@ def robot_angular_strategy(alpha: float) -> float:
     return YAW_GAIN * alpha
 
 
-def saturate(
-    v_r: float, omega_r: float, omega_alpha: float, omega_beta: float, limits: SaturationLimits
-) -> ControlCommand:
-    """The command of the solved rates, each clamped to +/-its limit and
-    flagged if it was; a NaN rate passes through unsaturated.  An
-    unsaturated command shares :data:`UNSATURATED`."""
-    vm, wrm = limits.v_max, limits.omega_r_max
-    wam, wbm = limits.omega_alpha_max, limits.omega_beta_max
-    sat_v = v_r > vm or v_r < -vm
-    sat_wr = omega_r > wrm or omega_r < -wrm
-    sat_wa = omega_alpha > wam or omega_alpha < -wam
-    sat_wb = omega_beta > wbm or omega_beta < -wbm
-    flags = UNSATURATED
-    if sat_v or sat_wr or sat_wa or sat_wb:
-        flags = tuple.__new__(SaturationFlags, (sat_v, sat_wr, sat_wa, sat_wb))
-        if sat_v:
-            v_r = vm if v_r > 0.0 else -vm
-        if sat_wr:
-            omega_r = wrm if omega_r > 0.0 else -wrm
-        if sat_wa:
-            omega_alpha = wam if omega_alpha > 0.0 else -wam
-        if sat_wb:
-            omega_beta = wbm if omega_beta > 0.0 else -wbm
-    return tuple.__new__(ControlCommand, (v_r, omega_r, omega_alpha, omega_beta, flags, False))
-
-
 class FollowController:
     """Stateful one-tick controller: errors -> coefficient block -> yaw
     strategy -> rate solve -> saturation.
 
     The only state is the hold-and-decay memory for degraded ticks:
 
-    * singular solve: the previous rotation rates are reissued for the tick
-      (a one-off numeric degeneracy) and the linear speed halves;
+    * singular solve (a denominator within the guard, or NaN): the previous
+      rotation rates are reissued (a one-off degeneracy) and the speed halves;
     * stale measurement (``hold=True``, tracking failure): the camera is
       frozen (zero rotation rates) and the linear speed halves each tick, so
       the search region the recovery machine grows around the last box keeps
@@ -377,9 +351,14 @@ class FollowController:
         saturation: SaturationLimits | None = None,
     ) -> None:
         self._eps_den = singularity_eps(intrinsics, gains)  # rejects unresolved lambdas
-        self.gains = gains
-        self.intrinsics = intrinsics
-        self.saturation = saturation or SaturationLimits()
+        k, g, s = intrinsics, gains, saturation or SaturationLimits()
+        # what step reads, fixed for the run, with its subexpressions ax / ay
+        # and ay * ay evaluated once (the same operations, so the same bits)
+        self._run = (
+            k.u0, k.v0, k.alpha_x, k.alpha_y, k.alpha_x / k.alpha_y, k.alpha_y * k.alpha_y,
+            g.lambda1, g.lambda2, g.k1, g.k2, g.k3, g.target_half_height,
+            s.v_max, s.omega_r_max, s.omega_alpha_max, s.omega_beta_max,
+        )
         self._last = ZERO_COMMAND
 
     def _hold_and_decay(self, freeze_rotation: bool) -> ControlCommand:
@@ -397,20 +376,20 @@ class FollowController:
         box: Box | None,
         angles: tuple[float, float],
         hold: bool = False,
-        err: ImageErrors | None = None,
+        err: tuple[float, float, float] | None = None,
     ) -> ControlCommand:
         """Compute the command for one tick.
 
         ``box is None`` (nothing tracked yet) gives the zero command;
         ``hold=True`` or a singular solve gives the hold-and-decay command.
-        ``err`` is ``compute_errors`` of ``box`` when the caller has it
-        already; otherwise it is computed here.
+        ``err`` is ``compute_errors`` of ``box`` (or its plain triple) when
+        the caller has it already; otherwise it is computed here.
 
         The rates are :func:`control_law` of the re-derived
         :func:`jacobian_terms` with the yaw of :func:`robot_angular_strategy`,
-        passed to :func:`saturate`.  Those three run inline here, each
-        expression in its order, so every rate has the bits of the plain
-        composition.
+        each clamped to +/-its limit and flagged if it was (a NaN passes
+        unsaturated).  All of it runs inline here, each expression in its
+        order, so every rate has the bits of the plain composition.
         """
         if box is None:
             self._last = ZERO_COMMAND
@@ -418,38 +397,35 @@ class FollowController:
         if hold:
             return self._hold_and_decay(freeze_rotation=True)
 
-        k, gains = self.intrinsics, self.gains
-        if err is None:
-            err = compute_errors(box, k, gains.target_half_height)
-        e_u, e_v, e_v2 = err
-        l1, l2 = gains.lambda1, gains.lambda2
+        u0, v0, ax, ay, ax_ay, ay_ay, l1, l2, k1, k2, k3, h_ref, vm, wrm, wam, wbm = self._run
+        u, v, v2 = box
+        e_u, e_v, e_v2 = (u - u0, v - v0, v - v2 - h_ref) if err is None else err
         alpha, beta = angles
         # jacobian_terms, re-derived
         sa, ca = math.sin(alpha), math.cos(alpha)
         sb, cb = math.sin(beta), math.cos(beta)
-        ax, ay = k.alpha_x, k.alpha_y
-        vt2 = box[2] - k.v0
+        vt2 = v2 - v0
         g1 = e_v * cb - ay * sb
         g2 = vt2 * cb - ay * sb
         u2 = e_u * (l2 * g2) / (l1 * g1) if g1 != 0.0 else e_u
         o1 = (e_u * ca * cb - ax * sa) * g1 / ay
         o2 = ca * g1 * g1 / ay
         o3 = ca * g2 * g2 / ay
-        a = ax * cb + (ax / ay) * sb * e_v + e_u * e_u * cb / ax
+        a = ax * cb + ax_ay * sb * e_v + e_u * e_u * cb / ax
         b = e_u * e_v / ay
         c = (e_u / ax) * g1
-        d = (ay * ay + e_v * e_v) / ay
+        d = (ay_ay + e_v * e_v) / ay
         e = (u2 / ax) * g2
-        f = (ay * ay + vt2 * vt2) / ay
+        f = (ay_ay + vt2 * vt2) / ay
         # robot_angular_strategy
         omega_r = 0.0 if -DEADBAND_HALF_WIDTH < alpha < DEADBAND_HALF_WIDTH else YAW_GAIN * alpha
 
         # control_law, with its guard
-        k1e, k2e, k3e = gains.k1 * e_u, gains.k2 * e_v, gains.k3 * e_v2
+        k1e, k2e, k3e = k1 * e_u, k2 * e_v, k3 * e_v2
         # the three 2x2 minors den and num_v share, each evaluated once
         m_bc, m_af, m_cf = b * c - a * d, a * f - b * e, c * f - d * e
         den = m_bc * o3 * l2 + m_af * o2 * l1 - m_cf * o1 * l1
-        if abs(den) <= self._eps_den:
+        if not abs(den) > self._eps_den:  # a NaN denominator too
             return self._hold_and_decay(freeze_rotation=False)
         num_v = -(m_bc * (k2e - k3e) + m_af * k2e - m_cf * k1e)
         num_wa = (
@@ -462,7 +438,25 @@ class FollowController:
             + (e * k1e - a * k2e + a * k3e) * o2 * l1
             + (c * k2e - e * k2e - c * k3e) * o1 * l1
         )
-        cmd = saturate(num_v / den, omega_r, num_wa / den, num_wb / den, self.saturation)
+        v_r, omega_alpha, omega_beta = num_v / den, num_wa / den, num_wb / den
+
+        # each rate clamped to +/-its limit; an unsaturated command shares UNSATURATED
+        sat_v = v_r > vm or v_r < -vm
+        sat_wr = omega_r > wrm or omega_r < -wrm
+        sat_wa = omega_alpha > wam or omega_alpha < -wam
+        sat_wb = omega_beta > wbm or omega_beta < -wbm
+        flags = UNSATURATED
+        if sat_v or sat_wr or sat_wa or sat_wb:
+            flags = tuple.__new__(SaturationFlags, (sat_v, sat_wr, sat_wa, sat_wb))
+            if sat_v:
+                v_r = vm if v_r > 0.0 else -vm
+            if sat_wr:
+                omega_r = wrm if omega_r > 0.0 else -wrm
+            if sat_wa:
+                omega_alpha = wam if omega_alpha > 0.0 else -wam
+            if sat_wb:
+                omega_beta = wbm if omega_beta > 0.0 else -wbm
+        cmd = tuple.__new__(ControlCommand, (v_r, omega_r, omega_alpha, omega_beta, flags, False))
         self._last = cmd
         return cmd
 

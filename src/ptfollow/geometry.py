@@ -192,10 +192,9 @@ class JointLimits:
     def __post_init__(self) -> None:
         check_fields(self)
 
-    def check(self, angles: PanTiltAngles) -> None:
-        """Raise :class:`JointLimitError` naming the first angle outside the range."""
-        for name, limit in (("alpha", self.alpha_max), ("beta", self.beta_max)):
-            value = getattr(angles, name)
+    def check(self, angles: tuple[float, float]) -> None:
+        """Raise :class:`JointLimitError` naming the first of ``(alpha, beta)`` out of range."""
+        for name, value, limit in zip(("alpha", "beta"), angles, (self.alpha_max, self.beta_max)):
             if not abs(value) <= limit:  # NaN too
                 raise JointLimitError(f"{name}: {value!r} outside +/-{limit!r}")
 

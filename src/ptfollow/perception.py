@@ -193,6 +193,12 @@ class PerceptionPipeline:
         self.noise = noise
         self.recovery = RecoveryState()
         self.intrinsics = intrinsics
+        width, height = intrinsics.width, intrinsics.height
+        self._run = (  # what step reads, fixed for the run
+            noise._starts, noise._ends, noise.dropout_prob, noise.sigma_px,
+            RecoveryPolicy.search_dilation, RecoveryPolicy.step_s,
+            width, height, height if height > width else width,
+        )
         self.window: list[tuple[float, float]] = []  # the detection gate's, see gate_update
         self._box: Optional[Box] = None  # last box seen; None until initialized
 
@@ -210,11 +216,11 @@ class PerceptionPipeline:
         :class:`~ptfollow.controller.BoxMeasurement`'s check); any other noisy
         box is a lost tick.
         """
-        noise = self.noise
+        starts, ends, dropout_prob, sigma, dilation, step_s, width, height, side = self._run
         seen = truth
         if truth is not None:
-            i = bisect_right(noise._starts, t)  # the last window to start by t
-            if i > 0 and t < noise._ends[i - 1]:
+            i = bisect_right(starts, t)  # the last window to start by t
+            if i > 0 and t < ends[i - 1]:
                 seen = None  # occlusion suppresses the detection too
         box = self._box
         recovery = self.recovery
@@ -225,13 +231,13 @@ class PerceptionPipeline:
             score = SEEN_SCORE
         else:
             if seen is not None:
-                half = recovery.region_scale * RecoveryPolicy.search_dilation * (box[1] - box[2])
+                half = recovery.region_scale * dilation * (box[1] - box[2])
                 if not (abs(seen[0] - box[0]) <= half and abs(seen[1] - box[1]) <= half):
                     seen = None  # outside the search region
-                elif noise.dropout_prob > 0.0 and rng.random() < noise.dropout_prob:
+                elif dropout_prob > 0.0 and rng.random() < dropout_prob:
                     seen = None
-                elif noise.sigma_px > 0.0:
-                    rand, sigma = rng.random, noise.sigma_px
+                elif sigma > 0.0:
+                    rand = rng.random
                     du, dv, dv2 = normal(rand, sigma), normal(rand, sigma), normal(rand, sigma)
                     u = seen[0] + du
                     v = seen[1] + dv
@@ -239,9 +245,8 @@ class PerceptionPipeline:
                     top = v - 1.0  # keep at least 1 px of half height
                     if top < v2:
                         v2 = top
-                    k = self.intrinsics
                     # render_measurement's image test, which implies v2 < v
-                    if 0.0 <= u < k.width and 0.0 <= v2 < v < k.height:
+                    if 0.0 <= u < width and 0.0 <= v2 < v < height:
                         seen = (u, v, v2)
                     else:
                         seen = None
@@ -250,13 +255,11 @@ class PerceptionPipeline:
                 score = LOST_SCORE
                 # failed: the region grows, capped at the multiplier at which
                 # it covers the whole image
-                nominal = RecoveryPolicy.search_dilation * (box[1] - box[2])
-                k = self.intrinsics
-                width, height = k.width, k.height
-                cap = (height if height > width else width) / nominal
+                nominal = dilation * (box[1] - box[2])
+                cap = side / nominal
                 if not cap > 1.0:
                     cap = 1.0
-                scale = recovery.region_scale + RecoveryPolicy.step_s
+                scale = recovery.region_scale + step_s
                 if cap < scale:
                     scale = cap
                 if not (recovery.failure_state and scale == recovery.region_scale):

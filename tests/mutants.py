@@ -124,20 +124,20 @@ MUTANTS = [
     # row appended uncopied
     Mutant(
         "perception.py",
-        "                    if 0.0 <= u < k.width and 0.0 <= v2 < v < k.height:\n",
+        "                    if 0.0 <= u < width and 0.0 <= v2 < v < height:\n",
         "                    if True:\n",
         (PIPELINE_TESTS + "test_noisy_box_outside_the_image_is_lost",),
     ),
     Mutant(  # a NaN center row let through
         "perception.py",
-        "0.0 <= v2 < v < k.height",
-        "0.0 <= v2 < k.height",
+        "0.0 <= v2 < v < height",
+        "0.0 <= v2 < height",
         (PIPELINE_TESTS + "test_noisy_box_outside_the_image_is_lost",),
     ),
     Mutant(  # a column left of the image let through
         "perception.py",
-        "                    if 0.0 <= u < k.width and",
-        "                    if u < k.width and",
+        "                    if 0.0 <= u < width and",
+        "                    if u < width and",
         (PIPELINE_TESTS + "test_noisy_box_outside_the_image_is_lost",),
     ),
     Mutant(  # the 1 px cap as min(v - 1.0, v2), which drops a NaN top row
@@ -148,8 +148,8 @@ MUTANTS = [
     ),
     Mutant(
         "perception.py",
-        "cap = (height if height > width else width) / nominal",
-        "cap = width / nominal",
+        "            width, height, height if height > width else width,",
+        "            width, height, width,",
         (PERCEPTION_TESTS + "test_cap_only_on_lost_ticks_changes_no_output",),
     ),
     Mutant(
@@ -329,6 +329,43 @@ MUTANTS = [
         "abs(traj.rate) * self.duration + abs(traj.phase)",
         "traj.rate * self.duration + abs(traj.phase)",
         (CIRCLE_RULE_TESTS + "[-1e+308--1e+308-1.0]",),
+    ),
+    # the step's inline clamps and its constants bound at construction; a NaN
+    # denominator held in the step and in control_law; the joint-limit check
+    # reading the loop's plain pair
+    Mutant(  # a clamp sign
+        "controller.py",
+        "                omega_beta = wbm if omega_beta > 0.0 else -wbm",
+        "                omega_beta = wbm if omega_beta > 0.0 else wbm",
+        ("tests/test_controller.py::TestInlineSaturation",),
+    ),
+    Mutant(
+        "controller.py",
+        "k.alpha_x / k.alpha_y, k.alpha_y * k.alpha_y,",
+        "k.alpha_x / k.alpha_y, k.alpha_x * k.alpha_y,",
+        ("tests/test_controller.py::TestFusedStep::test_step_equals_the_plain_composition",),
+    ),
+    Mutant(
+        "controller.py",
+        "        if not abs(den) > self._eps_den:  # a NaN denominator too",
+        "        if abs(den) <= self._eps_den:",
+        (
+            "tests/test_controller.py::TestFusedStep::test_nan_denominator_holds_in_both_forms",
+            CONFIG_TESTS + "test_float_maximum_focal_length_runs_to_finite_commands_and_pose",
+        ),
+    ),
+    Mutant(
+        "controller.py",
+        "    if not abs(den) > eps_den:  # a NaN denominator too",
+        "    if abs(den) <= eps_den:",
+        ("tests/test_controller.py::TestFusedStep::test_nan_denominator_holds_in_both_forms",),
+    ),
+    Mutant(
+        "geometry.py",
+        '''        for name, value, limit in zip(("alpha", "beta"), angles, (self.alpha_max, self.beta_max)):\n''',
+        '''        for name, limit in (("alpha", self.alpha_max), ("beta", self.beta_max)):\n'''
+        "            value = getattr(angles, name)\n",
+        ("tests/test_geometry.py::TestRotation::test_joint_limits_check_reads_the_pair_by_position",),
     ),
     # a walk past the float range: a circle's extent, a waypoint segment, a line
     Mutant(

@@ -304,6 +304,30 @@ def test_walk_inside_the_float_range_runs(tmp_path, traj):
     assert main(["--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
+def test_float_maximum_focal_length_runs_to_finite_commands_and_pose(tmp_path):
+    # the solve's denominator is NaN on the tracked ticks of this run; the
+    # guard takes it as singular, so each is a hold tick, not a NaN command
+    path = tmp_path / "focal.yaml"
+    path.write_text(
+        "trajectory: {kind: waypoints, points: [[3.0, 0.0], [3.0, 0.0]]}\n"
+        "intrinsics: {alpha_x: 1.7976931348623157e+308}\n"
+        "duration: 2.0\n"
+    )
+    out = tmp_path / "out"
+    assert main(["--scenario", str(path), "--out", str(out)]) == 0
+    with open(out / "timeseries.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    columns = (
+        "V_r", "omega_r", "omega_alpha", "omega_beta", "robot_x", "robot_y", "theta",
+        "alpha", "beta",
+    )
+    assert len(rows) == 100 and sum(not math.isnan(float(row["h"])) for row in rows) > 90
+    assert [
+        (i, name) for i, row in enumerate(rows) for name in columns
+        if not math.isfinite(float(row[name]))
+    ] == []
+
+
 @pytest.mark.parametrize(
     "scenario", [*PRESETS, str(REPO / "perfbench" / "scenarios" / "noisy-walk.yaml")],
     ids=[*PRESETS, "noisy-walk.yaml"],

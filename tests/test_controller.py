@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
     fd_error_rates,
@@ -26,7 +26,6 @@ from oracles import (
     predicted_error_rates_by_attribute,
     solve_denominator_by_attribute,
 )
-from ptfollow import controller as controller_module
 from ptfollow.controller import (
     DEADBAND_HALF_WIDTH,
     JACOBIAN_MODES,
@@ -48,7 +47,6 @@ from ptfollow.controller import (
     jacobian_terms,
     predicted_error_rates,
     robot_angular_strategy,
-    saturate,
     singularity_eps,
 )
 from ptfollow.geometry import BodyModel, CameraIntrinsics, JointLimits, PanTiltAngles
@@ -459,63 +457,78 @@ class TestUnpackedSolve:
 
 # distinct limits, so that a clamp against another channel's limit shows
 _LIMITS = SaturationLimits(v_max=1.2, omega_alpha_max=1.5, omega_beta_max=0.7, omega_r_max=1.0)
+# unequal focal lengths, so that a constant built from the wrong one shows
+_WIDE = CameraIntrinsics(alpha_x=620.0, alpha_y=410.0)
+_ALPHA = st.sampled_from([
+    DEADBAND_HALF_WIDTH, -DEADBAND_HALF_WIDTH,
+    math.nextafter(DEADBAND_HALF_WIDTH, math.inf), math.nextafter(-DEADBAND_HALF_WIDTH, -math.inf),
+]) | st.floats(-1.5, 1.5)
 
 
-def _rates(limit):
-    edges = [limit, -limit, math.nextafter(limit, math.inf), -0.0, math.inf, -math.inf, math.nan]
-    return st.sampled_from(edges) | st.floats(allow_nan=True, allow_infinity=True)
+def _limit(rate, edge):
+    """A limit for ``rate``: at its magnitude, an ulp above or below, half
+    or twice it; 1.0 where that is not a valid limit (a zero rate)."""
+    m = abs(rate)
+    limit = {
+        "at": m, "above": math.nextafter(m, math.inf), "below": math.nextafter(m, 0.0),
+        "half": m / 2, "twice": 2 * m,
+    }[edge]
+    return limit if 0.0 < limit < math.inf else 1.0
 
 
 class TestInlineSaturation:
-    """``FollowController.step`` clamps its four solved rates in
-    :func:`saturate`; each must give the bits and flag of :func:`oracles.clamp`."""
+    """``FollowController.step`` clamps its four solved rates inline.  With
+    each limit drawn at, just inside or beyond the rate the plain solve
+    gives, every rate and flag of the step must be :func:`oracles.clamp`'s."""
 
     @settings(max_examples=400, deadline=None)
     @given(
-        v_r=_rates(_LIMITS.v_max),
-        omega_r=_rates(_LIMITS.omega_r_max),
-        omega_alpha=_rates(_LIMITS.omega_alpha_max),
-        omega_beta=_rates(_LIMITS.omega_beta_max),
+        k=st.sampled_from([CameraIntrinsics(), _WIDE]),
+        u=st.floats(0.0, 639.0),
+        v=st.floats(100.0, 479.0),
+        half_height=st.floats(1.0, 100.0),
+        alpha=_ALPHA,
+        beta=st.floats(-1.0, 1.0),
+        edges=st.tuples(*[st.sampled_from(["at", "above", "below", "half", "twice"])] * 4),
     )
-    @example(math.nan, math.nan, math.nan, math.nan).via("NaN passes unsaturated")
-    def test_step_clamps_as_the_plain_clamp(self, v_r, omega_r, omega_alpha, omega_beta):
-        cmd = saturate(v_r, omega_r, omega_alpha, omega_beta, _LIMITS)
-        want = [
-            clamp(v_r, _LIMITS.v_max),
-            clamp(omega_r, _LIMITS.omega_r_max),
-            clamp(omega_alpha, _LIMITS.omega_alpha_max),
-            clamp(omega_beta, _LIMITS.omega_beta_max),
-        ]
+    @example(CameraIntrinsics(), 400.0, 300.0, 80.0, 0.7, 0.1, ("above",) * 4).via(
+        "nothing saturated"
+    )
+    @example(CameraIntrinsics(), 400.0, 300.0, 80.0, -0.7, 0.1, ("below",) * 4).via(
+        "every rate saturated by an ulp"
+    )
+    @example(CameraIntrinsics(alpha_x=1e304), 400.0, 300.0, 80.0, 0.0, 0.0, ("at",) * 4).via(
+        "an infinite denominator: a NaN speed and -0.0 camera rates pass unsaturated"
+    )
+    def test_step_clamps_as_the_plain_clamp(self, k, u, v, half_height, alpha, beta, edges):
+        gains = _DEFAULT_GAINS
+        box, angles = BoxMeasurement(u, v, v - half_height), PanTiltAngles(alpha, beta)
+        err = compute_errors(box, k, gains.target_half_height)
+        terms = jacobian_terms(err, box, angles, k, gains)
+        omega_r = robot_angular_strategy(alpha)
+        try:
+            v_r, omega_alpha, omega_beta = control_law(
+                err, terms, gains, omega_r, singularity_eps(k, gains)
+            )
+        except SingularConfigurationError:
+            assume(False)
+        rates = (v_r, omega_r, omega_alpha, omega_beta)
+        limits = [_limit(rate, edge) for rate, edge in zip(rates, edges)]
+        saturation = SaturationLimits(
+            v_max=limits[0], omega_r_max=limits[1],
+            omega_alpha_max=limits[2], omega_beta_max=limits[3],
+        )
+        cmd = FollowController(gains, k, saturation).step(box, angles)
+        want = [clamp(rate, limit) for rate, limit in zip(rates, limits)]
         assert [float.hex(rate) for rate in cmd[:4]] == [float.hex(rate) for rate, _ in want]
         assert cmd.saturated == tuple(flag for _, flag in want)
         assert cmd.saturated.any or cmd.saturated is UNSATURATED
         assert type(cmd) is ControlCommand and cmd.hold is False and len(cmd) == 6
 
-    def test_step_saturates_through_the_seam(self, intrinsics, gains):
-        ctrl = FollowController(gains, intrinsics, _LIMITS)
-        box = BoxMeasurement(u=350.0, v=250.0, v2=150.0)
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return saturate(*args)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(controller_module, "saturate", spy)
-            cmd = ctrl.step(box, PanTiltAngles(0.7, 0.1))
-            ctrl.step(box, PanTiltAngles(), hold=True)
-        assert len(calls) == 1 and calls[0][1] == pytest.approx(0.07)
-        assert calls[0][4] is _LIMITS
-        assert repr(cmd) == repr(saturate(*calls[0]))
-
 
 # a box on the principal row with a 1e-12 px half height: singular at zero
 # angles in both modes and for any gains
 _SINGULAR_BOX = BoxMeasurement(u=350.0, v=240.0, v2=240.0 - 1e-12)
-_ALPHA = st.sampled_from([
-    DEADBAND_HALF_WIDTH, -DEADBAND_HALF_WIDTH,
-    math.nextafter(DEADBAND_HALF_WIDTH, math.inf), math.nextafter(-DEADBAND_HALF_WIDTH, -math.inf),
-]) | st.floats(-1.5, 1.5)
 _TICK = st.sampled_from(["none", "singular"]) | st.tuples(
     st.floats(0.0, 639.0),  # u
     st.floats(0.0, 479.0),  # v
@@ -535,20 +548,20 @@ class TestFusedStep:
 
     @settings(max_examples=200, deadline=None)
     @given(
+        k=st.sampled_from([CameraIntrinsics(), _WIDE]),
         gains=_GAINS,
         limits=_LIMIT_SETS,
         ticks=st.lists(_TICK, min_size=1, max_size=30),
     )
     @example(  # yaw outside the deadband, then the guard's hold of its rates
-        _DEFAULT_GAINS, _LIMITS,
+        CameraIntrinsics(), _DEFAULT_GAINS, _LIMITS,
         [(400.0, 300.0, 80.0, 0.7, 0.1, False, False), "singular", "singular"],
     ).via("singular hold after a yawing tick")
     @example(
-        _DEFAULT_GAINS, _LIMITS,
+        _WIDE, _DEFAULT_GAINS, _LIMITS,
         [(400.0, 300.0, 80.0, -0.7, 0.1, False, True), "singular", "none"],
     ).via("singular hold after a yawing tick with its errors given")
-    def test_step_equals_the_plain_composition(self, gains, limits, ticks):
-        k = CameraIntrinsics()
+    def test_step_equals_the_plain_composition(self, k, gains, limits, ticks):
         ctrl = FollowController(gains, k, limits)
         last = ZERO_COMMAND
         for i, tick in enumerate(ticks):
@@ -559,7 +572,8 @@ class TestFusedStep:
             else:
                 u, v, half_height, alpha, beta, hold, given_err = tick
                 box, angles = BoxMeasurement(u, v, v - half_height), PanTiltAngles(alpha, beta)
-            err = compute_errors(box, k, gains.target_half_height) if given_err else None
+            # given as the runner hands them on: a plain triple
+            err = tuple(compute_errors(box, k, gains.target_half_height)) if given_err else None
             got = ctrl.step(box, angles, hold, err)
             want = follow_step(last, box, angles, hold, err, gains, k, limits)
             assert list(map(float.hex, got[:4])) == list(map(float.hex, want[:4])), i
@@ -578,6 +592,20 @@ class TestFusedStep:
             ctrl = FollowController(gains, intrinsics)
             ctrl._eps_den = eps
             assert ctrl.step(box, angles, False, err).hold is holds
+
+    def test_nan_denominator_holds_in_both_forms(self, gains):
+        # at a focal length at the float maximum the denominator is NaN, which
+        # the guard takes as singular: a hold tick, not a NaN command
+        k = CameraIntrinsics(alpha_x=1.7976931348623157e308)
+        box, angles = BoxMeasurement(330.0, 250.0, 150.0), PanTiltAngles(0.1, 0.05)
+        err = compute_errors(box, k, gains.target_half_height)
+        terms = jacobian_terms(err, box, angles, k, gains)
+        assert math.isnan(solve_denominator_by_attribute(terms, gains))
+        with pytest.raises(SingularConfigurationError, match="^solve denominator nan "):
+            control_law(err, terms, gains, 0.0, singularity_eps(k, gains))
+        cmd = FollowController(gains, k).step(box, angles)
+        want = follow_step(ZERO_COMMAND, box, angles, False, None, gains, k, SaturationLimits())
+        assert cmd.hold and repr(cmd) == repr(want)
 
     def test_examples_reach_the_guard_and_the_yaw(self, intrinsics):
         # the explicit examples above do hold on the guard after a yawing tick

@@ -73,6 +73,17 @@ class TestRotation:
         with pytest.raises(JointLimitError):
             rotation_camera_from_robot(PanTiltAngles(alpha=0.2, beta=0.0), tight)
 
+    @pytest.mark.parametrize(
+        "kind", [lambda a, b: (a, b), PanTiltAngles], ids=["pair", "PanTiltAngles"]
+    )
+    def test_joint_limits_check_reads_the_pair_by_position(self, kind):
+        # the loop's own (alpha, beta) pair and the named record alike
+        limits = JointLimits()
+        limits.check(kind(math.pi / 2, -math.pi / 3))  # the edges lie inside
+        for angles, name in (((3.0, 0.2), "alpha"), ((0.2, -1.2), "beta"), ((math.nan, 0.0), "alpha")):
+            with pytest.raises(JointLimitError, match=f"^{name}: "):
+                limits.check(kind(*angles))
+
     def test_joint_limit_clamp(self):
         clamped = clamp_joints(JointLimits(), 3.0, -2.0)
         assert clamped.alpha == math.pi / 2

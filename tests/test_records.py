@@ -11,7 +11,8 @@ its frame; ``BoxMeasurement`` and ``RecoveryState`` always run their checked
 constructors.  Over whole runs, the stages hand each other exactly the
 records that a reader outside the loop reads by field name, and each must
 have all its fields and the ``repr`` its constructor gives; the box
-``(u, v, v2)`` and the joint angles ``(alpha, beta)`` are plain tuples.
+``(u, v, v2)``, the joint angles ``(alpha, beta)`` and the pixel errors
+``(e_u, e_v, e_v2)`` are plain tuples.
 """
 
 import dataclasses
@@ -140,7 +141,7 @@ def test_every_record_of_a_run_is_whole(name, monkeypatch):
 
         monkeypatch.setattr(owner, attr, wrapper)
 
-    for attr in ("target_position", "render_measurement", "compute_errors", "integrate"):
+    for attr in ("render_measurement", "integrate"):
         spy(runner, attr)
     spy(controller, "jacobian_terms")
     spy(PerceptionPipeline, "step")
@@ -152,12 +153,16 @@ def test_every_record_of_a_run_is_whole(name, monkeypatch):
     # exactly these, each read by field name outside the loop (the benchmark's
     # trace, the acceptance suite): a record built per tick only to be taken
     # apart by position fails
-    assert kinds == {"ImageErrors", "ControlCommand", "PerceptionOutput", "SaturationFlags"}
+    assert kinds == {"ControlCommand", "PerceptionOutput", "SaturationFlags"}
     boxes = [box for fn, _, box in handed if fn == "render_measurement" and box is not None]
     angles = [result[1] for fn, _, result in handed if fn == "integrate"]
-    assert boxes and angles
+    # FollowController.step(self, box, angles, hold, err)
+    errors = [args[4] for fn, args, _ in handed if fn == "step" and len(args) == 5]
+    errors = [err for err in errors if err is not None]
+    assert boxes and angles and errors
     assert all(type(box) is tuple and len(box) == 3 for box in boxes)
     assert all(type(pair) is tuple and len(pair) == 2 for pair in angles)
+    assert all(type(err) is tuple and len(err) == 3 for err in errors)
     for rec in records.values():
         cls = type(rec)
         assert len(rec) == len(cls._fields), rec

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import ptfollow.controller
 import ptfollow.runner
 from ptfollow.config import ScenarioConfig, parse_config, preset_circle_sim
-from ptfollow.controller import SaturationLimits
+from ptfollow.controller import FollowController, SaturationLimits, compute_errors
 from ptfollow.perception import NoiseModel
 from ptfollow.runlog import COLUMNS, SETTLE_PX, TimeSeriesLog, summarize
 from ptfollow.runner import run_scenario, summarize_run
@@ -255,9 +255,12 @@ class TestRunScenario:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_errors_computed_once_per_tick_with_a_box(self, monkeypatch):
-        # the runner computes each tracked tick's errors once and hands them
-        # to the controller, which then computes none itself
+        # the runner computes each tracked tick's errors itself and hands them
+        # to the controller, which then computes none: every step with a box
+        # gets them, with the bits of compute_errors, and neither module
+        # calls compute_errors
         calls = {"runner": 0, "controller": 0}
+        handed = []
 
         def counted(where, fn):
             def wrapper(*args, **kwargs):
@@ -265,6 +268,13 @@ class TestRunScenario:
                 return fn(*args, **kwargs)
             return wrapper
 
+        control = FollowController.step
+
+        def step(self, box, angles, hold=False, err=None):
+            handed.append((box, err))
+            return control(self, box, angles, hold, err)
+
+        monkeypatch.setattr(FollowController, "step", step)
         monkeypatch.setattr(
             ptfollow.runner, "compute_errors", counted("runner", ptfollow.runner.compute_errors)
         )
@@ -280,7 +290,15 @@ class TestRunScenario:
         with_box = sum(not math.isnan(h) for h in log.series("h"))
         assert 0 < with_box < len(log)  # gating ticks carry no box
         assert sum(log.series("failure_state")) > 0  # held ticks carry one
-        assert calls == {"runner": with_box, "controller": 0}
+        assert calls == {"runner": 0, "controller": 0}
+        assert len(handed) == len(log)
+        assert sum(box is not None for box, _ in handed) == with_box
+        for box, err in handed:
+            if box is None:
+                assert err is None
+            else:
+                want = compute_errors(box, cfg.intrinsics, cfg.gains.target_half_height)
+                assert list(map(float.hex, err)) == list(map(float.hex, want))
 
     def test_different_seeds_differ_with_noise(self, tmp_path):
         base = replace(

@@ -293,7 +293,7 @@ def control_law(
 
     Raises:
         SingularConfigurationError: if the denominator magnitude is at or
-            below ``eps_den``, or NaN.
+            below ``eps_den``, infinite, or NaN.
     """
     o1, o2, o3, a, b, c, d, e, f = terms
     e_u, e_v, e_v2 = err
@@ -302,7 +302,7 @@ def control_law(
     # the determinant, from the three 2x2 minors it shares with num_v
     m_bc, m_af, m_cf = b * c - a * d, a * f - b * e, c * f - d * e
     den = m_bc * o3 * l2 + m_af * o2 * l1 - m_cf * o1 * l1
-    if not abs(den) > eps_den:  # a NaN denominator too
+    if not eps_den < abs(den) < math.inf:  # a NaN or infinite denominator too
         raise SingularConfigurationError(
             f"solve denominator {den:.3e} within guard {eps_den:.3e}"
         )
@@ -334,7 +334,7 @@ class FollowController:
 
     The only state is the hold-and-decay memory for degraded ticks:
 
-    * singular solve (a denominator within the guard, or NaN): the previous
+    * singular solve (a denominator within the guard, infinite or NaN): the previous
       rotation rates are reissued (a one-off degeneracy) and the speed halves;
     * stale measurement (``hold=True``, tracking failure): the camera is
       frozen (zero rotation rates) and the linear speed halves each tick, so
@@ -357,7 +357,7 @@ class FollowController:
         self._run = (
             k.u0, k.v0, k.alpha_x, k.alpha_y, k.alpha_x / k.alpha_y, k.alpha_y * k.alpha_y,
             g.lambda1, g.lambda2, g.k1, g.k2, g.k3, g.target_half_height,
-            s.v_max, s.omega_r_max, s.omega_alpha_max, s.omega_beta_max,
+            s.v_max, s.omega_r_max, s.omega_alpha_max, s.omega_beta_max, math.inf,
         )
         self._last = ZERO_COMMAND
 
@@ -397,7 +397,7 @@ class FollowController:
         if hold:
             return self._hold_and_decay(freeze_rotation=True)
 
-        u0, v0, ax, ay, ax_ay, ay_ay, l1, l2, k1, k2, k3, h_ref, vm, wrm, wam, wbm = self._run
+        u0, v0, ax, ay, ax_ay, ay_ay, l1, l2, k1, k2, k3, h_ref, vm, wrm, wam, wbm, inf = self._run
         u, v, v2 = box
         e_u, e_v, e_v2 = (u - u0, v - v0, v - v2 - h_ref) if err is None else err
         alpha, beta = angles
@@ -425,7 +425,7 @@ class FollowController:
         # the three 2x2 minors den and num_v share, each evaluated once
         m_bc, m_af, m_cf = b * c - a * d, a * f - b * e, c * f - d * e
         den = m_bc * o3 * l2 + m_af * o2 * l1 - m_cf * o1 * l1
-        if not abs(den) > self._eps_den:  # a NaN denominator too
+        if not self._eps_den < abs(den) < inf:  # a NaN or infinite denominator too
             return self._hold_and_decay(freeze_rotation=False)
         num_v = -(m_bc * (k2e - k3e) + m_af * k2e - m_cf * k1e)
         num_wa = (

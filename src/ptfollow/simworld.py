@@ -4,12 +4,14 @@ The robot is a unicycle (forward speed plus yaw rate) carrying the pan-tilt
 camera; the followed person is a vertical segment moving in the ground plane,
 reduced to exactly the two points the controller regulates: the body center
 and the head top.  Ground-truth box measurements come from projecting those
-two points through the pinhole model.  The loop's world state is two plain
+two points through the pinhole model.  Here the world state is two plain
 tuples, the pose ``(x, y, theta)`` and the joint angles ``(alpha, beta)``,
 and a rendered box is the plain triple ``(u, v, v2)``: every reader takes
 them apart by position, and a plain tuple is built and unpacked in a
 fraction of the time of a ``NamedTuple``.  Any pair, a
 :class:`~ptfollow.geometry.PanTiltAngles` too, serves as the angles.
+:func:`render_measurement` and :func:`integrate` are the plain forms of the
+world step that ``run_scenario`` runs inline.
 """
 
 from __future__ import annotations

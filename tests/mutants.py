@@ -39,6 +39,7 @@ PERCEPTION_TESTS = "tests/test_perception.py::"
 PIPELINE_TESTS = PERCEPTION_TESTS + "TestPerceptionPipeline::"
 RUNLOG_TESTS = "tests/test_runlog.py::"
 WORLD_TESTS = "tests/test_simworld.py::"
+WORLD_STEP_TESTS = WORLD_TESTS + "TestRunnerWorldStep::test_inline_step_equals_the_plain_forms"
 CIRCLE_RULE_TESTS = (
     CONFIG_TESTS + "test_circle_angle_past_the_float_range_rejected_naming_both_fields"
 )
@@ -211,9 +212,9 @@ MUTANTS = [
         (WORLD_TESTS + "TestTrajectories::test_waypoints_equal_a_per_call_scan",),
     ),
     Mutant(  # a builtin min back in a per-tick function
-        "simworld.py",
-        "    if beta_max < beta:\n        beta = beta_max\n",
-        "    beta = min(beta, beta_max)\n",
+        "runner.py",
+        "        if beta_max < beta:\n            beta = beta_max\n",
+        "        beta = min(beta, beta_max)\n",
         ("tests/test_hot_path.py::test_per_tick_function_calls_no_builtin_min_or_max",),
     ),
     Mutant(  # a wrong minor
@@ -347,7 +348,7 @@ MUTANTS = [
     ),
     Mutant(
         "controller.py",
-        "        if not abs(den) > self._eps_den:  # a NaN denominator too",
+        "        if not self._eps_den < abs(den) < inf:  # a NaN or infinite denominator too",
         "        if abs(den) <= self._eps_den:",
         (
             "tests/test_controller.py::TestFusedStep::test_nan_denominator_holds_in_both_forms",
@@ -356,9 +357,25 @@ MUTANTS = [
     ),
     Mutant(
         "controller.py",
-        "    if not abs(den) > eps_den:  # a NaN denominator too",
+        "    if not eps_den < abs(den) < math.inf:  # a NaN or infinite denominator too",
         "    if abs(den) <= eps_den:",
         ("tests/test_controller.py::TestFusedStep::test_nan_denominator_holds_in_both_forms",),
+    ),
+    # an infinite solve denominator let through, in the step and in its plain form
+    Mutant(
+        "controller.py",
+        "        if not self._eps_den < abs(den) < inf:",
+        "        if not self._eps_den < abs(den):",
+        (
+            "tests/test_controller.py::TestFusedStep::test_infinite_denominator_holds_in_both_forms",
+            CONFIG_TESTS + "test_overflowing_focal_length_runs_to_finite_commands_and_pose",
+        ),
+    ),
+    Mutant(
+        "controller.py",
+        "    if not eps_den < abs(den) < math.inf:",
+        "    if not eps_den < abs(den):",
+        ("tests/test_controller.py::TestFusedStep::test_infinite_denominator_holds_in_both_forms",),
     ),
     Mutant(
         "geometry.py",
@@ -366,6 +383,32 @@ MUTANTS = [
         '''        for name, limit in (("alpha", self.alpha_max), ("beta", self.beta_max)):\n'''
         "            value = getattr(angles, name)\n",
         ("tests/test_geometry.py::TestRotation::test_joint_limits_check_reads_the_pair_by_position",),
+    ),
+    # the runner's inline world step: the heading wrap, a pan clamp, the
+    # heading's sine and cosine, the head-top row's image test
+    Mutant(
+        "runner.py",
+        "            theta += two_pi\n",
+        "            theta -= two_pi\n",
+        (WORLD_STEP_TESTS + "[turn-past-pi]",),
+    ),
+    Mutant(  # the lower pan stop tested on the upper side
+        "runner.py",
+        "        if -alpha_max > alpha:\n",
+        "        if -alpha_max > -alpha:\n",
+        (WORLD_STEP_TESTS + "[turn-past-pi]",),
+    ),
+    Mutant(
+        "runner.py",
+        "        y += v_r * st * dt\n",
+        "        y += v_r * ct * dt\n",
+        (WORLD_STEP_TESTS + "[circle-sim]",),
+    ),
+    Mutant(
+        "runner.py",
+        "0.0 <= v2 < v < height",
+        "v2 < v < height",
+        (WORLD_STEP_TESTS + "[approach]",),
     ),
     # a walk past the float range: a circle's extent, a waypoint segment, a line
     Mutant(

@@ -298,7 +298,7 @@ def control_law_by_attribute(
     k1e, k2e, k3e = gains.k1 * err.e_u, gains.k2 * err.e_v, gains.k3 * err.e_v2
     l1, l2 = gains.lambda1, gains.lambda2
     den = solve_denominator_by_attribute(terms, gains)
-    if not abs(den) > eps_den:  # a NaN denominator too
+    if not eps_den < abs(den) < math.inf:  # a NaN or infinite denominator too
         raise SingularConfigurationError(
             f"solve denominator {den:.3e} within guard {eps_den:.3e}"
         )

@@ -304,13 +304,11 @@ def test_walk_inside_the_float_range_runs(tmp_path, traj):
     assert main(["--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
-def test_float_maximum_focal_length_runs_to_finite_commands_and_pose(tmp_path):
-    # the solve's denominator is NaN on the tracked ticks of this run; the
-    # guard takes it as singular, so each is a hold tick, not a NaN command
+def _assert_runs_to_finite_commands_and_pose(tmp_path, alpha_x):
     path = tmp_path / "focal.yaml"
     path.write_text(
         "trajectory: {kind: waypoints, points: [[3.0, 0.0], [3.0, 0.0]]}\n"
-        "intrinsics: {alpha_x: 1.7976931348623157e+308}\n"
+        f"intrinsics: {{alpha_x: {alpha_x}}}\n"
         "duration: 2.0\n"
     )
     out = tmp_path / "out"
@@ -326,6 +324,18 @@ def test_float_maximum_focal_length_runs_to_finite_commands_and_pose(tmp_path):
         (i, name) for i, row in enumerate(rows) for name in columns
         if not math.isfinite(float(row[name]))
     ] == []
+
+
+def test_float_maximum_focal_length_runs_to_finite_commands_and_pose(tmp_path):
+    # the solve's denominator is NaN on the tracked ticks of this run; the
+    # guard takes it as singular, so each is a hold tick, not a NaN command
+    _assert_runs_to_finite_commands_and_pose(tmp_path, "1.7976931348623157e+308")
+
+
+def test_overflowing_focal_length_runs_to_finite_commands_and_pose(tmp_path):
+    # here the denominator overflows to -inf, and num / inf is NaN where the
+    # numerator overflows too; the guard takes it as singular as well
+    _assert_runs_to_finite_commands_and_pose(tmp_path, "1.0e+304")
 
 
 @pytest.mark.parametrize(

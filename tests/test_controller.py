@@ -607,6 +607,26 @@ class TestFusedStep:
         want = follow_step(ZERO_COMMAND, box, angles, False, None, gains, k, SaturationLimits())
         assert cmd.hold and repr(cmd) == repr(want)
 
+    @pytest.mark.parametrize(
+        "box, sign", [((400.0, 300.0, 220.0), -1), ((400.0, 200.0, 100.0), 1)], ids=["-inf", "inf"]
+    )
+    def test_infinite_denominator_holds_in_both_forms(self, gains, box, sign):
+        # at a focal length of 1e304 px the denominator overflows to +/-inf,
+        # and num / inf is NaN where the numerator overflows too; the guard
+        # takes it as singular: a hold tick, not a NaN command
+        k = CameraIntrinsics(alpha_x=1.0e304)
+        box, angles = BoxMeasurement(*box), PanTiltAngles(0.0, 0.0)
+        err = compute_errors(box, k, gains.target_half_height)
+        terms = jacobian_terms(err, box, angles, k, gains)
+        assert solve_denominator_by_attribute(terms, gains) == sign * math.inf
+        message = f"^solve denominator {sign * math.inf} "
+        for law in (control_law, control_law_by_attribute):
+            with pytest.raises(SingularConfigurationError, match=message):
+                law(err, terms, gains, 0.0, singularity_eps(k, gains))
+        cmd = FollowController(gains, k).step(box, angles)
+        want = follow_step(ZERO_COMMAND, box, angles, False, None, gains, k, SaturationLimits())
+        assert cmd.hold and repr(cmd) == repr(want)
+
     def test_examples_reach_the_guard_and_the_yaw(self, intrinsics):
         # the explicit examples above do hold on the guard after a yawing tick
         ctrl = FollowController(_DEFAULT_GAINS, intrinsics, _LIMITS)

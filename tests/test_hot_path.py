@@ -31,20 +31,14 @@ from ptfollow.controller import FollowController
 from ptfollow.perception import PerceptionPipeline, RecoveryState, gate_update, normal
 from ptfollow.runlog import TimeSeriesLog
 from ptfollow.runner import run_scenario
-from ptfollow.simworld import (
-    CircleTrajectory,
-    LineTrajectory,
-    WaypointTrajectory,
-    integrate,
-    render_measurement,
-)
+from ptfollow.simworld import CircleTrajectory, LineTrajectory, WaypointTrajectory
 from test_goldens import NOISY_WALK
 
-# every function of the package a tick calls, and the loop itself
+# every function of the package a tick calls, and the loop itself, which
+# renders and integrates inline (render_measurement and integrate are the
+# plain forms tests/test_simworld.py checks it against)
 PER_TICK = (
     run_scenario,
-    render_measurement,
-    integrate,
     FollowController.step,
     FollowController._hold_and_decay,
     PerceptionPipeline.step,
@@ -80,14 +74,14 @@ def test_guard_sees_a_call():
 
 
 def test_per_tick_names_every_function_a_tick_calls():
-    # the package's Python functions called from the first render on, over
-    # runs that reach each trajectory kind, the gate, the noise, the hold and
-    # the recovery machine
+    # the package's Python functions called from the first perception step
+    # on, over runs that reach each trajectory kind, the gate, the noise, the
+    # hold and the recovery machine
     called, ticking = set(), []
 
     def profile(frame, event, arg):
         if event == "call":
-            if ticking or frame.f_code is render_measurement.__code__:
+            if ticking or frame.f_code is PerceptionPipeline.step.__code__:
                 ticking.append(True)
                 called.add(frame.f_code)
 

@@ -141,8 +141,6 @@ def test_every_record_of_a_run_is_whole(name, monkeypatch):
 
         monkeypatch.setattr(owner, attr, wrapper)
 
-    for attr in ("render_measurement", "integrate"):
-        spy(runner, attr)
     spy(controller, "jacobian_terms")
     spy(PerceptionPipeline, "step")
     spy(FollowController, "step")
@@ -154,11 +152,14 @@ def test_every_record_of_a_run_is_whole(name, monkeypatch):
     # trace, the acceptance suite): a record built per tick only to be taken
     # apart by position fails
     assert kinds == {"ControlCommand", "PerceptionOutput", "SaturationFlags"}
-    boxes = [box for fn, _, box in handed if fn == "render_measurement" and box is not None]
-    angles = [result[1] for fn, _, result in handed if fn == "integrate"]
-    # FollowController.step(self, box, angles, hold, err)
-    errors = [args[4] for fn, args, _ in handed if fn == "step" and len(args) == 5]
-    errors = [err for err in errors if err is not None]
+    # the runner renders and integrates inline: PerceptionPipeline.step(self,
+    # truth, t, rng) gets each rendered box, FollowController.step(self, box,
+    # angles, hold, err) each integrated angle pair and the errors
+    boxes = [args[1] for fn, args, _ in handed if fn == "step" and len(args) == 4]
+    boxes = [box for box in boxes if box is not None]
+    controls = [args for fn, args, _ in handed if fn == "step" and len(args) == 5]
+    angles = [args[2] for args in controls]
+    errors = [args[4] for args in controls if args[4] is not None]
     assert boxes and angles and errors
     assert all(type(box) is tuple and len(box) == 3 for box in boxes)
     assert all(type(pair) is tuple and len(pair) == 2 for pair in angles)

@@ -20,8 +20,9 @@ from oracles import (
     waypoint_position_scan,
     wrap_angle,
 )
-from ptfollow.config import ScenarioConfig, parse_config
+from ptfollow.config import PRESETS, ScenarioConfig, parse_config
 from ptfollow.geometry import CameraIntrinsics, JointLimits, PanTiltAngles
+from ptfollow.perception import PerceptionPipeline
 from ptfollow.runner import run_scenario
 from ptfollow.simworld import (
     BodyModel,
@@ -32,6 +33,7 @@ from ptfollow.simworld import (
     render_measurement,
     target_position,
 )
+from test_goldens import NOISY_WALK
 
 LIMITS = JointLimits()  # the default pan and tilt ranges
 ORIGIN, LEVEL = (0.0, 0.0, 0.0), PanTiltAngles()  # a robot at the origin facing +x, joints at zero
@@ -439,3 +441,63 @@ def test_logged_angles_stay_in_joint_range(config):
     log = run_scenario(config)
     assert np.all(np.abs(log.column("alpha")) <= config.joints.alpha_max)
     assert np.all(np.abs(log.column("beta")) <= config.joints.beta_max)
+
+
+class TestRunnerWorldStep:
+    """``run_scenario`` renders and integrates in its own frame; on every
+    tick of a recorded run its box must be :func:`render_measurement` of the
+    logged pose, angles and target, and the next row's pose and angles
+    :func:`integrate` of this row's, to the bit."""
+
+    RUNS = {
+        **{name: name for name in ("circle-sim", "indoor", "outdoor")},
+        "noisy-walk": NOISY_WALK,
+        # the person crosses in front of a robot heading nearly -pi: the pan
+        # runs into its stop and the yaw carries the heading across -pi
+        "turn-past-pi": {
+            "robot_start": {"x": 0.0, "y": 0.0, "theta": -3.0},
+            "trajectory": {"kind": "line", "start": [-2.97, -0.42], "velocity": [-0.14, 0.99]},
+            "duration": 20.0,
+        },
+        # the person walks up to the robot: the head top leaves the image
+        # above while the body center stays in it
+        "approach": {
+            "trajectory": {"kind": "waypoints", "points": [[4.5, 0.0], [1.0, 0.0]], "speed": 2.0},
+            "duration": 5.0,
+        },
+    }
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_inline_step_equals_the_plain_forms(self, name, monkeypatch):
+        scenario = self.RUNS[name]
+        cfg = PRESETS[scenario]() if isinstance(scenario, str) else parse_config(scenario)
+        truths, perceive = [], PerceptionPipeline.step
+
+        def spy(pipeline, truth, t, rng):
+            truths.append(truth)
+            return perceive(pipeline, truth, t, rng)
+
+        monkeypatch.setattr(PerceptionPipeline, "step", spy)
+        log = run_scenario(cfg)
+        x, y, theta, alpha, beta, tx, ty, v_r, w_r, w_a, w_b = map(log.series, (
+            "robot_x", "robot_y", "theta", "alpha", "beta", "target_x", "target_y",
+            "V_r", "omega_r", "omega_alpha", "omega_beta",
+        ))
+
+        def bits(value):
+            return None if value is None else [float.hex(item) for item in value]
+
+        assert len(truths) == len(log) == cfg.n_ticks
+        if name == "turn-past-pi":
+            assert any(b - a > math.pi for a, b in zip(theta, theta[1:]))
+            assert -cfg.joints.alpha_max in alpha
+        for i, truth in enumerate(truths):
+            pose, angles = (x[i], y[i], theta[i]), (alpha[i], beta[i])
+            want = render_measurement(pose, angles, (tx[i], ty[i]), cfg.body, cfg.intrinsics)
+            assert truth is None or type(truth) is tuple, i
+            assert bits(truth) == bits(want), i
+            if i + 1 < len(log):
+                cmd = (v_r[i], w_r[i], w_a[i], w_b[i], None, None)
+                want = integrate(pose, angles, cmd, cfg.dt, cfg.joints)
+                got = (x[i + 1], y[i + 1], theta[i + 1]), (alpha[i + 1], beta[i + 1])
+                assert list(map(bits, got)) == list(map(bits, want)), i

@@ -21,9 +21,13 @@ from the nonlinear simulator.  :func:`jacobian_terms` also evaluates the
 signs disagree with the finite-difference check; it serves only for
 comparison (see :func:`jacobian_discrepancy_report`).
 
-Given a yaw rate from the deadband strategy, the remaining three rates are
-the unique solution of the 3x3 linear system that assigns ``de_i = -K_i e_i``
-per channel.
+Given a yaw rate from the deadband strategy, the loop solves by partition
+(Corke & Hutchinson 2001): ``V_r = -K3*e_v2 / g_h`` alone regulates the half
+height (``g_h = lambda1*Omega2 - lambda2*Omega3``), then the 2x2 block
+``[[A, B], [C, D]]`` gives ``w_alpha + w_r`` and ``w_beta`` for ``de_u = -K1*e_u``
+and ``de_v = -K2*e_v``.  :func:`control_law` is the exact 3x3 solve, which the
+acceptance criteria check; spending ``V_r`` on the row errors too, it drives
+the base the wrong way when the person is a little shorter than modelled.
 """
 
 from __future__ import annotations
@@ -293,7 +297,7 @@ def control_law(
 
     Raises:
         SingularConfigurationError: if the denominator magnitude is at or
-            below ``eps_den``, infinite, or NaN.
+            below ``eps_den``, infinite, or NaN, or a solved rate is not finite.
     """
     o1, o2, o3, a, b, c, d, e, f = terms
     e_u, e_v, e_v2 = err
@@ -317,7 +321,10 @@ def control_law(
         + (e * k1e - a * k2e + a * k3e) * o2 * l1
         + (c * k2e - e * k2e - c * k3e) * o1 * l1
     )
-    return num_v / den, num_wa / den, num_wb / den
+    rates = num_v / den, num_wa / den, num_wb / den
+    if not all(map(math.isfinite, rates)):  # a numerator overflowed
+        raise SingularConfigurationError(f"solved rates {rates!r} not all finite")
+    return rates
 
 
 def robot_angular_strategy(alpha: float) -> float:
@@ -334,8 +341,9 @@ class FollowController:
 
     The only state is the hold-and-decay memory for degraded ticks:
 
-    * singular solve (a denominator within the guard, infinite or NaN): the previous
-      rotation rates are reissued (a one-off degeneracy) and the speed halves;
+    * singular solve (``g_h`` or the 2x2 determinant within its guard,
+      infinite or NaN, or a solved rate not finite): the previous rotation
+      rates are reissued (a one-off degeneracy) and the speed halves;
     * stale measurement (``hold=True``, tracking failure): the camera is
       frozen (zero rotation rates) and the linear speed halves each tick, so
       the search region the recovery machine grows around the last box keeps
@@ -350,8 +358,10 @@ class FollowController:
         intrinsics: CameraIntrinsics,
         saturation: SaturationLimits | None = None,
     ) -> None:
-        self._eps_den = singularity_eps(intrinsics, gains)  # rejects unresolved lambdas
         k, g, s = intrinsics, gains, saturation or SaturationLimits()
+        # the solve's guards, in the units of g_h (px/m) and of det (px^2)
+        self._eps_g = 1e-6 * k.alpha_y * max(map(abs, _resolved_lambdas(g)))
+        self._eps_det = 1e-6 * k.alpha_x * k.alpha_y
         # what step reads, fixed for the run, with its subexpressions ax / ay
         # and ay * ay evaluated once (the same operations, so the same bits)
         self._run = (
@@ -385,10 +395,10 @@ class FollowController:
         ``err`` is ``compute_errors`` of ``box`` (or its plain triple) when
         the caller has it already; otherwise it is computed here.
 
-        The rates are :func:`control_law` of the re-derived
-        :func:`jacobian_terms` with the yaw of :func:`robot_angular_strategy`,
-        each clamped to +/-its limit and flagged if it was (a NaN passes
-        unsaturated).  All of it runs inline here, each expression in its
+        The rates are the partitioned solve of the module docstring, over the
+        re-derived :func:`jacobian_terms` with the yaw of
+        :func:`robot_angular_strategy`, each clamped to +/-its limit and
+        flagged if it was.  All of it runs inline here, each expression in its
         order, so every rate has the bits of the plain composition.
         """
         if box is None:
@@ -401,13 +411,11 @@ class FollowController:
         u, v, v2 = box
         e_u, e_v, e_v2 = (u - u0, v - v0, v - v2 - h_ref) if err is None else err
         alpha, beta = angles
-        # jacobian_terms, re-derived
+        # the re-derived jacobian_terms the solve reads: its omega1-omega3 and a-d
         sa, ca = math.sin(alpha), math.cos(alpha)
         sb, cb = math.sin(beta), math.cos(beta)
-        vt2 = v2 - v0
         g1 = e_v * cb - ay * sb
-        g2 = vt2 * cb - ay * sb
-        u2 = e_u * (l2 * g2) / (l1 * g1) if g1 != 0.0 else e_u
+        g2 = (v2 - v0) * cb - ay * sb
         o1 = (e_u * ca * cb - ax * sa) * g1 / ay
         o2 = ca * g1 * g1 / ay
         o3 = ca * g2 * g2 / ay
@@ -415,30 +423,21 @@ class FollowController:
         b = e_u * e_v / ay
         c = (e_u / ax) * g1
         d = (ay_ay + e_v * e_v) / ay
-        e = (u2 / ax) * g2
-        f = (ay_ay + vt2 * vt2) / ay
         # robot_angular_strategy
         omega_r = 0.0 if -DEADBAND_HALF_WIDTH < alpha < DEADBAND_HALF_WIDTH else YAW_GAIN * alpha
 
-        # control_law, with its guard
-        k1e, k2e, k3e = k1 * e_u, k2 * e_v, k3 * e_v2
-        # the three 2x2 minors den and num_v share, each evaluated once
-        m_bc, m_af, m_cf = b * c - a * d, a * f - b * e, c * f - d * e
-        den = m_bc * o3 * l2 + m_af * o2 * l1 - m_cf * o1 * l1
-        if not self._eps_den < abs(den) < inf:  # a NaN or infinite denominator too
+        # the partitioned solve of the module docstring, with its guards
+        g_h = l1 * o2 - l2 * o3
+        det = a * d - b * c
+        if not (self._eps_g < abs(g_h) < inf and self._eps_det < abs(det) < inf):  # NaN too
             return self._hold_and_decay(freeze_rotation=False)
-        num_v = -(m_bc * (k2e - k3e) + m_af * k2e - m_cf * k1e)
-        num_wa = (
-            (d * k1e - b * k2e - b * c * omega_r + a * d * omega_r) * o3 * l2
-            + (b * e * omega_r - a * f * omega_r - b * k3e + b * k2e - f * k1e) * o2 * l1
-            + (c * f * omega_r - d * e * omega_r + d * k3e - d * k2e + f * k2e) * o1 * l1
-        )
-        num_wb = (
-            (a * k2e - c * k1e) * o3 * l2
-            + (e * k1e - a * k2e + a * k3e) * o2 * l1
-            + (c * k2e - e * k2e - c * k3e) * o1 * l1
-        )
-        v_r, omega_alpha, omega_beta = num_v / den, num_wa / den, num_wb / den
+        v_r = -k3 * e_v2 / g_h
+        r1 = -k1 * e_u - l1 * v_r * o1
+        r2 = -k2 * e_v - l1 * v_r * o2
+        omega_alpha = (d * r1 - b * r2) / det - omega_r
+        omega_beta = (a * r2 - c * r1) / det
+        if not (abs(v_r) < inf and abs(omega_alpha) < inf and abs(omega_beta) < inf):
+            return self._hold_and_decay(freeze_rotation=False)
 
         # each rate clamped to +/-its limit; an unsaturated command shares UNSATURATED
         sat_v = v_r > vm or v_r < -vm

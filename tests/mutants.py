@@ -35,6 +35,8 @@ from typing import NamedTuple
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_TESTS = "tests/test_config_cli.py::"
+CONTROLLER_TESTS = "tests/test_controller.py::"
+FUSED_STEP_TESTS = CONTROLLER_TESTS + "TestFusedStep::"
 PERCEPTION_TESTS = "tests/test_perception.py::"
 PIPELINE_TESTS = PERCEPTION_TESTS + "TestPerceptionPipeline::"
 RUNLOG_TESTS = "tests/test_runlog.py::"
@@ -217,17 +219,62 @@ MUTANTS = [
         "        beta = min(beta, beta_max)\n",
         ("tests/test_hot_path.py::test_per_tick_function_calls_no_builtin_min_or_max",),
     ),
-    Mutant(  # a wrong minor
+    # the loop's partitioned solve: the speed's sign, the two channel
+    # residuals swapped, each guard letting an infinite coefficient through
+    # (a NaN one alone makes a rate NaN, which the finite-rate check holds),
+    # the finite-rate check dropped; control_law's own finite-rate check
+    Mutant(
         "controller.py",
-        "        m_bc, m_af, m_cf = b * c - a * d, a * f - b * e, c * f - d * e",
-        "        m_bc, m_af, m_cf = b * c - a * d, a * f - b * e, c * f - d * b",
-        ("tests/test_controller.py::TestFusedStep",),
+        "        v_r = -k3 * e_v2 / g_h",
+        "        v_r = k3 * e_v2 / g_h",
+        (CONTROLLER_TESTS + "TestPartitionedBackSubstitution",),
     ),
-    Mutant(  # two minors swapped in the determinant
+    Mutant(
         "controller.py",
-        "        den = m_bc * o3 * l2 + m_af * o2 * l1 - m_cf * o1 * l1",
-        "        den = m_bc * o3 * l2 + m_cf * o2 * l1 - m_af * o1 * l1",
-        ("tests/test_controller.py::TestFusedStep",),
+        "        r1 = -k1 * e_u - l1 * v_r * o1\n        r2 = -k2 * e_v - l1 * v_r * o2\n",
+        "        r2 = -k1 * e_u - l1 * v_r * o1\n        r1 = -k2 * e_v - l1 * v_r * o2\n",
+        (CONTROLLER_TESTS + "TestPartitionedBackSubstitution",),
+    ),
+    Mutant(
+        "controller.py",
+        "self._eps_g < abs(g_h) < inf",
+        "abs(g_h) > self._eps_g",
+        (FUSED_STEP_TESTS + "test_nan_or_infinite_coefficient_holds[infinite-g_h]",),
+    ),
+    Mutant(
+        "controller.py",
+        "self._eps_det < abs(det) < inf",
+        "abs(det) > self._eps_det",
+        (FUSED_STEP_TESTS + "test_nan_or_infinite_coefficient_holds[infinite-det]",),
+    ),
+    Mutant(
+        "controller.py",
+        "self._eps_g < abs(g_h) < inf",
+        "(self._eps_g < abs(g_h) < inf or g_h != g_h)",
+        (FUSED_STEP_TESTS + "test_nan_or_infinite_coefficient_holds[nan-row-g_h]",),
+        equivalent="a NaN g_h makes V_r NaN, and the finite-rate check holds that tick",
+    ),
+    Mutant(
+        "controller.py",
+        "self._eps_det < abs(det) < inf",
+        "(self._eps_det < abs(det) < inf or det != det)",
+        (FUSED_STEP_TESTS + "test_nan_or_infinite_coefficient_holds[nan-column-det]",),
+        equivalent="a NaN det makes both camera rates NaN, and the finite-rate check holds that tick",
+    ),
+    Mutant(
+        "controller.py",
+        "        if not (abs(v_r) < inf and abs(omega_alpha) < inf and abs(omega_beta) < inf):\n",
+        "        if False:\n",
+        (FUSED_STEP_TESTS + "test_non_finite_rate_holds",),
+    ),
+    Mutant(
+        "controller.py",
+        "    if not all(map(math.isfinite, rates)):  # a numerator overflowed\n",
+        "    if False:\n",
+        (
+            CONTROLLER_TESTS + "TestControlLaw::"
+            "test_non_finite_solve_raises_singular_in_both_forms[overflowed-numerator]",
+        ),
     ),
     # the run log as a leaf module; section rules raise ConfigError; the
     # flow-nesting bound of scenario files
@@ -332,8 +379,8 @@ MUTANTS = [
         (CIRCLE_RULE_TESTS + "[-1e+308--1e+308-1.0]",),
     ),
     # the step's inline clamps and its constants bound at construction; a NaN
-    # denominator held in the step and in control_law; the joint-limit check
-    # reading the loop's plain pair
+    # denominator raised in control_law; the joint-limit check reading the
+    # loop's plain pair
     Mutant(  # a clamp sign
         "controller.py",
         "                omega_beta = wbm if omega_beta > 0.0 else -wbm",
@@ -348,34 +395,22 @@ MUTANTS = [
     ),
     Mutant(
         "controller.py",
-        "        if not self._eps_den < abs(den) < inf:  # a NaN or infinite denominator too",
-        "        if abs(den) <= self._eps_den:",
-        (
-            "tests/test_controller.py::TestFusedStep::test_nan_denominator_holds_in_both_forms",
-            CONFIG_TESTS + "test_float_maximum_focal_length_runs_to_finite_commands_and_pose",
-        ),
-    ),
-    Mutant(
-        "controller.py",
         "    if not eps_den < abs(den) < math.inf:  # a NaN or infinite denominator too",
         "    if abs(den) <= eps_den:",
-        ("tests/test_controller.py::TestFusedStep::test_nan_denominator_holds_in_both_forms",),
-    ),
-    # an infinite solve denominator let through, in the step and in its plain form
-    Mutant(
-        "controller.py",
-        "        if not self._eps_den < abs(den) < inf:",
-        "        if not self._eps_den < abs(den):",
         (
-            "tests/test_controller.py::TestFusedStep::test_infinite_denominator_holds_in_both_forms",
-            CONFIG_TESTS + "test_overflowing_focal_length_runs_to_finite_commands_and_pose",
+            CONTROLLER_TESTS + "TestControlLaw::"
+            "test_non_finite_solve_raises_singular_in_both_forms[nan-denominator]",
         ),
     ),
+    # an infinite solve denominator let through control_law
     Mutant(
         "controller.py",
         "    if not eps_den < abs(den) < math.inf:",
         "    if not eps_den < abs(den):",
-        ("tests/test_controller.py::TestFusedStep::test_infinite_denominator_holds_in_both_forms",),
+        (
+            CONTROLLER_TESTS + "TestControlLaw::"
+            "test_non_finite_solve_raises_singular_in_both_forms[-inf-denominator]",
+        ),
     ),
     Mutant(
         "geometry.py",

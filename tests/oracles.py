@@ -13,7 +13,8 @@ as a function).  So do the parts the loop runs only inline: the tracker
 update (``simulated_track``, with its occlusion test ``occluded_at`` and its
 search-region comparison), the heading wrap (``wrap_angle``) and the joint
 clamp (``clamp_joints``).  The three stages the loop runs in one frame each
-keep theirs as a composition of plain functions: the controller step, the
+keep theirs as a composition of plain functions: the controller step (with
+:func:`partitioned_law`, the plain form of the loop's rate solve), the
 perception step (with :func:`ptfollow.perception.recovery_step`, the plain
 form of the recovery transition) and the Euler step.  The tests check that
 the fast forms give the same bits.
@@ -37,10 +38,8 @@ from ptfollow.controller import (
     SaturationLimits,
     SingularConfigurationError,
     compute_errors,
-    control_law,
     jacobian_terms,
     robot_angular_strategy,
-    singularity_eps,
 )
 from ptfollow.geometry import (
     BodyModel,
@@ -320,7 +319,59 @@ def control_law_by_attribute(
         + (t.e * k1e - t.a * k2e + t.a * k3e) * t.omega2 * l1
         + (t.c * k2e - t.e * k2e - t.c * k3e) * t.omega1 * l1
     )
-    return num_v / den, num_wa / den, num_wb / den
+    rates = num_v / den, num_wa / den, num_wb / den
+    if not all(map(math.isfinite, rates)):
+        raise SingularConfigurationError(f"solved rates {rates!r} not all finite")
+    return rates
+
+
+def partition_eps(k: CameraIntrinsics, gains: ControllerGains) -> tuple[float, float]:
+    """The guards :class:`ptfollow.controller.FollowController` puts on the
+    half-height coefficient ``g_h`` (px/m) and the 2x2 determinant (px^2)."""
+    return (
+        1e-6 * k.alpha_y * max(abs(gains.lambda1), abs(gains.lambda2)),
+        1e-6 * k.alpha_x * k.alpha_y,
+    )
+
+
+def partition_coefficients(terms: JacobianTerms, gains: ControllerGains) -> tuple[float, float]:
+    """``(g_h, det)``: the speed's coefficient in ``de_v2`` (px/m) and the
+    determinant of the 2x2 block ``[[a, b], [c, d]]`` (px^2)."""
+    t = terms
+    return gains.lambda1 * t.omega2 - gains.lambda2 * t.omega3, t.a * t.d - t.b * t.c
+
+
+def partitioned_law(
+    err: ImageErrors,
+    terms: JacobianTerms,
+    gains: ControllerGains,
+    omega_r: float,
+    eps_g: float,
+    eps_det: float,
+) -> tuple[float, float, float]:
+    """The loop's rate solve, ``(v_r, omega_alpha, omega_beta)``: the speed
+    from the half-height channel alone, ``g_h * v_r = -k3 * e_v2``, then the
+    camera rates from the 2x2 block that assigns ``de_u = -k1 * e_u`` and
+    ``de_v = -k2 * e_v`` at that speed.
+
+    Raises:
+        SingularConfigurationError: if ``|g_h|`` is at or below ``eps_g`` or
+            ``|det|`` at or below ``eps_det``, either is infinite or NaN, or
+            a solved rate is not finite.
+    """
+    t, l1 = terms, gains.lambda1
+    e_u, e_v, e_v2 = err  # an ImageErrors or the plain triple the runner hands on
+    g_h, det = partition_coefficients(terms, gains)
+    if not (eps_g < abs(g_h) < math.inf and eps_det < abs(det) < math.inf):
+        raise SingularConfigurationError(f"g_h {g_h:.3e} or det {det:.3e} within its guard")
+    v_r = -gains.k3 * e_v2 / g_h
+    r1 = -gains.k1 * e_u - l1 * v_r * t.omega1
+    r2 = -gains.k2 * e_v - l1 * v_r * t.omega2
+    w = (t.d * r1 - t.b * r2) / det  # omega_alpha + omega_r
+    rates = v_r, w - omega_r, (t.a * r2 - t.c * r1) / det
+    if not all(map(math.isfinite, rates)):
+        raise SingularConfigurationError(f"solved rates {rates!r} not all finite")
+    return rates
 
 
 def predicted_error_rates_by_attribute(
@@ -479,7 +530,7 @@ def follow_step(
     """:meth:`ptfollow.controller.FollowController.step` after the command
     ``last``, composed of the plain functions: :func:`compute_errors`,
     the re-derived :func:`jacobian_terms`, :func:`robot_angular_strategy`,
-    :func:`control_law` with its guard, and :func:`clamp` per rate."""
+    :func:`partitioned_law` with its guards, and :func:`clamp` per rate."""
     if box is None:
         return ControlCommand(0.0, 0.0, 0.0, 0.0)
     if hold:
@@ -489,8 +540,8 @@ def follow_step(
     terms = jacobian_terms(err, box, angles, k, gains)
     omega_r = robot_angular_strategy(angles.alpha)
     try:
-        v_r, omega_alpha, omega_beta = control_law(
-            err, terms, gains, omega_r, singularity_eps(k, gains)
+        v_r, omega_alpha, omega_beta = partitioned_law(
+            err, terms, gains, omega_r, *partition_eps(k, gains)
         )
     except SingularConfigurationError:
         return hold_and_decay(last, freeze_rotation=False)

@@ -327,14 +327,15 @@ def _assert_runs_to_finite_commands_and_pose(tmp_path, alpha_x):
 
 
 def test_float_maximum_focal_length_runs_to_finite_commands_and_pose(tmp_path):
-    # the solve's denominator is NaN on the tracked ticks of this run; the
-    # guard takes it as singular, so each is a hold tick, not a NaN command
+    # the 2x2 determinant overflows to inf on the tracked ticks of this run
+    # (the 3x3 denominator is NaN there); the guard takes it as singular, so
+    # each is a hold tick, not a NaN command
     _assert_runs_to_finite_commands_and_pose(tmp_path, "1.7976931348623157e+308")
 
 
 def test_overflowing_focal_length_runs_to_finite_commands_and_pose(tmp_path):
-    # here the denominator overflows to -inf, and num / inf is NaN where the
-    # numerator overflows too; the guard takes it as singular as well
+    # here the 3x3 denominator overflows to -inf, but g_h and the 2x2
+    # determinant stay finite, so the loop solves and follows
     _assert_runs_to_finite_commands_and_pose(tmp_path, "1.0e+304")
 
 

@@ -23,8 +23,10 @@ from oracles import (
     clamp,
     control_law_by_attribute,
     follow_step,
+    partition_coefficients,
+    partition_eps,
+    partitioned_law,
     predicted_error_rates_by_attribute,
-    solve_denominator_by_attribute,
 )
 from ptfollow.controller import (
     DEADBAND_HALF_WIDTH,
@@ -226,6 +228,57 @@ class TestControlLaw:
         assert abs(terms.omega3) < 1e-20
         with pytest.raises(SingularConfigurationError):
             control_law(err, terms, gains, 0.0, singularity_eps(intrinsics, gains))
+
+    @pytest.mark.parametrize(
+        "alpha_x, box, angles, message",
+        [
+            (1.7976931348623157e308, (330.0, 250.0, 150.0), (0.1, 0.05), "solve denominator nan "),
+            (1.0e304, (400.0, 300.0, 220.0), (0.0, 0.0), "solve denominator -inf "),
+            (1.0e304, (400.0, 200.0, 100.0), (0.0, 0.0), "solve denominator inf "),
+            (1.0e304, (400.0, 300.0, 220.0), (0.1, 0.05), r"solved rates \(-inf, "),
+        ],
+        ids=["nan-denominator", "-inf-denominator", "inf-denominator", "overflowed-numerator"],
+    )
+    def test_non_finite_solve_raises_singular_in_both_forms(
+        self, gains, alpha_x, box, angles, message
+    ):
+        # a NaN or infinite denominator, or a finite one under a numerator
+        # that overflowed to an infinite V_r, is singular, not a solution
+        k = CameraIntrinsics(alpha_x=alpha_x)
+        box, angles = BoxMeasurement(*box), PanTiltAngles(*angles)
+        err = compute_errors(box, k, gains.target_half_height)
+        terms = jacobian_terms(err, box, angles, k, gains)
+        for law in (control_law, control_law_by_attribute):
+            with pytest.raises(SingularConfigurationError, match="^" + message):
+                law(err, terms, gains, 0.0, singularity_eps(k, gains))
+
+
+class TestPartitionedBackSubstitution:
+    """The loop's counterpart of criterion 2: the step's unsaturated rates,
+    put back through :func:`predicted_error_rates`, give ``-k1 e_u`` and
+    ``-k2 e_v``, and its speed alone gives ``g_h * V_r = -k3 e_v2``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k_gains=st.tuples(*[st.floats(0.01, 5.0)] * 3),
+    )
+    def test_step_assigns_its_channels(self, seed, k_gains):
+        k, body = CameraIntrinsics(), BodyModel()
+        gains = replace(_DEFAULT_GAINS, **dict(zip(("k1", "k2", "k3"), k_gains)))
+        state, box = sample_tracking_state(np.random.default_rng(seed), body, k, gains)
+        cmd = FollowController(gains, k, SaturationLimits(*[1e9] * 4)).step(box, state.angles)
+        assume(not cmd.hold)
+        err = compute_errors(box, k, gains.target_half_height)
+        terms = jacobian_terms(err, box, state.angles, k, gains)
+        de_u, de_v, _ = predicted_error_rates(err, terms, gains, *cmd[:4])
+        g_h, _ = partition_coefficients(terms, gains)
+        for got, want in (
+            (de_u, -gains.k1 * err.e_u),
+            (de_v, -gains.k2 * err.e_v),
+            (g_h * cmd.v_r, -gains.k3 * err.e_v2),
+        ):
+            assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
 
 
 class TestYawStrategy:
@@ -479,7 +532,8 @@ def _limit(rate, edge):
 class TestInlineSaturation:
     """``FollowController.step`` clamps its four solved rates inline.  With
     each limit drawn at, just inside or beyond the rate the plain solve
-    gives, every rate and flag of the step must be :func:`oracles.clamp`'s."""
+    (:func:`oracles.partitioned_law`) gives, every rate and flag of the step
+    must be :func:`oracles.clamp`'s."""
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -498,7 +552,7 @@ class TestInlineSaturation:
         "every rate saturated by an ulp"
     )
     @example(CameraIntrinsics(alpha_x=1e304), 400.0, 300.0, 80.0, 0.0, 0.0, ("at",) * 4).via(
-        "an infinite denominator: a NaN speed and -0.0 camera rates pass unsaturated"
+        "a focal length where the 3x3 denominator is infinite and a pan rate is subnormal"
     )
     def test_step_clamps_as_the_plain_clamp(self, k, u, v, half_height, alpha, beta, edges):
         gains = _DEFAULT_GAINS
@@ -507,8 +561,8 @@ class TestInlineSaturation:
         terms = jacobian_terms(err, box, angles, k, gains)
         omega_r = robot_angular_strategy(alpha)
         try:
-            v_r, omega_alpha, omega_beta = control_law(
-                err, terms, gains, omega_r, singularity_eps(k, gains)
+            v_r, omega_alpha, omega_beta = partitioned_law(
+                err, terms, gains, omega_r, *partition_eps(k, gains)
             )
         except SingularConfigurationError:
             assume(False)
@@ -580,52 +634,83 @@ class TestFusedStep:
             assert type(got) is ControlCommand and repr(got) == repr(want), i
             last = want
 
-    def test_guard_holds_at_its_bound(self, intrinsics, gains):
-        # control_law raises at |den| == eps; the step must hold there too
+    @pytest.mark.parametrize("guard", ["_eps_g", "_eps_det"])
+    def test_guard_holds_at_its_bound(self, intrinsics, gains, guard):
+        # partitioned_law raises at |g_h| == eps_g and at |det| == eps_det;
+        # the step must hold there too, and solve an ulp inside
         box, angles = BoxMeasurement(400.0, 300.0, 220.0), PanTiltAngles(0.2, 0.1)
         err = compute_errors(box, intrinsics, gains.target_half_height)
-        terms = jacobian_terms(err, box, angles, intrinsics, gains)
-        den = abs(solve_denominator_by_attribute(terms, gains))
-        with pytest.raises(SingularConfigurationError):
-            control_law(err, terms, gains, 0.0, den)
-        for eps, holds in ((den, True), (math.nextafter(den, 0.0), False)):
+        t = jacobian_terms(err, box, angles, intrinsics, gains)
+        eps_g, eps_det = partition_eps(intrinsics, gains)
+        g_h, det = partition_coefficients(t, gains)
+        if guard == "_eps_g":
+            bound = eps_g = abs(g_h)
+        else:
+            bound = eps_det = abs(det)
+        with pytest.raises(SingularConfigurationError, match="within its guard$"):
+            partitioned_law(err, t, gains, 0.0, eps_g, eps_det)
+        for eps, holds in ((bound, True), (math.nextafter(bound, 0.0), False)):
             ctrl = FollowController(gains, intrinsics)
-            ctrl._eps_den = eps
+            setattr(ctrl, guard, eps)
             assert ctrl.step(box, angles, False, err).hold is holds
 
-    def test_nan_denominator_holds_in_both_forms(self, gains):
-        # at a focal length at the float maximum the denominator is NaN, which
-        # the guard takes as singular: a hold tick, not a NaN command
-        k = CameraIntrinsics(alpha_x=1.7976931348623157e308)
-        box, angles = BoxMeasurement(330.0, 250.0, 150.0), PanTiltAngles(0.1, 0.05)
+    @pytest.mark.parametrize(
+        "k, box, angles",
+        [
+            (CameraIntrinsics(), (math.nan, 300.0, 220.0), (0.2, 0.1)),
+            (CameraIntrinsics(), (400.0, math.nan, 220.0), (0.2, 0.1)),
+            (CameraIntrinsics(), (400.0, 300.0, -1e200), (0.2, 0.1)),
+            # on the principal row at the reference height: finite rates over det
+            (CameraIntrinsics(alpha_x=1.7976931348623157e308), (330.0, 240.0, 140.0), (0.0, 0.05)),
+        ],
+        ids=["nan-column-det", "nan-row-g_h", "infinite-g_h", "infinite-det"],
+    )
+    def test_nan_or_infinite_coefficient_holds(self, gains, k, box, angles):
+        # a NaN coefficient, or one past the float range, is singular: a hold
+        # tick, not a NaN command nor one that divides by infinity
+        angles = PanTiltAngles(*angles)
         err = compute_errors(box, k, gains.target_half_height)
-        terms = jacobian_terms(err, box, angles, k, gains)
-        assert math.isnan(solve_denominator_by_attribute(terms, gains))
-        with pytest.raises(SingularConfigurationError, match="^solve denominator nan "):
-            control_law(err, terms, gains, 0.0, singularity_eps(k, gains))
+        t = jacobian_terms(err, box, angles, k, gains)
+        g_h, det = partition_coefficients(t, gains)
+        assert not (math.isfinite(g_h) and math.isfinite(det))
+        with pytest.raises(SingularConfigurationError, match="within its guard$"):
+            partitioned_law(err, t, gains, 0.0, *partition_eps(k, gains))
         cmd = FollowController(gains, k).step(box, angles)
         want = follow_step(ZERO_COMMAND, box, angles, False, None, gains, k, SaturationLimits())
         assert cmd.hold and repr(cmd) == repr(want)
 
+    def test_non_finite_rate_holds(self, intrinsics, gains):
+        # g_h and det are finite and clear of their guards, but a gain at
+        # the float maximum overflows the column channel's rate
+        big = replace(gains, k1=1e308)
+        box, angles = BoxMeasurement(400.0, 300.0, 220.0), PanTiltAngles(0.2, 0.1)
+        err = compute_errors(box, intrinsics, big.target_half_height)
+        t = jacobian_terms(err, box, angles, intrinsics, big)
+        with pytest.raises(SingularConfigurationError, match="^solved rates .* not all finite$"):
+            partitioned_law(err, t, big, 0.0, *partition_eps(intrinsics, big))
+        ctrl = FollowController(big, intrinsics)
+        # a yawing tick on the centre column, where the gain multiplies zero
+        solved = ctrl.step(BoxMeasurement(320.0, 300.0, 220.0), PanTiltAngles(0.7, 0.1))
+        cmd = ctrl.step(box, angles)
+        want = follow_step(solved, box, angles, False, None, big, intrinsics, SaturationLimits())
+        assert not solved.hold and cmd.hold and repr(cmd) == repr(want)
+        assert cmd[1:4] == solved[1:4]
+
     @pytest.mark.parametrize(
-        "box, sign", [((400.0, 300.0, 220.0), -1), ((400.0, 200.0, 100.0), 1)], ids=["-inf", "inf"]
+        "box, angles",
+        [((400.0, 300.0, 220.0), (0.0, 0.0)), ((400.0, 200.0, 100.0), (0.0, 0.0)),
+         ((400.0, 300.0, 220.0), (0.1, 0.05))],
+        ids=["-inf-denominator", "inf-denominator", "overflowed-numerator"],
     )
-    def test_infinite_denominator_holds_in_both_forms(self, gains, box, sign):
-        # at a focal length of 1e304 px the denominator overflows to +/-inf,
-        # and num / inf is NaN where the numerator overflows too; the guard
-        # takes it as singular: a hold tick, not a NaN command
+    def test_focal_length_past_the_3x3_solve_solves(self, gains, box, angles):
+        # at a focal length of 1e304 px control_law is singular (its
+        # denominator or a numerator overflows), while g_h and det stay
+        # finite: the step commands the partitioned solve
         k = CameraIntrinsics(alpha_x=1.0e304)
-        box, angles = BoxMeasurement(*box), PanTiltAngles(0.0, 0.0)
-        err = compute_errors(box, k, gains.target_half_height)
-        terms = jacobian_terms(err, box, angles, k, gains)
-        assert solve_denominator_by_attribute(terms, gains) == sign * math.inf
-        message = f"^solve denominator {sign * math.inf} "
-        for law in (control_law, control_law_by_attribute):
-            with pytest.raises(SingularConfigurationError, match=message):
-                law(err, terms, gains, 0.0, singularity_eps(k, gains))
+        box, angles = BoxMeasurement(*box), PanTiltAngles(*angles)
         cmd = FollowController(gains, k).step(box, angles)
         want = follow_step(ZERO_COMMAND, box, angles, False, None, gains, k, SaturationLimits())
-        assert cmd.hold and repr(cmd) == repr(want)
+        assert not cmd.hold and all(map(math.isfinite, cmd[:4])) and repr(cmd) == repr(want)
 
     def test_examples_reach_the_guard_and_the_yaw(self, intrinsics):
         # the explicit examples above do hold on the guard after a yawing tick

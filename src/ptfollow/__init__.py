@@ -8,7 +8,7 @@ a failure-recovery state machine.
 
 The package exports the public API; every other name lives in its module
 (``geometry``, ``controller``, ``perception``, ``simworld``, ``runlog``,
-``runner``, ``config``, ``cli``).
+``runner``, ``config``, ``scenario_text``, ``cli``).
 """
 
 from .config import (

@@ -5,8 +5,11 @@ A scenario file is one YAML mapping whose keys are the field names of
 dataclass (``trajectory`` the class its ``kind`` picks from
 :data:`TRAJECTORIES`).  The tracker scores, the failure-recovery numbers
 of :class:`perception.RecoveryPolicy` and the loop's coefficient block
-``ScenarioConfig.mode`` are constants, not keys.  This module only walks the
-mappings: it rejects unknown and repeated keys, dispatches on
+``ScenarioConfig.mode`` are constants, not keys.  :func:`load_config` reads
+the file with :mod:`ptfollow.scenario_text`, a strict reader of the YAML
+subset scenario files use (it rejects any other form, and a key given twice
+in one mapping), imported only then, so a preset run never loads it.  This
+module only walks the mappings: it rejects unknown keys, dispatches on
 ``trajectory.kind`` and prefixes the section to an error.  Each value is
 checked by the dataclass that holds it, so a config built in code and one read
 from a file meet the same rules: ``geometry.check_fields`` checks every field
@@ -44,7 +47,6 @@ starts with the whole box in view.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
@@ -68,9 +70,11 @@ from .simworld import (
 # tiny ``dt`` (``--dt 1e-9`` is 6e10 ticks) runs for weeks until memory runs out.
 MAX_TICKS = 1_000_000
 
-# Deepest a scenario file may nest flow collections ([...], {...}): PyYAML's
-# scanner spends depth x line length on them, seconds for 5000 "[" on one line.
+# Deepest a scenario file may nest flow collections ([...], {...}) and, apart
+# from them, block collections (by indentation); ``scenario_text`` reads each
+# level by recursion, so the two bounds keep it well inside Python's limit.
 MAX_FLOW_DEPTH = 100
+MAX_BLOCK_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -297,85 +301,28 @@ PRESETS = {
 }
 
 
-def _reject_repeated_keys(node, path: str = "", seen=None) -> None:
-    """Raise :class:`ConfigError` for a key given twice in one mapping of a
-    composed YAML document, where the loader would keep the last value.
-
-    Keys merged in with ``<<`` are not in the mapping's own node, so the
-    mapping may override them, as YAML allows.  Each node is visited once,
-    so aliases cannot loop.
-    """
-    seen = set() if seen is None else seen
-    if id(node) in seen:
-        return
-    seen.add(id(node))
-    if node.id == "sequence":
-        for i, item in enumerate(node.value):
-            _reject_repeated_keys(item, f"{path}[{i}]", seen)
-    elif node.id == "mapping":
-        lines: dict[str, int] = {}
-        for key_node, value_node in node.value:
-            if key_node.id != "scalar":
-                continue  # a complex key; the constructor rejects it
-            key, line = key_node.value, key_node.start_mark.line + 1
-            if key in lines:
-                raise ConfigError(
-                    f"{_join(path, key)}: given twice, on lines {lines[key]} and {line}"
-                )
-            lines[key] = line
-            _reject_repeated_keys(value_node, _join(path, key), seen)
-
-
 def load_config(path: str | Path) -> ScenarioConfig:
     """Load and validate a scenario file.
 
     Raises:
         ConfigError: missing file, a path the system cannot read (a name
-            too long, say), malformed YAML (undecodable bytes and too deep a
-            nesting too), a key given twice in one mapping, unknown keys, or
-            any violated field invariant (the message names the field).
+            too long, say), text outside the YAML subset that
+            :mod:`ptfollow.scenario_text` reads (undecodable bytes and too
+            deep a nesting too), a key given twice in one mapping, unknown
+            keys, or any violated field invariant (the message names the
+            field).
     """
-    import yaml  # only scenario files need it; presets do not
-
-    class Loader(yaml.SafeLoader):
-        def fetch_flow_collection_start(self, TokenClass):
-            if self.flow_level >= MAX_FLOW_DEPTH:
-                problem = f"flow collections nested deeper than {MAX_FLOW_DEPTH} levels"
-                raise yaml.scanner.ScannerError(None, None, problem, self.get_mark())
-            super().fetch_flow_collection_start(TokenClass)
-
-    # YAML 1.2's exponent floats, such as 1e-3 and 1E5, which YAML 1.1 reads
-    # as strings; after the int resolver, so 10, 0x10 and 1_000 stay integers
-    Loader.add_implicit_resolver(
-        "tag:yaml.org,2002:float",
-        re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
-        list("-+.0123456789"),
-    )
+    from .scenario_text import read  # only scenario files need it; presets do not
 
     path = Path(path)
     try:
         if not path.is_file():
             raise ConfigError(f"scenario file not found: {path}")
-        # bytes, so YAML decodes them and undecodable ones are a YAMLError
-        with open(path, "rb") as fh:
-            loader = Loader(fh)
-            try:
-                node = loader.get_single_node()
-                data = None
-                if node is not None:
-                    _reject_repeated_keys(node)
-                    data = loader.construct_document(node)
-            finally:
-                loader.dispose()
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
-    except RecursionError:  # the composer and the key walk recurse per level
-        raise ConfigError(f"{path}: invalid YAML: nested too deeply") from None
+        raw = path.read_bytes()
     except OSError as exc:  # a name too long, say, or a file not readable
         raise ConfigError(f"{path}: cannot read scenario file: {exc.strerror}") from exc
-    if data is None:
-        data = {}
-    return parse_config(data, name=path.stem)
+    data = read(raw, str(path))
+    return parse_config({} if data is None else data, name=path.stem)
 
 
 def resolve_scenario(arg: str) -> ScenarioConfig:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from oracles import integrate_exact_arc, solve_denominator_by_attribute
+from oracles import integrate_exact_arc, pyyaml_load, same_value, solve_denominator_by_attribute
+from ptfollow import scenario_text
 from ptfollow.controller import (
     BoxMeasurement,
     ControlCommand,
@@ -40,6 +41,23 @@ def pytest_collection_modifyitems(items):
         own = getattr(test, "_hypothesis_internal_use_settings", None)
         if own is not None and own.max_examples > MUTANT_EXAMPLES:
             test._hypothesis_internal_use_settings = settings(own, max_examples=MUTANT_EXAMPLES)
+
+
+@pytest.fixture(autouse=True, scope="session")
+def scenario_files_read_as_pyyaml_reads_them():
+    """Every scenario file a test loads in this process must read to the value
+    the PyYAML loader gives it (``oracles.pyyaml_load``), when the reader
+    accepts it.  Session-scoped, so hypothesis tests take it too."""
+    read = scenario_text.read
+
+    def checked(raw: bytes, name: str):
+        value = read(raw, name)
+        assert same_value(value, pyyaml_load(raw)), f"{name} reads otherwise under PyYAML"
+        return value
+
+    scenario_text.read = checked
+    yield
+    scenario_text.read = read
 
 
 @pytest.fixture

@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_TESTS = "tests/test_config_cli.py::"
+TEXT_TESTS = "tests/test_scenario_text.py::"
 CONTROLLER_TESTS = "tests/test_controller.py::"
 FUSED_STEP_TESTS = CONTROLLER_TESTS + "TestFusedStep::"
 PERCEPTION_TESTS = "tests/test_perception.py::"
@@ -77,10 +78,16 @@ MUTANTS = [
     ),
     # too deep a scenario file, and the discrepancy report's arguments
     Mutant(
-        "config.py",
-        "    except RecursionError:",
-        "    except NotImplementedError:",
+        "scenario_text.py",
+        "        if depth >= MAX_BLOCK_DEPTH:",
+        "        if False:",
         (CONFIG_TESTS + "TestParseConfig::test_deep_nesting_is_a_config_error[block]",),
+    ),
+    Mutant(
+        "scenario_text.py",
+        "        if depth >= MAX_BLOCK_DEPTH:",
+        "        if depth > MAX_BLOCK_DEPTH:",
+        (TEXT_TESTS + "test_block_nesting_is_read_up_to_its_bound[101-compact]",),
     ),
     Mutant(
         "controller.py",
@@ -320,16 +327,29 @@ MUTANTS = [
         (CONFIG_TESTS + "test_section_rule_in_code_is_a_config_error[sigma_px]",),
     ),
     Mutant(
-        "config.py",
-        "            if self.flow_level >= MAX_FLOW_DEPTH:",
-        "            if self.flow_level > MAX_FLOW_DEPTH:",
+        "scenario_text.py",
+        "        if level >= MAX_FLOW_DEPTH:",
+        "        if level > MAX_FLOW_DEPTH:",
         (CONFIG_TESTS + "TestParseConfig::test_deep_nesting_is_a_config_error[one-line]",),
     ),
     Mutant(
-        "config.py",
-        "            if self.flow_level >= MAX_FLOW_DEPTH:",
-        "            if self.flow_level >= MAX_FLOW_DEPTH - 1:",
+        "scenario_text.py",
+        "        if level >= MAX_FLOW_DEPTH:",
+        "        if level >= MAX_FLOW_DEPTH - 1:",
         (CONFIG_TESTS + "TestParseConfig::test_flow_nesting_up_to_the_bound_is_read",),
+    ),
+    # a key given twice; a merged key over the mapping's own
+    Mutant(
+        "scenario_text.py",
+        "        if key in first:",
+        "        if False:",
+        (CONFIG_TESTS + "TestParseConfig::test_repeated_key_rejected[nested]",),
+    ),
+    Mutant(
+        "scenario_text.py",
+        "        result.update(own)\n",
+        "        result.update({**own, **result})\n",
+        (CONFIG_TESTS + "TestParseConfig::test_merge_key_may_be_overridden",),
     ),
     # configs the loop cannot follow; YAML 1.2 exponent floats
     Mutant(
@@ -348,15 +368,15 @@ MUTANTS = [
         (CONFIG_TESTS + "test_pan_limit_at_the_yaw_deadband_accepted[0.5235987755982988]",),
     ),
     Mutant(
-        "config.py",
-        "    Loader.add_implicit_resolver(\n",
-        "    (lambda *args: None)(\n",
+        "scenario_text.py",
+        '    r"|[-+]?(?:[0-9]+(?:\\.[0-9]*)?|\\.[0-9]+)[eE][-+]?[0-9]+"\n',
+        "",
         (CONFIG_TESTS + "test_exponent_floats_are_read_as_in_yaml_1_2",),
     ),
     Mutant(
-        "config.py",
-        "[eE][-+]?[0-9]+$",
-        "[eE][-+][0-9]+$",
+        "scenario_text.py",
+        '[eE][-+]?[0-9]+"',
+        '[eE][-+][0-9]+"',
         (CONFIG_TESTS + "test_exponent_floats_are_read_as_in_yaml_1_2",),
     ),
     # a path the system cannot read; a circle angle past the float range

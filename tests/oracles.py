@@ -17,16 +17,21 @@ keep theirs as a composition of plain functions: the controller step (with
 :func:`partitioned_law`, the plain form of the loop's rate solve), the
 perception step (with :func:`ptfollow.perception.recovery_step`, the plain
 form of the recovery transition) and the Euler step.  The tests check that
-the fast forms give the same bits.
+the fast forms give the same bits.  The scenario-file reader has its
+reference too: :func:`pyyaml_load`, the PyYAML loader that read scenario files
+before ``ptfollow.scenario_text``, with :func:`same_value` to compare read
+values.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_right
 from random import Random
 
 import numpy as np
+import yaml
 
 from ptfollow.controller import (
     BoxMeasurement,
@@ -573,3 +578,44 @@ def integrate_by_parts(
     alpha, beta = angles
     angles = clamp_joints(joint_limits, alpha + cmd.omega_alpha * dt, beta + cmd.omega_beta * dt)
     return (x, y, theta), tuple(angles)
+
+
+class _OldScenarioLoader(yaml.SafeLoader):
+    pass
+
+
+# YAML 1.2's exponent floats, such as 1e-3 and 1E5, which YAML 1.1 reads as
+# strings; after the int resolver, so 10, 0x10 and 1_000 stay integers
+_OldScenarioLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
+def pyyaml_load(raw: bytes):
+    """A scenario file's bytes as PyYAML's ``SafeLoader`` with YAML 1.2's
+    exponent floats reads them: the loader scenario files had before
+    ``ptfollow.scenario_text``."""
+    return yaml.load(raw, Loader=_OldScenarioLoader)
+
+
+def same_value(a, b, pairs: dict | None = None) -> bool:
+    """Whether two read values are the same: equal types at every place (so
+    ``True`` is not ``1``), floats with the same bits or both NaN, keys in the
+    same order, and a collection that holds itself where the other does."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a.hex() == b.hex() or (math.isnan(a) and math.isnan(b))
+    if not isinstance(a, (list, dict)):
+        return a == b
+    pairs = {} if pairs is None else pairs
+    if id(a) in pairs:
+        return pairs[id(a)] is b
+    pairs[id(a)] = b
+    if isinstance(a, dict):
+        return len(a) == len(b) and all(
+            same_value(ka, kb, pairs) and same_value(a[ka], b[kb], pairs) for ka, kb in zip(a, b)
+        )
+    return len(a) == len(b) and all(same_value(x, y, pairs) for x, y in zip(a, b))

@@ -1,9 +1,10 @@
 """What a run imports, and what it writes, in a fresh interpreter: no run
-loads numpy, even one that draws tracker noise, yaml is loaded for scenario
-files only, and a preset run does not load ``csv`` (only reading a log back
-needs it).  Fresh interpreters are needed because the test process
-itself has both loaded, and to show that a noisy run writes the same bytes
-in every process."""
+loads numpy, even one that draws tracker noise, none loads yaml (scenario
+files are read by ``ptfollow.scenario_text``; PyYAML is a test oracle only),
+and a preset run does not load ``csv`` (only reading a log back needs it).
+Fresh interpreters are needed because the test process itself has all three
+loaded, and to show that a noisy run writes the same bytes in every
+process."""
 
 import json
 import os
@@ -16,6 +17,7 @@ import pytest
 import ptfollow
 
 SRC = Path(ptfollow.__file__).resolve().parent.parent
+NOISY_WALK = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios" / "noisy-walk.yaml"
 
 PROBE = """\
 import json, sys
@@ -51,13 +53,16 @@ def test_preset_run_loads_neither_numpy_nor_yaml(tmp_path):
         pytest.param("noise: {occlusion_windows: [[0.2, 0.4]]}\n", id="occlusion"),
         pytest.param("noise: {sigma_px: 1.0}\n", id="sigma"),
         pytest.param("noise: {dropout_prob: 0.1}\n", id="dropout"),
+        pytest.param(None, id="noisy-walk.yaml"),  # the benchmark's file, as it is
     ],
 )
-def test_scenario_file_loads_yaml_but_never_numpy(tmp_path, noise):
-    scenario = tmp_path / "s.yaml"
-    scenario.write_text("duration: 1.0\n" + noise)
+def test_scenario_file_loads_neither_yaml_nor_numpy(tmp_path, noise):
+    scenario = NOISY_WALK
+    if noise is not None:
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text("duration: 1.0\n" + noise)
     loaded = _loaded(tmp_path, "--scenario", str(scenario))
-    assert (loaded["numpy"], loaded["yaml"]) == (False, True)
+    assert (loaded["numpy"], loaded["yaml"]) == (False, False)
 
 
 def test_noisy_run_writes_the_same_bytes_in_every_process(tmp_path):

@@ -306,7 +306,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
     Raises:
         ConfigError: missing file, a path the system cannot read (a name
-            too long, say), text outside the YAML subset that
+            too long or a directory, say), text outside the YAML subset that
             :mod:`ptfollow.scenario_text` reads (undecodable bytes and too
             deep a nesting too), a key given twice in one mapping, unknown
             keys, or any violated field invariant (the message names the
@@ -316,7 +316,9 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
     path = Path(path)
     try:
-        if not path.is_file():
+        if not path.is_file():  # a directory, a FIFO or a device is never read
+            if path.exists():
+                raise ConfigError(f"{path}: cannot read scenario file: not a regular file")
             raise ConfigError(f"scenario file not found: {path}")
         raw = path.read_bytes()
     except OSError as exc:  # a name too long, say, or a file not readable

@@ -222,8 +222,8 @@ def world_to_camera(
 
     ``robot_pose`` is ``(x, y, theta)`` and ``angles`` is ``(alpha, beta)``;
     the optical center sits at ``(x, y, camera_height)`` in world
-    coordinates.  Valid at any joint
-    angles; :func:`~ptfollow.simworld.integrate` keeps a run's in range.
+    coordinates.  Valid at any joint angles; the runner's joint clamp
+    keeps a run's in range.
     """
     x, y, theta = robot_pose
     px, py, pz = float(p_world[0]), float(p_world[1]), float(p_world[2])

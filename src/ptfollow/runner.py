@@ -4,11 +4,14 @@ The loop carries the robot's pose and joint angles as five float locals,
 ``x, y, theta, alpha, beta``.  One tick is: render the ground-truth box
 ``(u, v, v2)`` from them and the person's position at ``t = tick * dt``,
 push it through the perception pipeline, compute the control command, log,
-and integrate the pose and angles.  Render and integrate run inline, each
-expression as in :func:`~ptfollow.simworld.render_measurement` and
-:func:`~ptfollow.simworld.integrate`, so the outputs have their bits;
-integrate reuses render's ``cos``/``sin`` of the heading, as both take the
-heading from before the update.  The box, the angles handed to the
+and integrate the pose and angles.  Render and integrate run inline, with
+the same operations in the same order as
+:func:`~ptfollow.simworld.render_measurement` and
+:func:`~ptfollow.simworld.integrate`, so the outputs have their bits: the
+two body points share the rotation and every row term that does not involve
+height, the joint clamp is written as comparisons, and integrate reuses
+render's ``cos``/``sin`` of the heading, as both take the heading from
+before the update.  The box, the angles handed to the
 controller and the pixel errors ``(e_u, e_v, e_v2)`` are plain tuples
 because every stage takes them apart by position; the records that a reader
 outside the loop reads by field name (``PerceptionOutput``,
@@ -25,8 +28,8 @@ from random import Random
 from .config import ScenarioConfig
 # The loop calls none of compute_errors, target_position, render_measurement
 # and integrate; they stay here, where the benchmark's tracer looks them up
-# (their spans count 0 calls), and the last two are the plain forms the tests
-# check the inline world step against.
+# (their spans count 0 calls).  The last two are the plain compositions the
+# tests check the inline world step against.
 from .controller import FollowController, compute_errors  # noqa: F401
 from .perception import PerceptionPipeline
 from .runlog import RunSummary, TimeSeriesLog, summarize

@@ -257,13 +257,14 @@ class _Reader:
         raise _Invalid("expected a key and ': '", i)
 
     def key(self, i: int):
-        """The block mapping key at ``i`` and the index past its ``:``, or None."""
+        """The block mapping key at ``i`` and the index past its ``:``, or None.
+        A tab after the ``:`` ends the key too, so the error names the tab."""
         s = self.s
         if s[i] not in "'\"" and not _starts_plain(s, i, False):
             return None
         key, j = self.scalar(i, False)
         j = _SPACES.match(s, j).end()
-        return (key, j + 1) if s[j] == ":" and s[j + 1] in " \n\0" else None
+        return (key, j + 1) if s[j] == ":" and s[j + 1] in " \t\n\0" else None
 
     def value(self, i: int, n: int, path: str, depth: int, item: bool):
         """The value after the ``:`` of a key or the ``-`` of an ``item`` in

@@ -10,8 +10,11 @@ and a rendered box is the plain triple ``(u, v, v2)``: every reader takes
 them apart by position, and a plain tuple is built and unpacked in a
 fraction of the time of a ``NamedTuple``.  Any pair, a
 :class:`~ptfollow.geometry.PanTiltAngles` too, serves as the angles.
-:func:`render_measurement` and :func:`integrate` are the plain forms of the
-world step that ``run_scenario`` runs inline.
+The world step has two forms: ``run_scenario`` runs it inline, and
+:func:`render_measurement` (one :func:`~ptfollow.geometry.world_to_camera`
+and one :func:`~ptfollow.geometry.project` call per body point) and
+:func:`integrate` (the builtin ``min``/``max`` clamp) are its plain
+references, which the tests check the loop against.
 """
 
 from __future__ import annotations
@@ -28,12 +31,9 @@ from .geometry import (
     JointLimits,
     PositiveFloat,
     check_fields,
+    project,
+    world_to_camera,
 )
-
-# Bound here for the benchmark's ``geometry.world_to_camera`` span
-# (perfbench/tracing.py:SPANS), which wraps ``ptfollow.simworld.world_to_camera``.
-# render_measurement projects its two points inline, so that span counts no calls.
-from .geometry import world_to_camera  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -146,35 +146,21 @@ def integrate(
     joint_limits: JointLimits,
 ) -> tuple[tuple[float, float, float], tuple[float, float]]:
     """Semi-implicit Euler step: pose advances with the pre-update heading,
-    joint angles integrate and clamp to their limits, heading wraps.
-
-    ``wrap_angle`` and ``clamp_joints`` of ``tests/oracles.py`` run inline,
-    each expression in its order, so the result has their bits.  The clamp's
-    ``min(max(angle, -limit), limit)`` is written as two comparisons that
-    keep the builtins' first-argument-wins rule: ``max(a, b)`` is
-    ``b if b > a else a`` and ``min(a, b)`` is ``b if b < a else a``, so a
-    NaN angle passes through as it does there."""
+    heading wraps to (-pi, pi], joint angles integrate and clamp to their
+    limits."""
     if dt <= 0:
         raise ValueError("integrate: dt must be > 0")
     (x, y, theta), (alpha, beta) = robot, angles
     v_r, omega_r, omega_alpha, omega_beta, _, _ = cmd
     x += v_r * math.cos(theta) * dt
     y += v_r * math.sin(theta) * dt
-    theta = math.fmod(theta + omega_r * dt + math.pi, 2.0 * math.pi)  # wrap to (-pi, pi]
+    theta = math.fmod(theta + omega_r * dt + math.pi, 2.0 * math.pi)
     if theta <= 0.0:
         theta += 2.0 * math.pi
     theta -= math.pi
     alpha_max, beta_max = joint_limits.alpha_max, joint_limits.beta_max
-    alpha += omega_alpha * dt
-    if -alpha_max > alpha:
-        alpha = -alpha_max
-    if alpha_max < alpha:
-        alpha = alpha_max
-    beta += omega_beta * dt
-    if -beta_max > beta:
-        beta = -beta_max
-    if beta_max < beta:
-        beta = beta_max
+    alpha = min(max(alpha + omega_alpha * dt, -alpha_max), alpha_max)
+    beta = min(max(beta + omega_beta * dt, -beta_max), beta_max)
     return (x, y, theta), (alpha, beta)
 
 
@@ -193,39 +179,15 @@ def render_measurement(
     Returns ``None`` when the target is not measurable: either point at or
     behind the optical center, or the box center or its head-top row outside
     the image bounds.
-
-    This is :func:`~ptfollow.geometry.world_to_camera` and
-    :func:`~ptfollow.geometry.project` for the two points, fused: the
-    rotation is evaluated once, and the two points share their ground-plane
-    offset and every row term that does not involve height.  Each
-    expression keeps the left-to-right order of those functions, so the
-    box is the same to the last bit.
     """
-    x, y, theta = robot
     tx, ty = target
     h_cam = body.camera_height
-    dx, dy = tx - x, ty - y
-    ct, st = math.cos(theta), math.sin(theta)
-    # world -> robot frame (rotation about Z by -theta)
-    rx = ct * dx + st * dy
-    ry = -st * dx + ct * dy
-    alpha, beta = angles
-    sa, ca = math.sin(alpha), math.cos(alpha)
-    sb, cb = math.sin(beta), math.cos(beta)
-    # camera-frame x is the same for both points; y and z differ only in the
-    # height term added to these partial row sums
-    cam_x = sa * rx - ca * ry
-    row_y = sb * ca * rx + sb * sa * ry
-    row_z = cb * ca * rx + cb * sa * ry
-    dz_center = body.body_center_height - h_cam
-    dz_head = body.head_height - h_cam
-    z_center = row_z + sb * dz_center
-    z_head = row_z + sb * dz_head
-    if z_center <= 0.0 or z_head <= 0.0:
+    center = world_to_camera(robot, h_cam, angles, (tx, ty, body.body_center_height))
+    head = world_to_camera(robot, h_cam, angles, (tx, ty, body.head_height))
+    if center.z <= 0.0 or head.z <= 0.0:
         return None
-    u = k.u0 + k.alpha_x * cam_x / z_center
-    v = k.v0 + k.alpha_y * (row_y - cb * dz_center) / z_center
-    v2 = k.v0 + k.alpha_y * (row_y - cb * dz_head) / z_head
+    u, v = project(center, k)
+    _, v2 = project(head, k)
     # the head-top row must be in the image too, above the center row
     # (v2 < v fails only for degenerate geometry behind the mast)
     if not (0.0 <= u < k.width and 0.0 <= v2 < v < k.height):

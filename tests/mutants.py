@@ -196,17 +196,17 @@ MUTANTS = [
         "        self._values.extend(row)",
         (RUNLOG_TESTS + "TestTimeSeriesLog::test_append_takes_a_list_and_keeps_no_part_of_a_bad_row",),
     ),
-    Mutant(  # max(alpha, -alpha_max) with its arguments swapped
+    Mutant(  # the plain integrate clamping the pan to +alpha_max on both sides
         "simworld.py",
-        "    if -alpha_max > alpha:\n",
-        "    if not alpha > -alpha_max:\n",
-        (WORLD_TESTS + "TestIntegrate::test_clamp_edges_equal_min_max",),
+        "max(alpha + omega_alpha * dt, -alpha_max)",
+        "max(alpha + omega_alpha * dt, alpha_max)",
+        (WORLD_TESTS + "TestIntegrate::test_pure_pan",),
     ),
-    Mutant(  # min(beta, beta_max) with its arguments swapped
+    Mutant(  # the plain render projecting the head point at the body center
         "simworld.py",
-        "    if beta_max < beta:\n",
-        "    if not beta < beta_max:\n",
-        (WORLD_TESTS + "TestIntegrate::test_clamp_edges_equal_min_max",),
+        "(tx, ty, body.head_height)",
+        "(tx, ty, body.body_center_height)",
+        (WORLD_TESTS + "TestRenderMeasurement::test_reference_distance_gives_reference_half_height",),
     ),
     Mutant(  # a NaN or -0.0 elapsed time let through
         "simworld.py",

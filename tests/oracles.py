@@ -9,15 +9,18 @@ reworked for speed keep their plain form here too (the rate solve reading
 each coefficient as an attribute, the waypoint walk measuring every
 segment per call, the line walk with the builtin ``max``, a perception step
 that always computes the search-region cap, the clamp of one commanded rate
-as a function).  So do the parts the loop runs only inline: the tracker
-update (``simulated_track``, with its occlusion test ``occluded_at`` and its
-search-region comparison), the heading wrap (``wrap_angle``) and the joint
-clamp (``clamp_joints``).  The three stages the loop runs in one frame each
-keep theirs as a composition of plain functions: the controller step (with
-:func:`partitioned_law`, the plain form of the loop's rate solve), the
+as a function).  So does the tracker update, which the loop runs only
+inline (``simulated_track``, with its occlusion test ``occluded_at`` and its
+search-region comparison).  The exact arc flow wraps its heading with
+``wrap_angle`` and clamps its joints with ``clamp_joints``.  The controller and
+perception steps, which the loop runs in one frame each, keep theirs as a
+composition of plain functions: the controller step (with
+:func:`partitioned_law`, the plain form of the loop's rate solve) and the
 perception step (with :func:`ptfollow.perception.recovery_step`, the plain
-form of the recovery transition) and the Euler step.  The tests check that
-the fast forms give the same bits.  The scenario-file reader has its
+form of the recovery transition).  The world step's plain form is in the
+package: :func:`ptfollow.simworld.render_measurement` and
+:func:`ptfollow.simworld.integrate`.  The tests check that the fast forms
+give the same bits.  The scenario-file reader has its
 reference too: :func:`pyyaml_load`, the PyYAML loader that read scenario files
 before ``ptfollow.scenario_text``, with :func:`same_value` to compare read
 values.
@@ -52,7 +55,6 @@ from ptfollow.geometry import (
     CameraPoint,
     JointLimits,
     PanTiltAngles,
-    project,
     world_to_camera,
 )
 from ptfollow.perception import (
@@ -207,30 +209,6 @@ def true_body_center_depth(
     tx, ty = target
     p = world_to_camera(robot, body.camera_height, angles, (tx, ty, body.body_center_height))
     return p.z
-
-
-def render_two_points(
-    robot: tuple[float, float, float],
-    angles: PanTiltAngles,
-    target: tuple[float, float],
-    body: BodyModel,
-    k: CameraIntrinsics,
-) -> BoxMeasurement | None:
-    """The box :func:`ptfollow.simworld.render_measurement` gives, from one
-    :func:`world_to_camera` and one :func:`project` call per body point."""
-    tx, ty = target
-    h_cam = body.camera_height
-    p_center = world_to_camera(robot, h_cam, angles, (tx, ty, body.body_center_height))
-    p_head = world_to_camera(robot, h_cam, angles, (tx, ty, body.head_height))
-    if p_center.z <= 0.0 or p_head.z <= 0.0:
-        return None
-    u, v = project(p_center, k)
-    _, v2 = project(p_head, k)
-    if not (0.0 <= u < k.width and 0.0 <= v < k.height):
-        return None
-    if not 0.0 <= v2 < v:  # the head-top row in the image, above the center
-        return None
-    return BoxMeasurement(u=u, v=v, v2=v2)
 
 
 def wrap_angle(theta: float) -> float:
@@ -444,8 +422,9 @@ def simulated_track(
 
     Returns ``None`` (target lost) whenever the target is occluded, absent,
     outside the square search region around ``last_box``, or lost to a
-    random dropout, or its noisy box is outside the image ``k`` (the test of
-    :func:`ptfollow.simworld.render_measurement`); otherwise returns the
+    random dropout, or its noisy box is outside the image ``k`` (the test
+    ``0 <= u < width and 0 <= v2 < v < height`` that the loop puts on a
+    rendered box too); otherwise returns the
     (possibly noise-perturbed) truth.
     """
     if truth is None or occluded_at(noise, t):
@@ -558,26 +537,6 @@ def follow_step(
     )
     flags = SaturationFlags(*(flag for _, flag in clamped))
     return ControlCommand(*(rate for rate, _ in clamped), saturated=flags)
-
-
-def integrate_by_parts(
-    robot: tuple[float, float, float],
-    angles: tuple[float, float],
-    cmd: ControlCommand,
-    dt: float,
-    joint_limits: JointLimits,
-) -> tuple[tuple[float, float, float], tuple[float, float]]:
-    """:func:`ptfollow.simworld.integrate`, wrapping the heading with
-    :func:`wrap_angle` and clamping the joints with :func:`clamp_joints`."""
-    if dt <= 0:
-        raise ValueError("integrate: dt must be > 0")
-    x, y, theta = robot
-    x += cmd.v_r * math.cos(theta) * dt
-    y += cmd.v_r * math.sin(theta) * dt
-    theta = wrap_angle(theta + cmd.omega_r * dt)
-    alpha, beta = angles
-    angles = clamp_joints(joint_limits, alpha + cmd.omega_alpha * dt, beta + cmd.omega_beta * dt)
-    return (x, y, theta), tuple(angles)
 
 
 class _OldScenarioLoader(yaml.SafeLoader):

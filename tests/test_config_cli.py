@@ -1124,6 +1124,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"ptfollow: configuration error: {path}: cannot read scenario file:")
 
+    def test_directory_is_not_a_scenario_file(self, tmp_path, capsys):
+        # it exists, so it is not "not found"; nor is it read
+        assert main(["--scenario", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+        message = f"{tmp_path}: cannot read scenario file: not a regular file"
+        assert capsys.readouterr().err == f"ptfollow: configuration error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unwritable_output_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("")

@@ -35,8 +35,9 @@ from ptfollow.simworld import CircleTrajectory, LineTrajectory, WaypointTrajecto
 from test_goldens import NOISY_WALK
 
 # every function of the package a tick calls, and the loop itself, which
-# renders and integrates inline (render_measurement and integrate are the
-# plain forms tests/test_simworld.py checks it against)
+# renders and integrates inline; render_measurement and integrate, the plain
+# forms tests/test_simworld.py checks it against, run on no tick and clamp
+# with the builtins
 PER_TICK = (
     run_scenario,
     FollowController.step,

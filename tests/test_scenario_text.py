@@ -103,6 +103,7 @@ REJECTED = {
     "two-documents": (b"dt: 0.1\n---\ndt: 0.2\n", "found a second document or a document end marker", 2, 1),
     "complex-key": (b"? dt\n: 0.1\n", "a complex key ('? ') is not supported", 1, 1),
     "tab-indent": (b"noise:\n\tsigma_px: 1.0\n", "found a tab in the indentation", 2, 1),
+    "tab-after-colon": (b"dt:\t0.1\n", "found '\\t'", 1, 4),
     # PyYAML folds these into one scalar; the reader does not guess
     "multi-line-plain": (b"name: my\n  walk\n", "found a line indented deeper than its collection", 2, 3),
     "multi-line-quoted": (b"name: 'my\n  walk'\n", "found a quoted scalar that does not end on its line", 1, 7),

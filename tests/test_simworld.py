@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import re
 
 import numpy as np
 import pytest
@@ -12,16 +11,14 @@ from ptfollow.controller import DEADBAND_HALF_WIDTH, ControlCommand, compute_err
 from oracles import (
     DepthUnobservableError,
     depth_from_height,
-    integrate_by_parts,
     integrate_exact_arc,
     line_position_plain,
-    render_two_points,
     true_body_center_depth,
     waypoint_position_scan,
     wrap_angle,
 )
 from ptfollow.config import PRESETS, ScenarioConfig, parse_config
-from ptfollow.geometry import CameraIntrinsics, JointLimits, PanTiltAngles
+from ptfollow.geometry import CameraIntrinsics, JointLimits, PanTiltAngles, project, world_to_camera
 from ptfollow.perception import PerceptionPipeline
 from ptfollow.runner import run_scenario
 from ptfollow.simworld import (
@@ -188,49 +185,6 @@ class TestIntegrate:
         assert wrap_angle(-math.pi) == pytest.approx(math.pi)
         assert wrap_angle(3 * math.pi / 2) == pytest.approx(-math.pi / 2)
 
-    @settings(max_examples=400, deadline=None)
-    @given(data=st.data())
-    @example(data=None).via("theta exactly at -pi, joints beyond both stops")
-    def test_equals_wrap_and_clamp(self, data):
-        # integrate wraps the heading and clamps the joints inline; the bits
-        # must be those of wrap_angle and clamp_joints
-        if data is None:
-            limits = JointLimits(alpha_max=0.5, beta_max=0.25)
-            robot, angles = (0.0, 0.0, -math.pi), PanTiltAngles(0.6, -0.3)
-            cmd, dt = ControlCommand(0.5, 0.0, 1.0, -1.0), 0.02
-        else:
-            limits, robot, angles, cmd, dt = data.draw(_integrate_inputs())
-        _assert_integrate_equals_by_parts(robot, angles, cmd, dt, limits)
-
-    @pytest.mark.parametrize("side", [1.0, -1.0])
-    @pytest.mark.parametrize("rate", [0.0, -0.0, math.nan, math.inf, -math.inf])
-    def test_clamp_edges_equal_min_max(self, side, rate):
-        # joints exactly at a stop, just inside it and at +/-0.0, moved by a
-        # signed zero or a non-finite rate: the comparisons integrate writes
-        # for min(max(...)) must keep the builtins' bits, NaN included
-        limits = JointLimits(alpha_max=0.5, beta_max=0.25)
-        for alpha in (0.5, math.nextafter(0.5, 0.0), 0.0, -0.0):
-            for beta in (0.25, math.nextafter(0.25, 0.0), 0.0, -0.0):
-                angles = PanTiltAngles(side * alpha, side * beta)
-                cmd = ControlCommand(0.5, 0.0, rate, -rate)
-                _assert_integrate_equals_by_parts((0.0, 0.0, 0.3), angles, cmd, 0.02, limits)
-
-
-def _assert_integrate_equals_by_parts(robot, angles, cmd, dt, limits):
-    args = (robot, angles, cmd, dt, limits)
-    try:
-        want = integrate_by_parts(*args)
-    except ValueError as exc:  # math.fmod of an infinite heading
-        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            integrate(*args)
-        return
-    got = integrate(*args)
-    # the new pose and angles, each a plain tuple, and no record around them
-    assert type(got) is tuple and len(got) == 2
-    assert type(got[0]) is tuple and type(got[1]) is tuple
-    assert _float_bits(got) == _float_bits(want)
-    assert repr(got) == repr(want)
-
 
 def _delay_probes(delay):
     """Times at which ``t - delay`` is +0.0, an ulp either side of it, -0.0
@@ -239,39 +193,6 @@ def _delay_probes(delay):
     if delay == 0.0:
         probes.append(-0.0)
     return probes
-
-
-def _float_bits(value):
-    """Every float in a nested tuple, as ``float.hex``."""
-    if isinstance(value, tuple):
-        return [bits for item in value for bits in _float_bits(item)]
-    return [float.hex(value)]
-
-
-_NEAR_PI = [
-    s * x for s in (1.0, -1.0)
-    for x in (math.pi, math.nextafter(math.pi, 0.0), math.nextafter(math.pi, 4.0), 3 * math.pi)
-]
-
-
-@st.composite
-def _integrate_inputs(draw):
-    """Joint limits, a pose with the heading near +/-pi, joints at, inside or
-    beyond their stops, a command whose rates may be signed zeros, NaN or
-    infinite, and a step."""
-    limits = JointLimits(alpha_max=draw(st.floats(0.02, 3.0)), beta_max=draw(st.floats(0.02, 1.5)))
-
-    def joint(limit):
-        edges = [limit, -limit, math.nextafter(limit, 0.0), 1.5 * limit, -1.5 * limit, 0.0, -0.0]
-        return draw(st.sampled_from(edges) | st.floats(-2.0 * limit, 2.0 * limit))
-
-    theta = draw(st.sampled_from(_NEAR_PI + [0.0, -0.0]) | st.floats(-7.0, 7.0))
-    robot = (draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0)), theta)
-    angles = PanTiltAngles(joint(limits.alpha_max), joint(limits.beta_max))
-    rate = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]) | st.floats(-5.0, 5.0)
-    cmd = ControlCommand(draw(rate), draw(rate), draw(rate), draw(rate))
-    dt = draw(st.sampled_from([0.02, 1e-3]) | st.floats(1e-6, 1.0))
-    return limits, robot, angles, cmd, dt
 
 
 class TestBodyModel:
@@ -329,45 +250,42 @@ class TestRenderMeasurement:
         assert v2 == pytest.approx(20.0)
         assert render_measurement(ORIGIN, LEVEL, (2.0, 0.0), body, intrinsics) is None
 
-    # one example per outcome: x, y, heading, bearing, distance, alpha, beta,
-    # camera_height, head_height, focal
-    @example(18.72, 15.02, -1.22, 2.25, 2.69, 1.32, 0.49, 0.72, 1.63, 205.0)  # a box
-    @example(13.43, -2.69, 1.65, -3.13, 3.73, 0.66, -0.54, 1.38, 1.95, 218.0)  # behind
-    @example(-18.73, -5.51, -2.06, 0.28, 0.4, 1.36, -0.98, 1.11, 1.51, 353.0)  # head behind
-    @example(-14.63, 13.9, 1.66, -1.54, 4.11, -0.15, 0.3, 1.19, 1.55, 217.0)  # center out
-    @example(7.0, 14.4, -2.85, -0.17, 0.45, 1.43, 0.82, 0.3, 1.88, 227.0)  # v2 >= v
-    @example(0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.7, 1.8, 500.0)  # head top above the image
-    @settings(max_examples=300, deadline=None)
-    @given(
-        x=st.floats(-20.0, 20.0),
-        y=st.floats(-20.0, 20.0),
-        heading=st.floats(-math.pi, math.pi),
-        bearing=st.floats(-math.pi, math.pi),
-        distance=st.floats(0.3, 8.0),
-        alpha=st.floats(-1.5, 1.5),
-        beta=st.floats(-1.0, 1.0),
-        camera_height=st.floats(0.2, 1.45),
-        head_height=st.floats(1.5, 2.0),
-        focal=st.floats(200.0, 800.0),
-    )
-    def test_fused_render_equals_two_point_reference(
-        self, x, y, heading, bearing, distance, alpha, beta, camera_height, head_height, focal
-    ):
-        # bearing is the target's direction relative to the robot heading
-        target = (
-            x + distance * math.cos(heading + bearing),
-            y + distance * math.sin(heading + bearing),
-        )
-        world = ((x, y, heading), PanTiltAngles(alpha, beta), target)
-        body = BodyModel(camera_height=camera_height, head_height=head_height)
+    # one world per outcome: x, y, heading, bearing (the target's direction
+    # relative to the heading), distance, alpha, beta, camera_height,
+    # head_height and focal length
+    OUTCOMES = {
+        "box": (18.72, 15.02, -1.22, 2.25, 2.69, 1.32, 0.49, 0.72, 1.63, 205.0),
+        "behind": (13.43, -2.69, 1.65, -3.13, 3.73, 0.66, -0.54, 1.38, 1.95, 218.0),
+        "head behind": (-18.73, -5.51, -2.06, 0.28, 0.4, 1.36, -0.98, 1.11, 1.51, 353.0),
+        "center out": (-14.63, 13.9, 1.66, -1.54, 4.11, -0.15, 0.3, 1.19, 1.55, 217.0),
+        "v2 >= v": (7.0, 14.4, -2.85, -0.17, 0.45, 1.43, 0.82, 0.3, 1.88, 227.0),
+    }
+
+    @pytest.mark.parametrize("outcome", OUTCOMES)
+    def test_each_outcome_of_a_world(self, outcome):
+        x, y, heading, bearing, distance, alpha, beta, h_cam, head, focal = self.OUTCOMES[outcome]
+        robot, angles = (x, y, heading), (alpha, beta)
+        direction = heading + bearing
+        target = (x + distance * math.cos(direction), y + distance * math.sin(direction))
+        body = BodyModel(camera_height=h_cam, head_height=head)
         k = CameraIntrinsics(alpha_x=focal, alpha_y=focal)
-        got = render_measurement(*world, body, k)
-        want = render_two_points(*world, body, k)
-        if want is None:
-            assert got is None
+        p_center, p_head = (
+            world_to_camera(robot, h_cam, angles, (*target, height))
+            for height in (body.body_center_height, body.head_height)
+        )
+        if p_center.z <= 0.0:
+            seen = "behind"
+        elif p_head.z <= 0.0:
+            seen = "head behind"
         else:
-            assert type(got) is tuple
-            assert [b.hex() for b in got] == [w.hex() for w in want]
+            (u, v), (_, v2) = project(p_center, k), project(p_head, k)
+            if not (0.0 <= u < k.width and 0.0 <= v < k.height):
+                seen = "center out"
+            else:
+                seen = "box" if 0.0 <= v2 < v else "v2 >= v"
+        assert seen == outcome
+        box = render_measurement(robot, angles, target, body, k)
+        assert box == ((u, v, v2) if outcome == "box" else None)
 
 
 class TestDepthAgreement:

@@ -453,6 +453,12 @@ MUTANTS = [
         "        if -alpha_max > -alpha:\n",
         (WORLD_STEP_TESTS + "[turn-past-pi]",),
     ),
+    Mutant(  # a NaN tilt clamped to the upper stop, which min(max(...)) keeps as NaN
+        "runner.py",
+        "        if beta_max < beta:\n",
+        "        if not beta < beta_max:\n",
+        (WORLD_TESTS + "TestIntegrate::test_clamp_edges_equal_min_max",),
+    ),
     Mutant(
         "runner.py",
         "        y += v_r * st * dt\n",

@@ -2,14 +2,16 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ptfollow.controller import DEADBAND_HALF_WIDTH, ControlCommand, compute_errors
+from ptfollow.controller import DEADBAND_HALF_WIDTH, ControlCommand, FollowController, compute_errors
 from oracles import (
     DepthUnobservableError,
+    clamp_joints,
     depth_from_height,
     integrate_exact_arc,
     line_position_plain,
@@ -185,6 +187,46 @@ class TestIntegrate:
         assert wrap_angle(-math.pi) == pytest.approx(math.pi)
         assert wrap_angle(3 * math.pi / 2) == pytest.approx(-math.pi / 2)
 
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    @example(data=None).via("theta exactly at -pi, joints beyond both stops")
+    def test_equals_wrap_and_clamp(self, data):
+        # integrate wraps the heading and clamps the joints; the bits must be
+        # those of wrap_angle and clamp_joints
+        if data is None:
+            limits = JointLimits(alpha_max=0.5, beta_max=0.25)
+            robot, angles = (0.0, 0.0, -math.pi), PanTiltAngles(0.6, -0.3)
+            cmd, dt = ControlCommand(0.5, 0.0, 1.0, -1.0), 0.02
+        else:
+            limits, robot, angles, cmd, dt = data.draw(_integrate_inputs())
+        _assert_integrate_equals_by_parts(robot, angles, cmd, dt, limits)
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    @pytest.mark.parametrize("rate", [0.0, -0.0, math.nan, math.inf, -math.inf])
+    def test_clamp_edges_equal_min_max(self, side, rate, monkeypatch):
+        # joints exactly at a stop, just inside it and at +/-0.0, moved by a
+        # signed zero or a non-finite rate: the comparisons the runner writes
+        # inline for min(max(...)) must keep the builtins' bits, NaN included
+        # (a run's pan stop is at least the controller's deadband)
+        limits = JointLimits(alpha_max=0.75, beta_max=0.25)
+        cmd = ControlCommand(0.5, 0.0, rate, -rate)
+        monkeypatch.setattr(FollowController, "step", lambda *_: cmd)
+        for alpha in (0.75, math.nextafter(0.75, 0.0), 0.0, -0.0):
+            for beta in (0.25, math.nextafter(0.25, 0.0), 0.0, -0.0):
+                angles = PanTiltAngles(side * alpha, side * beta)
+                robot = (0.0, 0.0, 0.3)
+                _assert_integrate_equals_by_parts(robot, angles, cmd, 0.02, limits)
+                cfg = dataclasses.replace(
+                    ScenarioConfig(), joints=limits, robot_start=robot, initial_angles=angles,
+                    duration=0.04,
+                )
+                log = run_scenario(cfg)
+                got = tuple(log.series(name)[1] for name in ("robot_x", "robot_y", "theta")), (
+                    log.series("alpha")[1], log.series("beta")[1]
+                )
+                want = integrate(robot, angles, cmd, cfg.dt, limits)
+                assert _float_bits(got) == _float_bits(want), (alpha, beta)
+
 
 def _delay_probes(delay):
     """Times at which ``t - delay`` is +0.0, an ulp either side of it, -0.0
@@ -193,6 +235,59 @@ def _delay_probes(delay):
     if delay == 0.0:
         probes.append(-0.0)
     return probes
+
+
+def _assert_integrate_equals_by_parts(robot, angles, cmd, dt, limits):
+    args = (robot, angles, cmd, dt, limits)
+    x, y, theta = robot
+    try:
+        theta = wrap_angle(theta + cmd.omega_r * dt)
+    except ValueError as exc:  # math.fmod of an infinite heading
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            integrate(*args)
+        return
+    pose = (x + cmd.v_r * math.cos(robot[2]) * dt, y + cmd.v_r * math.sin(robot[2]) * dt, theta)
+    alpha, beta = angles
+    want = pose, tuple(clamp_joints(limits, alpha + cmd.omega_alpha * dt, beta + cmd.omega_beta * dt))
+    got = integrate(*args)
+    # the new pose and angles, each a plain tuple, and no record around them
+    assert type(got) is tuple and len(got) == 2
+    assert type(got[0]) is tuple and type(got[1]) is tuple
+    assert _float_bits(got) == _float_bits(want)
+    assert repr(got) == repr(want)
+
+
+def _float_bits(value):
+    """Every float in a nested tuple, as ``float.hex``."""
+    if isinstance(value, tuple):
+        return [bits for item in value for bits in _float_bits(item)]
+    return [float.hex(value)]
+
+
+_NEAR_PI = [
+    s * x for s in (1.0, -1.0)
+    for x in (math.pi, math.nextafter(math.pi, 0.0), math.nextafter(math.pi, 4.0), 3 * math.pi)
+]
+
+
+@st.composite
+def _integrate_inputs(draw):
+    """Joint limits, a pose with the heading near +/-pi, joints at, inside or
+    beyond their stops, a command whose rates may be signed zeros, NaN or
+    infinite, and a step."""
+    limits = JointLimits(alpha_max=draw(st.floats(0.02, 3.0)), beta_max=draw(st.floats(0.02, 1.5)))
+
+    def joint(limit):
+        edges = [limit, -limit, math.nextafter(limit, 0.0), 1.5 * limit, -1.5 * limit, 0.0, -0.0]
+        return draw(st.sampled_from(edges) | st.floats(-2.0 * limit, 2.0 * limit))
+
+    theta = draw(st.sampled_from(_NEAR_PI + [0.0, -0.0]) | st.floats(-7.0, 7.0))
+    robot = (draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0)), theta)
+    angles = PanTiltAngles(joint(limits.alpha_max), joint(limits.beta_max))
+    rate = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]) | st.floats(-5.0, 5.0)
+    cmd = ControlCommand(draw(rate), draw(rate), draw(rate), draw(rate))
+    dt = draw(st.sampled_from([0.02, 1e-3]) | st.floats(1e-6, 1.0))
+    return limits, robot, angles, cmd, dt
 
 
 class TestBodyModel:
